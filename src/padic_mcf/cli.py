@@ -31,10 +31,10 @@ from .mcf import (
 )
 from .numberfield import NumberField, PAdicEmbedding
 from .padic import (
-    PAdicApprox,
     balanced_digit_expansion,
     browkin_s,
     is_odd_prime,
+    to_approx,
     valuation,
 )
 from .worked_examples import run_paper_examples
@@ -185,17 +185,8 @@ def _build_inputs(args, cfg: RunConfig):
     if backend == "rational" and args.minpoly:
         raise UsageError("--backend rational cannot hold algebraic inputs")
     if backend == "approx":
-        inputs = [
-            x if isinstance(x, PAdicApprox) else _to_approx(x, cfg.prime, cfg.precision)
-            for x in inputs
-        ]
+        inputs = [to_approx(x, cfg.prime, cfg.precision) for x in inputs]
     return tuple(inputs)
-
-
-def _to_approx(x, p: int, precision: int) -> PAdicApprox:
-    if isinstance(x, Fraction):
-        return PAdicApprox.from_rational(x, p, precision)
-    return x.to_approx(precision)
 
 
 def _quotient_digit_lines(mcf: MCF, p: int):
@@ -270,25 +261,19 @@ def cmd_euclid(args, out) -> int:
     if cfg.dim is not None and cfg.dim != len(values) - 1:
         raise UsageError(f"-m {cfg.dim} does not match {len(values)} coordinates")
     if cfg.backend == "approx":
-        values = [PAdicApprox.from_rational(x, cfg.prime, cfg.precision) for x in values]
+        values = [to_approx(x, cfg.prime, cfg.precision) for x in values]
     result, trace = euclid_expand(values, cfg.prime, max_steps=cfg.max_steps)
     if cfg.fmt == "json":
         d = result.to_json_dict()
         d["trace_valuations"] = [
-            format_valuation(_trace_val(t[-1], cfg.prime)) for t in trace
+            format_valuation(valuation(t[-1], cfg.prime)) for t in trace
         ]
         print(_dump_json(d), file=out)
     else:
         _print_expansion(result, cfg, out)
-        vals = ", ".join(format_valuation(_trace_val(t[-1], cfg.prime)) for t in trace)
+        vals = ", ".join(format_valuation(valuation(t[-1], cfg.prime)) for t in trace)
         print(f"trace v(x^(m+1)): {vals}", file=out)
     return 0 if result.is_finite else 2
-
-
-def _trace_val(x, p: int):
-    if isinstance(x, Fraction):
-        return valuation(x, p)
-    return x.valuation  # PAdicApprox
 
 
 def format_valuation(v) -> str:

@@ -20,20 +20,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import DigitMapViolation, InsufficientPrecision, VerificationFailed
 from .mcf import MCF, check_convergence_conditions, evaluate_finite
-from .numberfield import EmbeddedAlgebraic, rational_linear_dependence
+from .numberfield import rational_linear_dependence
 from .padic import (
-    PAdicApprox,
+    PLUS_INFINITY,
     browkin_s,
+    exact_key,
     in_browkin_range,
+    is_zero,
     require_odd_prime,
     valuation,
 )
-
-PAdicValue = Union[Fraction, EmbeddedAlgebraic, PAdicApprox]
 
 DEFAULT_MAX_STEPS = 10_000
 
@@ -94,32 +93,14 @@ class ExpansionResult:
 
 
 def _coerce_value(x, p: int):
-    if isinstance(x, (PAdicApprox, EmbeddedAlgebraic)):
-        if x.prime != p:
-            raise ValueError("value carries a different prime")
-        return x
-    return Fraction(x)
-
-
-def _is_exact_zero(x) -> bool:
-    """Exact zero test; undecidable for truncated values."""
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    if isinstance(x, PAdicApprox):
-        if x.is_zero_at_precision():
-            raise InsufficientPrecision(
-                f"cannot distinguish 0 from O(p^{x.precision})"
-            )
-        return False
-    return x.is_zero()
-
-
-def _value_valuation(x, p: int):
-    if isinstance(x, (int, Fraction)):
-        return valuation(x, p)
-    if isinstance(x, PAdicApprox):
-        return x.valuation
-    return x.valuation()
+    """Inputs that carry a prime (p-adic values) must carry p; anything
+    else is read as a rational."""
+    prime = getattr(x, "prime", None)
+    if prime is None:
+        return Fraction(x)
+    if prime != p:
+        raise ValueError("value carries a different prime")
+    return x
 
 
 def _validated_digit(digit_map, alpha, p: int) -> Fraction:
@@ -132,7 +113,7 @@ def _validated_digit(digit_map, alpha, p: int) -> Fraction:
     """
     a = Fraction(digit_map(alpha, p))
     try:
-        zero = _is_exact_zero(alpha)
+        zero = is_zero(alpha)
     except InsufficientPrecision:
         zero = False
     if zero:
@@ -141,7 +122,7 @@ def _validated_digit(digit_map, alpha, p: int) -> Fraction:
         return a
     if not in_browkin_range(a, p):
         raise DigitMapViolation(f"digit {a} outside Z[1/p] ∩ (-p/2, p/2)")
-    v_alpha = _value_valuation(alpha, p)
+    v_alpha = valuation(alpha, p)
     v_diff = _diff_valuation(alpha, a, p)
     if v_diff < 1:
         raise DigitMapViolation(f"|alpha - digit| >= 1 (valuation {v_diff})")
@@ -154,11 +135,11 @@ def _validated_digit(digit_map, alpha, p: int) -> Fraction:
 def _diff_valuation(alpha, a: Fraction, p: int):
     diff = alpha - a
     try:
-        if _is_exact_zero(diff):
-            return float("inf")
+        if is_zero(diff):
+            return PLUS_INFINITY
     except InsufficientPrecision:
         return diff.precision  # lower bound is all we know; fine for >= 1 checks
-    return _value_valuation(diff, p)
+    return valuation(diff, p)
 
 
 def jp_step(state: JPState, digit_map=None) -> StepResult:
@@ -174,7 +155,7 @@ def jp_step(state: JPState, digit_map=None) -> StepResult:
     else:
         quotients = tuple(_validated_digit(digit_map, a, p) for a in state.alphas)
     last = state.alphas[-1] - quotients[-1]
-    if _is_exact_zero(last):
+    if is_zero(last):
         return StepResult(quotients, None)
     lead = 1 / last
     nxt = (lead,) + tuple(
@@ -184,18 +165,9 @@ def jp_step(state: JPState, digit_map=None) -> StepResult:
 
 
 def _state_key(state: JPState):
-    out = []
-    for a in state.alphas:
-        if isinstance(a, Fraction):
-            out.append(a)
-        elif isinstance(a, EmbeddedAlgebraic):
-            # canonicalise rational elements so that a value hopping between
-            # the Fraction and the constant-vector representation still keys
-            # identically
-            out.append(a.alg.as_fraction() if a.alg.is_rational() else a.alg.coeffs)
-        else:
-            return None  # truncated backend: no exact key
-    return tuple(out)
+    """Exact key of the complete quotients; None on a truncated backend."""
+    key = tuple(exact_key(a) for a in state.alphas)
+    return None if None in key else key
 
 
 def jp_expand(
@@ -278,7 +250,7 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
     if len(xs) < 2:
         raise ValueError("need an (m+1)-tuple with m >= 1")
     m = len(xs) - 1
-    if _is_exact_zero(xs[-1]):
+    if is_zero(xs[-1]):
         raise ZeroDivisionError("last coordinate must be nonzero")
     trace = [xs]
     rows = []
@@ -290,7 +262,7 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
         nxt = (last,) + tuple(xs[i] - quotients[i] * last for i in range(m))
         trace.append(nxt)
         xs = nxt
-        if _is_exact_zero(xs[-1]):
+        if is_zero(xs[-1]):
             status = "finite"
             break
     return (
@@ -321,7 +293,7 @@ def verify_termination_dependence(result: ExpansionResult, inputs):
     """
     if not result.is_finite:
         raise ValueError("dependence is only guaranteed for finite runs")
-    values = [x.alg if isinstance(x, EmbeddedAlgebraic) else Fraction(x) for x in inputs]
+    values = list(inputs)
     values.append(values[0] * 0 + 1)
     dep = rational_linear_dependence(values)
     if dep is None:
@@ -330,7 +302,7 @@ def verify_termination_dependence(result: ExpansionResult, inputs):
     for c, v in zip(dep, values):
         term = c * v
         acc = term if acc is None else acc + term
-    if not (acc == 0 or (hasattr(acc, "is_zero") and acc.is_zero())):
+    if acc != 0:
         raise VerificationFailed("dependency vector does not annihilate the inputs")
     return dep
 

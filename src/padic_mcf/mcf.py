@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    InsufficientPrecision,
     InternalMismatch,
     PrecisionExhausted,
     ZeroDenominatorConvergent,
     ZeroIntermediate,
     ZeroWeight,
 )
-from .padic import PLUS_INFINITY, require_odd_prime, valuation
+from .padic import is_zero, require_odd_prime, valuation
 
 
 class MCF:
@@ -458,31 +459,15 @@ class StrongConvergenceSeq:
         return len(self.values) - 1 - self.m
 
 
-def _value_valuation(x, p: int):
-    from .errors import InsufficientPrecision
-
-    if isinstance(x, (int, Fraction)):
-        return valuation(x, p)
-    if hasattr(x, "is_zero_at_precision"):  # truncated backend
-        if x.is_zero_at_precision():
-            raise PrecisionExhausted(
-                f"norm undetermined: value is 0 mod p^{x.precision}"
-            )
-        return x.valuation
-    try:
-        return x.valuation()  # embedded algebraic backend
-    except InsufficientPrecision as exc:
-        raise PrecisionExhausted(str(exc)) from None
-
-
 def strong_convergence_sequence(
     table: ConvergentsTable, targets, p: int
 ) -> StrongConvergenceSeq:
     """Strong-convergence quantities for a fully recorded table.
 
-    Targets are exact values (Fraction or embedded algebraic).  The linear
-    recurrence V_n = sum_j a_n^(j) V_{n-j} is re-checked exactly for every
-    recorded index as a self-test.
+    Targets are Fractions, embedded algebraic or truncated values.  The
+    linear recurrence V_n = sum_j a_n^(j) V_{n-j} is re-checked for every
+    recorded index as a self-test.  A V_n whose norm the targets' precision
+    leaves undetermined raises PrecisionExhausted.
     """
     require_odd_prime(p)
     if not table.record:
@@ -496,7 +481,7 @@ def strong_convergence_sequence(
         col = table.history_column(n)
         row_v = []
         for i in range(m):
-            if isinstance(col[m], (int, Fraction)) and col[m] == 0:
+            if col[m] == 0:
                 row_v.append(col[i])  # exact: the target contributes nothing
             else:
                 row_v.append(col[i] - targets[i] * col[m])
@@ -514,18 +499,14 @@ def strong_convergence_sequence(
                     # V_{-(m+1)}^(i) = -target_i
                     term = row[j - 1] * (Fraction(0) - targets[i])
                 acc = term if acc is None else acc + term
-            if not _exact_eq_zero(acc - values[n + m][i]):
+            try:
+                agrees = is_zero(acc - values[n + m][i])
+            except InsufficientPrecision:
+                agrees = True  # indistinguishable from zero is the best check
+            if not agrees:
                 raise InternalMismatch(f"V recurrence failed at n={n}, i={i + 1}")
-    vals = tuple(
-        tuple(_value_valuation(x, p) for x in row_v) for row_v in values
-    )
+    try:
+        vals = tuple(tuple(valuation(x, p) for x in row_v) for row_v in values)
+    except InsufficientPrecision as exc:
+        raise PrecisionExhausted(str(exc)) from None
     return StrongConvergenceSeq(m, p, tuple(values), vals)
-
-
-def _exact_eq_zero(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    if hasattr(x, "is_zero_at_precision"):
-        # truncated backend: indistinguishable-from-zero is the best check
-        return x.is_zero_at_precision()
-    return x.is_zero()

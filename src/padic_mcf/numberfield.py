@@ -98,10 +98,6 @@ def _peval(c, x):
     return acc
 
 
-def _pderiv(c):
-    return _pstrip([i * c[i] for i in range(1, len(c))])
-
-
 # ---------------------------------------------------------------------------
 # number fields and their elements
 # ---------------------------------------------------------------------------
@@ -537,9 +533,6 @@ class PAdicEmbedding:
                     return self._root
             raise LiftingObstruction("refined roots no longer match the cached root")
 
-    def embed(self, x: "AlgebraicNumber", precision: int) -> PAdicApprox:
-        return embed(x, self, precision)
-
     def __call__(self, x: "AlgebraicNumber") -> "EmbeddedAlgebraic":
         if x.field != self.field:
             raise FieldMismatch("element belongs to a different field")
@@ -597,6 +590,12 @@ class EmbeddedAlgebraic:
 
     def to_approx(self, precision: int) -> PAdicApprox:
         return embed(self.alg, self.emb, precision)
+
+    def exact_key(self):
+        """Hashable key of the exact value.  A rational element keys as its
+        Fraction, so a value hopping between the Fraction and the
+        constant-vector representation keys identically."""
+        return self.alg.as_fraction() if self.alg.is_rational() else self.alg.coeffs
 
     def valuation(self):
         """Exact valuation, found by raising the embedding precision until a

@@ -56,11 +56,17 @@ def require_odd_prime(p: int) -> int:
 
 
 def valuation(x, p: int):
-    """p-adic valuation of a rational; PLUS_INFINITY exactly for x = 0.
+    """p-adic valuation of a value of any backend; PLUS_INFINITY exactly at 0.
 
-    The p-adic norm is |x| = p**(-valuation(x, p)).
+    The p-adic norm is |x| = p**(-valuation(x, p)).  A PAdicApprox that is
+    0 at its precision raises InsufficientPrecision; an exact algebraic
+    value answers through its embedding.
     """
     require_odd_prime(p)
+    if not isinstance(x, (int, Fraction)):
+        if isinstance(x, PAdicApprox):
+            return x.valuation
+        return x.valuation()
     x = Fraction(x)
     if x == 0:
         return PLUS_INFINITY
@@ -76,14 +82,37 @@ def valuation(x, p: int):
     return v
 
 
-def norm_le(x, y, p: int) -> bool:
-    """|x| <= |y| via valuations."""
-    return valuation(x, p) >= valuation(y, p)
+def is_zero(x) -> bool:
+    """Exact zero test.  A PAdicApprox with no known digit cannot be told
+    from 0 and raises InsufficientPrecision instead of guessing."""
+    if isinstance(x, (int, Fraction)):
+        return x == 0
+    if isinstance(x, PAdicApprox):
+        if x.is_zero_at_precision():
+            raise InsufficientPrecision(
+                f"cannot distinguish 0 from O(p^{x.precision})"
+            )
+        return False
+    return x.is_zero()
 
 
-def norm_lt(x, y, p: int) -> bool:
-    """|x| < |y| via valuations."""
-    return valuation(x, p) > valuation(y, p)
+def to_approx(x, p: int, precision: int) -> "PAdicApprox":
+    """x truncated modulo p**precision; a PAdicApprox passes through."""
+    if isinstance(x, (int, Fraction)):
+        return PAdicApprox.from_rational(x, p, precision)
+    if isinstance(x, PAdicApprox):
+        return x
+    return x.to_approx(precision)
+
+
+def exact_key(x):
+    """Hashable key on which equal exact values agree; None for a truncated
+    PAdicApprox, whose equality is undecidable."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, PAdicApprox):
+        return None
+    return x.exact_key()
 
 
 def _balanced_residue(r: int, p: int) -> int:
@@ -161,57 +190,44 @@ def in_browkin_range(x, p: int) -> bool:
 def browkin_s(x, p: int) -> Fraction:
     """Browkin digit truncation: the sum of balanced digits at exponents <= 0.
 
-    Maps any p-adic value onto Z[1/p] intersected with (-p/2, p/2); returns 0
-    when the valuation is positive.  Accepts exact rationals, truncated
-    PAdicApprox values (needs precision >= 1), and any object exposing
-    is_zero() and to_approx(n), such as embedded algebraic numbers.
+    Maps a value of any backend onto Z[1/p] intersected with (-p/2, p/2);
+    returns 0 when the valuation is positive.  A PAdicApprox needs
+    precision >= 1; an exact algebraic value is embedded at precision 1,
+    which fixes every digit through exponent 0.
     """
     require_odd_prime(p)
-    if isinstance(x, PAdicApprox):
-        if x.prime != p:
-            raise ValueError("prime mismatch")
-        if x.precision < 1:
-            raise InsufficientPrecision(
-                f"digit at exponent 0 unknown at precision O(p^{x.precision})"
-            )
-        if x.is_zero_at_precision() or x.val > 0:
-            return Fraction(0)
-        return x.digits.truncate_at_one(p)
     if isinstance(x, (int, Fraction)):
         x = Fraction(x)
         if x == 0 or valuation(x, p) > 0:
             return Fraction(0)
         return balanced_digit_expansion(x, p, 1).value(p)
-    # algebraic backend: digits through exponent 0 only need precision 1
-    if x.is_zero():
+    if not isinstance(x, PAdicApprox):
+        if x.is_zero():
+            return Fraction(0)
+        x = x.to_approx(1)
+    if x.prime != p:
+        raise ValueError("prime mismatch")
+    if x.precision < 1:
+        raise InsufficientPrecision(
+            f"digit at exponent 0 unknown at precision O(p^{x.precision})"
+        )
+    if x.is_zero_at_precision() or x.val > 0:
         return Fraction(0)
-    return browkin_s(x.to_approx(1), p)
+    return x.digits.truncate_at_one(p)
 
 
 def padic_divide(sigma, tau, p: int):
     """Division sigma = q*tau + eta with |eta| < |tau|.
 
     The quotient q = browkin_s(sigma/tau) is the unique element of Z[1/p]
-    with Euclidean absolute value below p/2 satisfying the norm bound.
+    with Euclidean absolute value below p/2 satisfying the norm bound.  A
+    divisor that is zero, or that cannot be told from zero, raises
+    ZeroDivisionError.
     """
     require_odd_prime(p)
-    if _divisor_is_zero(tau):
-        raise ZeroDivisionError("tau must be nonzero")
     q = browkin_s(sigma / tau, p)
     eta = sigma - q * tau
     return q, eta
-
-
-def _divisor_is_zero(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    if isinstance(x, PAdicApprox):
-        if x.is_zero_at_precision():
-            raise ZeroDivisionError(
-                f"divisor indistinguishable from zero at O(p^{x.precision})"
-            )
-        return False
-    return x.is_zero()
 
 
 class PAdicApprox:

@@ -1,23 +1,31 @@
 """Valuations, balanced digits, the Browkin truncation, division, and
 truncated arithmetic."""
 
+import ast
 import itertools
 from fractions import Fraction as F
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padic_mcf
 from padic_mcf.errors import InsufficientPrecision, PrecisionExhausted
+from padic_mcf.numberfield import NumberField, PAdicEmbedding
 from padic_mcf.padic import (
     PLUS_INFINITY,
     BalancedDigits,
     PAdicApprox,
     balanced_digit_expansion,
     browkin_s,
+    exact_key,
     in_browkin_range,
     is_odd_prime,
+    is_zero,
     padic_divide,
+    to_approx,
     valuation,
 )
 
@@ -26,6 +34,19 @@ PRIMES = (3, 5, 7, 11)
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
 prime_st = st.sampled_from(PRIMES)
+
+
+@lru_cache(maxsize=None)
+def embedding(p: int) -> PAdicEmbedding:
+    """Q(theta), theta^2 + theta + p = 0: x(x + 1) has simple roots mod p,
+    so theta embeds into Q_p for every odd p; the largest root is the unit
+    one.  The discriminant 1 - 4p < 0 makes the polynomial irreducible."""
+    return PAdicEmbedding.create(NumberField([p, 1, 1]), p, 16)
+
+
+def generator(p: int):
+    emb = embedding(p)
+    return emb(emb.field.generator())
 
 
 def oracle_valuation(x: F, p: int):
@@ -164,9 +185,18 @@ class TestPadicDivide:
         for x in (F(3), F(-7, 4), F(23, 5)):
             assert padic_divide(x, x, 5) == (F(1), F(0))
 
-    def test_zero_divisor(self):
+    @pytest.mark.parametrize(
+        "make_zero",
+        [
+            lambda: F(0),
+            lambda: PAdicApprox.zero_at(5, 4),
+            lambda: generator(5) - generator(5),
+        ],
+        ids=["fraction", "approx", "embedded"],
+    )
+    def test_zero_divisor(self, make_zero):
         with pytest.raises(ZeroDivisionError):
-            padic_divide(F(1), F(0), 5)
+            padic_divide(F(1), make_zero(), 5)
 
     @given(sigma=rationals, tau=nonzero_rationals, p=prime_st)
     def test_contract(self, sigma, tau, p):
@@ -285,3 +315,57 @@ class TestPAdicApprox:
     def test_digits_round_trip(self, x, p, n):
         a = PAdicApprox.from_rational(x, p, n)
         assert valuation(x - a.rational_view(), p) >= n
+
+
+class TestValueProtocol:
+    """valuation, is_zero, to_approx and exact_key agree across backends."""
+
+    @given(x=nonzero_rationals, p=prime_st)
+    @settings(max_examples=60, deadline=None)
+    def test_backends_agree_on_a_rational(self, x, p):
+        emb = embedding(p)
+        alg = emb(emb.field.element([x]))
+        v = valuation(x, p)
+        approx = PAdicApprox.from_rational(x, p, v + 8)
+        assert valuation(approx, p) == v
+        assert valuation(alg, p) == v
+        assert exact_key(x) == exact_key(alg)
+        assert to_approx(x, p, v + 8) == to_approx(alg, p, v + 8) == approx
+        assert to_approx(approx, p, v + 8) is approx
+        assert not (is_zero(x) or is_zero(alg) or is_zero(approx))
+
+    @given(p=prime_st, n=st.integers(-3, 12))
+    def test_truncated_zero_is_undecidable(self, p, n):
+        z = PAdicApprox.zero_at(p, n)
+        with pytest.raises(InsufficientPrecision):
+            is_zero(z)
+        with pytest.raises(InsufficientPrecision):
+            valuation(z, p)
+        assert exact_key(z) is None
+
+    def test_exact_zeros(self):
+        theta = generator(5)
+        for zero in (F(0), theta - theta):
+            assert is_zero(zero)
+            assert valuation(zero, 5) == PLUS_INFINITY
+        assert exact_key(theta - theta) == exact_key(F(0))
+        assert exact_key(theta) == theta.alg.coeffs
+
+
+# Only padic knows the value backends; these modules go through its
+# protocol (valuation, is_zero, to_approx, exact_key).
+BACKEND_NAMES = {"PAdicApprox", "EmbeddedAlgebraic", "is_zero_at_precision"}
+
+
+@pytest.mark.parametrize("module", ["jacobi_perron", "mcf", "cli"])
+def test_backends_stay_behind_the_padic_protocol(module):
+    path = Path(padic_mcf.__file__).parent / f"{module}.py"
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert not named & BACKEND_NAMES

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientPrecision
@@ -49,26 +48,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Validated flag bundle shared by the expansion commands."""
-
-    prime: int
-    dim: int | None
-    max_steps: int
-    precision: int
-    fmt: str
-    backend: str
-    detect_period: bool
-    verbose: bool
-
-    def __post_init__(self):
-        if not is_odd_prime(self.prime):
-            raise UsageError(f"-p must be an odd prime, got {self.prime}")
-        if self.max_steps < 1:
-            raise UsageError("--max-steps must be >= 1")
-        if self.precision < 1:
-            raise UsageError("--precision must be >= 1")
+def _check_run_args(args):
+    """Validate the flags shared by the expansion commands."""
+    if not is_odd_prime(args.prime):
+        raise UsageError(f"-p must be an odd prime, got {args.prime}")
+    if args.max_steps < 1:
+        raise UsageError("--max-steps must be >= 1")
+    if args.precision < 1:
+        raise UsageError("--precision must be >= 1")
 
 
 def _dump_json(obj) -> str:
@@ -82,16 +69,15 @@ def _parse_fraction(s: str) -> Fraction:
         raise UsageError(f"cannot parse rational {s!r}: {exc}") from None
 
 
-def _add_common(sub, with_backend=True):
+def _add_common(sub):
     sub.add_argument("-p", "--prime", type=int, required=True)
     sub.add_argument("-m", "--dim", type=int, default=None)
     sub.add_argument("--max-steps", type=int, default=10_000)
     sub.add_argument("--precision", type=int, default=64)
     sub.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-    if with_backend:
-        sub.add_argument(
-            "--backend", choices=("rational", "numberfield", "approx"), default=None
-        )
+    sub.add_argument(
+        "--backend", choices=("rational", "numberfield", "approx"), default=None
+    )
     sub.add_argument("--detect-period", action="store_true")
     sub.add_argument("--verbose", action="store_true")
 
@@ -153,7 +139,7 @@ def build_parser() -> _ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _build_inputs(args, cfg: RunConfig):
+def _build_inputs(args):
     """Assemble the input tuple: positional rationals first, then --elem
     coefficient vectors, then --elem-expr expressions."""
     rationals = [_parse_fraction(s) for s in args.values]
@@ -166,7 +152,7 @@ def _build_inputs(args, cfg: RunConfig):
             field = NumberField(parse_polynomial(args.minpoly))
         except (ExprError, ValueError) as exc:
             raise UsageError(f"bad --minpoly: {exc}") from None
-        emb = PAdicEmbedding.create(field, cfg.prime, cfg.precision, select=args.root)
+        emb = PAdicEmbedding.create(field, args.prime, args.precision, select=args.root)
         theta = emb(field.generator())
         inputs = list(rationals)
         for spec in args.elem:
@@ -179,13 +165,13 @@ def _build_inputs(args, cfg: RunConfig):
                 raise UsageError(f"bad --elem-expr: {exc}") from None
     if not inputs:
         raise UsageError("no input values given")
-    if cfg.dim is not None and cfg.dim != len(inputs):
-        raise UsageError(f"-m {cfg.dim} does not match {len(inputs)} inputs")
-    backend = cfg.backend or ("numberfield" if args.minpoly else "rational")
+    if args.dim is not None and args.dim != len(inputs):
+        raise UsageError(f"-m {args.dim} does not match {len(inputs)} inputs")
+    backend = args.backend or ("numberfield" if args.minpoly else "rational")
     if backend == "rational" and args.minpoly:
         raise UsageError("--backend rational cannot hold algebraic inputs")
     if backend == "approx":
-        inputs = [to_approx(x, cfg.prime, cfg.precision) for x in inputs]
+        inputs = [to_approx(x, args.prime, args.precision) for x in inputs]
     return tuple(inputs)
 
 
@@ -203,8 +189,8 @@ def _quotient_digit_lines(mcf: MCF, p: int):
     return lines
 
 
-def _print_expansion(result, cfg: RunConfig, out, extra_value=True):
-    if cfg.fmt == "json":
+def _print_expansion(result, args, out):
+    if args.fmt == "json":
         print(_dump_json(result.to_json_dict()), file=out)
         return
     print(f"status: {result.status}", file=out)
@@ -217,61 +203,43 @@ def _print_expansion(result, cfg: RunConfig, out, extra_value=True):
     if result.period_candidate is not None:
         pre, per = result.period_candidate
         print(f"period candidate (advisory): preperiod {pre}, period {per}", file=out)
-    if extra_value and result.is_finite:
+    if result.is_finite:
         value = evaluate_finite(result.mcf)
         print("value: " + ", ".join(format_rational(x) for x in value), file=out)
-    if cfg.verbose:
-        for line in _quotient_digit_lines(result.mcf, cfg.prime):
+    if args.verbose:
+        for line in _quotient_digit_lines(result.mcf, args.prime):
             print(line, file=out)
 
 
 def cmd_expand(args, out) -> int:
-    cfg = RunConfig(
-        args.prime,
-        args.dim,
-        args.max_steps,
-        args.precision,
-        args.fmt,
-        args.backend,
-        args.detect_period,
-        args.verbose,
-    )
-    inputs = _build_inputs(args, cfg)
+    _check_run_args(args)
+    inputs = _build_inputs(args)
     result = jp_expand(
-        inputs, cfg.prime, max_steps=cfg.max_steps, detect_period=cfg.detect_period
+        inputs, args.prime, max_steps=args.max_steps, detect_period=args.detect_period
     )
-    _print_expansion(result, cfg, out)
+    _print_expansion(result, args, out)
     return 0 if result.status in ("finite", "periodic") else 2
 
 
 def cmd_euclid(args, out) -> int:
-    cfg = RunConfig(
-        args.prime,
-        args.dim,
-        args.max_steps,
-        args.precision,
-        args.fmt,
-        args.backend,
-        args.detect_period,
-        args.verbose,
-    )
+    _check_run_args(args)
     values = [_parse_fraction(s) for s in args.values]
     if len(values) < 2:
         raise UsageError("euclid needs an (m+1)-tuple, m >= 1")
-    if cfg.dim is not None and cfg.dim != len(values) - 1:
-        raise UsageError(f"-m {cfg.dim} does not match {len(values)} coordinates")
-    if cfg.backend == "approx":
-        values = [to_approx(x, cfg.prime, cfg.precision) for x in values]
-    result, trace = euclid_expand(values, cfg.prime, max_steps=cfg.max_steps)
-    if cfg.fmt == "json":
+    if args.dim is not None and args.dim != len(values) - 1:
+        raise UsageError(f"-m {args.dim} does not match {len(values)} coordinates")
+    if args.backend == "approx":
+        values = [to_approx(x, args.prime, args.precision) for x in values]
+    result, trace = euclid_expand(values, args.prime, max_steps=args.max_steps)
+    if args.fmt == "json":
         d = result.to_json_dict()
         d["trace_valuations"] = [
-            format_valuation(valuation(t[-1], cfg.prime)) for t in trace
+            format_valuation(valuation(t[-1], args.prime)) for t in trace
         ]
         print(_dump_json(d), file=out)
     else:
-        _print_expansion(result, cfg, out)
-        vals = ", ".join(format_valuation(valuation(t[-1], cfg.prime)) for t in trace)
+        _print_expansion(result, args, out)
+        vals = ", ".join(format_valuation(valuation(t[-1], args.prime)) for t in trace)
         print(f"trace v(x^(m+1)): {vals}", file=out)
     return 0 if result.is_finite else 2
 

@@ -54,43 +54,6 @@ def _pmul(a, b):
     return _pstrip(out)
 
 
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and any(x != 0 for x in a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        k = len(a) - len(b)
-        f = a[-1] * inv
-        q[k] = f
-        for i, y in enumerate(b):
-            a[k + i] -= f * y
-        a.pop()
-    return _pstrip(q), _pstrip(a)
-
-
-def _pgcdext(a, b):
-    """Extended gcd in Q[x]: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = _pstrip(a), _pstrip(b)
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pmul((Fraction(-1),), _pmul(q, s1)))
-        t0, t1 = t1, _padd(t0, _pmul((Fraction(-1),), _pmul(q, t1)))
-    if r0:
-        lead = r0[-1]
-        r0 = tuple(c / lead for c in r0)
-        s0 = tuple(c / lead for c in s0)
-        t0 = tuple(c / lead for c in t0)
-    return r0, s0, t0
-
-
 def _peval(c, x):
     acc = Fraction(0)
     for coef in reversed(c):
@@ -108,18 +71,17 @@ class NumberField:
 
     Coefficients may be given with a non-unit leading coefficient; the
     polynomial is normalised to monic form.  Irreducibility over Q is
-    verified at construction (exact factorisation via sympy); pass
-    check_irreducible=False to skip the check for a polynomial known to be
-    irreducible.
+    always verified at construction (exact factorisation via sympy), so
+    every NumberField is a field and every nonzero element is invertible.
     """
 
-    def __init__(self, coeffs, check_irreducible: bool = True):
+    def __init__(self, coeffs):
         c = _pstrip([Fraction(x) for x in coeffs])
         if len(c) < 3:
             raise ValueError("defining polynomial must have degree >= 2")
         lead = c[-1]
         self.minpoly: tuple[Fraction, ...] = tuple(x / lead for x in c)
-        if check_irreducible and not _is_irreducible(self.minpoly):
+        if not _is_irreducible(self.minpoly):
             raise ValueError("defining polynomial is reducible over Q")
 
     @property
@@ -191,9 +153,10 @@ def poly_str(coeffs) -> str:
 class AlgebraicNumber:
     """Element of a NumberField as a length-degree coefficient vector.
 
-    Equality is exact coefficient-wise equality.  Arithmetic reduces modulo
-    the defining polynomial; inversion goes through the extended polynomial
-    gcd over Q.
+    Equality is exact coefficient-wise equality.  Products are reduced by
+    the monic minimal polynomial f, rewriting x^d as -(f_0 + ... +
+    f_{d-1} x^{d-1}) from the top.  The inverse of x comes from the unique
+    Q-linear dependence between x, x*theta, ..., x*theta^(d-1) and 1.
     """
 
     __slots__ = ("field", "coeffs")
@@ -257,21 +220,30 @@ class AlgebraicNumber:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        prod = _pmul(self.coeffs, other.coeffs)
-        _, rem = _pdivmod(prod, self.field.minpoly)
-        return self.field.element(rem)
+        f, d = self.field.minpoly, self.field.degree
+        prod = list(_pmul(self.coeffs, other.coeffs))
+        for k in range(len(prod) - 1, d - 1, -1):
+            c = prod.pop()
+            if c:
+                for i in range(d):
+                    prod[k - d + i] -= c * f[i]
+        return self.field.element(prod)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicNumber":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        g, u, _ = _pgcdext(_pstrip(self.coeffs), self.field.minpoly)
-        if len(g) != 1:
-            # cannot happen for an irreducible modulus
-            raise ArithmeticError("defining polynomial is not irreducible")
-        _, rem = _pdivmod(tuple(c / g[0] for c in u), self.field.minpoly)
-        return self.field.element(rem)
+        # Multiplying by self != 0 is injective in a field, so the columns
+        # self*theta^j are independent and the dependence below is unique
+        # up to scale with a nonzero last entry:
+        # self * sum(c_j theta^j) == -c_d.
+        theta = self.field.generator()
+        cols = [self]
+        for _ in range(self.field.degree - 1):
+            cols.append(cols[-1] * theta)
+        c = rational_linear_dependence(cols + [Fraction(1)])
+        return self.field.element([-x / c[-1] for x in c[:-1]])
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -138,17 +138,6 @@ class BalancedDigits:
             Fraction(0),
         )
 
-    def truncate_at_one(self, p: int) -> Fraction:
-        """Sum of the digits at exponents <= 0."""
-        return sum(
-            (
-                Fraction(d) * Fraction(p) ** (self.start + j)
-                for j, d in enumerate(self.digits)
-                if self.start + j <= 0
-            ),
-            Fraction(0),
-        )
-
     def to_json_dict(self) -> dict:
         return {"k": self.start, "digits": list(self.digits)}
 
@@ -213,7 +202,7 @@ def browkin_s(x, p: int) -> Fraction:
         )
     if x.is_zero_at_precision() or x.val > 0:
         return Fraction(0)
-    return x.digits.truncate_at_one(p)
+    return x.with_precision(1).digits.value(p)
 
 
 def padic_divide(sigma, tau, p: int):

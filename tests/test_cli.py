@@ -5,12 +5,19 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import padic_mcf
 from padic_mcf.cli import main
 from padic_mcf.exprparse import ExprError, evaluate_expression, parse_polynomial
 from padic_mcf.worked_examples import PAPER_CASES, ExampleCase, run_paper_examples
+
+
+# `python -m` puts the working directory first on sys.path, so the child
+# process imports the same package as this one, installed or not.
+PACKAGE_ROOT = Path(padic_mcf.__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -258,6 +265,7 @@ class TestConsoleEntry:
             [sys.executable, "-m", "padic_mcf.cli", "expand", "-p", "5", "23/5", "14/19"],
             capture_output=True,
             text=True,
+            cwd=PACKAGE_ROOT,
         )
         assert proc.returncode == 0
         assert "status: finite" in proc.stdout
@@ -267,6 +275,7 @@ class TestConsoleEntry:
             [sys.executable, "-m", "padic_mcf.cli", "expand", "-p", "4", "1/2"],
             capture_output=True,
             text=True,
+            cwd=PACKAGE_ROOT,
         )
         assert proc.returncode == 1
         assert "odd prime" in proc.stderr

@@ -170,6 +170,17 @@ class TestBrowkin:
         if s != 0:
             assert valuation(x - s, p) > valuation(x, p)
 
+    @given(
+        x=rationals,
+        shift=st.integers(-40, 40),
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        n=st.integers(1, 200),
+    )
+    @settings(max_examples=200)
+    def test_truncated_agrees_with_exact(self, x, shift, p, n):
+        x *= F(p) ** shift
+        assert browkin_s(PAdicApprox.from_rational(x, p, n), p) == browkin_s(x, p)
+
     def test_fixes_its_range(self):
         for p in PRIMES:
             for num in range(-(p**2) // 2, p**2 // 2 + 1):

@@ -8,13 +8,15 @@ bundled worked-example suite).
 
 Exit codes: 0 for finite/periodic expansions and successful checks, 2 for
 truncated expansions, 1 for usage, parse and precision errors (reported on
-standard error).
+standard error) and, from the console entry point, for a standard output
+closed before the result was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -78,7 +80,6 @@ def _add_common(sub):
     sub.add_argument(
         "--backend", choices=("rational", "numberfield", "approx"), default=None
     )
-    sub.add_argument("--detect-period", action="store_true")
     sub.add_argument("--verbose", action="store_true")
 
 
@@ -105,6 +106,7 @@ def build_parser() -> _ArgumentParser:
         help="field element as an expression in x, e.g. 1+1/x",
     )
     ex.add_argument("--root", choices=("largest",), default="largest")
+    ex.add_argument("--detect-period", action="store_true")
     _add_common(ex)
 
     eu = subs.add_parser("euclid", help="generalized Euclidean form on an (m+1)-tuple")
@@ -306,10 +308,10 @@ def cmd_check(args, out) -> int:
     report = check_convergence_conditions(
         mcf, args.prime, unit_numerators=args.unit_numerators
     )
-    dets = []
-    for n in range(len(mcf)):
-        det, ok = determinant_check(mcf, n)
-        dets.append({"n": n, "det": format_rational(det), "matches": ok})
+    dets = [
+        {"n": n, "det": format_rational(det), "matches": ok}
+        for n, (det, ok) in enumerate(determinant_check(mcf))
+    ]
     if args.fmt == "json":
         print(
             _dump_json({"conditions": report.to_json_dict(), "determinants": dets}),
@@ -373,7 +375,15 @@ def main(argv=None, out=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output early.  Point it at devnull so
+        # the interpreter's final flush cannot fail again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

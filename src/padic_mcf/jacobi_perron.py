@@ -18,6 +18,7 @@ InsufficientPrecision instead of guessing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -274,12 +275,8 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
 def lift_to_integer_tuple(ratios):
     """Scale an m-tuple of rationals by the lcm of denominators, returning
     the (m+1)-tuple of integers whose ratios reproduce it."""
-    from math import gcd
-
     ratios = [Fraction(x) for x in ratios]
-    ell = 1
-    for x in ratios:
-        ell = ell * x.denominator // gcd(ell, x.denominator)
+    ell = math.lcm(*(x.denominator for x in ratios))
     return tuple(x.numerator * (ell // x.denominator) for x in ratios) + (ell,)
 
 

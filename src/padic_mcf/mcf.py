@@ -4,10 +4,12 @@ An MCF of dimension m is m+1 sequences of rational partial quotients
 a_n^(1), ..., a_n^(m+1); convergents Q_n^(i) = A_n^(i)/A_n^(m+1) follow the
 depth-(m+1) linear recurrence A_n^(i) = sum_j a_n^(j) A_{n-j}^(i) seeded
 with Kronecker deltas.  This module provides the rolling convergent table,
-determinant identities of the step matrices, p-adic convergence-condition
-checks, weight rescaling (which preserves all convergents), finite
-evaluation through two independent routes, and the strong-convergence
-quantities V_n^(i) = A_n^(i) - target_i * A_n^(m+1).
+the determinant identity read off its window (the product of the step
+matrices), p-adic convergence-condition checks, weight rescaling (which
+preserves all convergents), finite evaluation through two independent
+routes, and the strong-convergence quantities
+V_n^(i) = A_n^(i) - target_i * A_n^(m+1), whose columns come from the
+same table.
 """
 
 from __future__ import annotations
@@ -121,12 +123,12 @@ class ConvergentsTable:
     """Rolling window of the convergent numerators/denominators.
 
     Seeded with A_{-j}^(i) = delta_ij for j = 1..m+1; each push advances one
-    index through the recurrence.  Only the last m+1 columns are retained
-    unless record=True, which keeps the whole history (needed for the
-    strong-convergence quantities).
+    index through the recurrence.  Only the last m+1 columns are kept: a
+    caller that needs the whole sequence reads `column(0)` after each push,
+    and the seeds as `column(-1 - n)` for n = -(m+1)..-1 before the first.
     """
 
-    def __init__(self, m: int, record: bool = False):
+    def __init__(self, m: int):
         if m < 1:
             raise ValueError("dimension must be >= 1")
         self.m = m
@@ -136,25 +138,10 @@ class ConvergentsTable:
             tuple(Fraction(1) if i == j else Fraction(0) for i in range(m + 1))
             for j in range(m + 1)
         ]
-        self.record = record
-        self._history = list(reversed(self._window)) if record else None
-        self._rows = [] if record else None
 
     def column(self, back: int = 0):
         """Column A_{n-back}^(i); back may reach m."""
         return self._window[back]
-
-    def history_column(self, n: int):
-        """Recorded column at index n >= -(m+1); requires record=True."""
-        if self._history is None:
-            raise ValueError("table was created without record=True")
-        return self._history[n + self.m + 1]
-
-    @property
-    def recorded_rows(self):
-        if self._rows is None:
-            raise ValueError("table was created without record=True")
-        return tuple(self._rows)
 
     def push(self, row) -> None:
         """Advance by one index with the partial-quotient tuple row."""
@@ -171,9 +158,6 @@ class ConvergentsTable:
         )
         self._window = [new] + self._window[: self.m]
         self.n += 1
-        if self.record:
-            self._history.append(new)
-            self._rows.append(row)
 
     def denominator(self):
         return self._window[0][self.m]
@@ -192,43 +176,19 @@ class ConvergentsTable:
             return None
 
 
-def push_partial_quotients(table: ConvergentsTable, row):
-    """Push one row and return the convergents, or None while undefined."""
-    table.push(row)
-    return table.try_convergents()
-
-
 def convergents_of(mcf: MCF):
     """All defined convergents Q_n, as a list with None at zero denominators."""
     t = ConvergentsTable(mcf.m)
     out = []
     for row in mcf.rows:
-        out.append(push_partial_quotients(t, row))
+        t.push(row)
+        out.append(t.try_convergents())
     return out
 
 
 # ---------------------------------------------------------------------------
-# step matrices and determinant identity
+# determinant identity
 # ---------------------------------------------------------------------------
-
-
-def step_matrix(row):
-    """The (m+1)x(m+1) matrix with first column the partial quotients and a
-    shifted identity on the right; products of these accumulate the
-    convergent columns."""
-    m1 = len(row)
-    return [
-        [Fraction(row[i])] + [Fraction(1) if j == i + 1 else Fraction(0) for j in range(1, m1)]
-        for i in range(m1)
-    ]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def _det(mat):
@@ -251,23 +211,26 @@ def _det(mat):
     return det
 
 
-def determinant_check(mcf: MCF, n: int):
-    """Exact determinant of the product of the first n+1 step matrices and
-    whether it matches the closed form (-1)**(m*(n+1)) * prod(a_j^(m+1)).
+def determinant_check(mcf: MCF):
+    """For every n, the exact determinant of the window A_n, ..., A_{n-m}
+    and whether it matches the closed form (-1)**(m*(n+1)) * prod(a_j^(m+1)).
 
-    Each step matrix has determinant (-1)**m * a_n^(m+1): expanding along
-    its bottom row crosses an m-cycle permutation.
+    Returns one (det, matches) pair per stored index.  The window is the
+    transposed product B_0 ... B_n of the step matrices (first column the
+    partial quotients, a shifted identity to its right), and each B_j has
+    determinant (-1)**m * a_j^(m+1): expanding along its bottom row crosses
+    an m-cycle permutation.
     """
-    if not 0 <= n <= mcf.last_index:
-        raise ValueError("n outside the stored range")
-    prod = step_matrix(mcf.rows[0])
-    for row in mcf.rows[1 : n + 1]:
-        prod = _mat_mul(prod, step_matrix(row))
-    det = _det(prod)
-    expected = Fraction(-1) ** (mcf.m * (n + 1))
-    for row in mcf.rows[: n + 1]:
-        expected *= row[mcf.m]
-    return det, det == expected
+    m = mcf.m
+    table = ConvergentsTable(m)
+    expected = Fraction(1)
+    out = []
+    for row in mcf.rows:
+        table.push(row)
+        expected *= (-1) ** m * row[m]
+        det = _det([table.column(j) for j in range(m + 1)])
+        out.append((det, det == expected))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -459,26 +422,27 @@ class StrongConvergenceSeq:
         return len(self.values) - 1 - self.m
 
 
-def strong_convergence_sequence(
-    table: ConvergentsTable, targets, p: int
-) -> StrongConvergenceSeq:
-    """Strong-convergence quantities for a fully recorded table.
+def strong_convergence_sequence(mcf: MCF, targets, p: int) -> StrongConvergenceSeq:
+    """Strong-convergence quantities of an MCF against the given targets.
 
-    Targets are Fractions, embedded algebraic or truncated values.  The
-    linear recurrence V_n = sum_j a_n^(j) V_{n-j} is re-checked for every
-    recorded index as a self-test.  A V_n whose norm the targets' precision
-    leaves undetermined raises PrecisionExhausted.
+    The columns A_n for n = -m .. last index are read from a plain
+    convergent table: the seeds before the first push, then `column(0)`
+    after each.  Targets are Fractions, embedded algebraic or truncated
+    values.  The linear recurrence V_n = sum_j a_n^(j) V_{n-j} is re-checked
+    for every index as a self-test.  A V_n whose norm the targets'
+    precision leaves undetermined raises PrecisionExhausted.
     """
     require_odd_prime(p)
-    if not table.record:
-        raise ValueError("table must be created with record=True")
-    m = table.m
+    m = mcf.m
     if len(targets) != m:
         raise ValueError("need one target per dimension")
-    rows = table.recorded_rows
+    table = ConvergentsTable(m)
+    cols = [table.column(-1 - n) for n in range(-m, 0)]
+    for row in mcf.rows:
+        table.push(row)
+        cols.append(table.column(0))
     values = []
-    for n in range(-m, table.n + 1):
-        col = table.history_column(n)
+    for col in cols:
         row_v = []
         for i in range(m):
             if col[m] == 0:
@@ -486,8 +450,7 @@ def strong_convergence_sequence(
             else:
                 row_v.append(col[i] - targets[i] * col[m])
         values.append(tuple(row_v))
-    for n in range(0, table.n + 1):
-        row = rows[n]
+    for n, row in enumerate(mcf.rows):
         for i in range(m):
             acc = None
             for j in range(1, m + 2):

@@ -11,6 +11,7 @@ coefficient vectors at it to any requested precision.
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 
@@ -691,15 +692,9 @@ def rational_linear_dependence(values):
 
 
 def _normalize_dependency(c):
-    from math import gcd
-
-    lcm = 1
-    for x in c:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    lcm = math.lcm(*(x.denominator for x in c))
     ints = [int(x * lcm) for x in c]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = math.gcd(*ints)
     ints = [x // g for x in ints]
     lead = next(x for x in ints if x != 0)
     if lead < 0:

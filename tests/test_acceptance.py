@@ -236,10 +236,7 @@ def test_c07_strong_convergence():
         # V measures distance to the limit of the convergents; a finite block
         # converges to its exact value, which can differ from the raw inputs
         targets = evaluate_finite(res.mcf)
-        table = ConvergentsTable(m, record=True)
-        for row in res.mcf.rows:
-            table.push(row)
-        sc = strong_convergence_sequence(table, targets, p)
+        sc = strong_convergence_sequence(res.mcf, targets, p)
         r = sc.last_index
         assert sc.at(r) == (F(0),) * m
         for n in range(1, r + 1):
@@ -270,9 +267,9 @@ def test_c09_structural_identities():
         length = rng.randint(1, 11)
         mcf = random_mcf(rng, m, length)
         n = rng.randint(0, length - 1)
-        det, ok = determinant_check(mcf, n)
-        # closed form (-1)**(m*(n+1)) * prod a_j^(m+1); the exact product of
-        # step matrices is the oracle of record
+        det, ok = determinant_check(mcf)[n]
+        # closed form (-1)**(m*(n+1)) * prod a_j^(m+1); test_mcf checks every
+        # det against the exact product of the step matrices
         assert ok, (m, n, det, mcf)
         w = [F(1)] + [
             F(rng.choice([x for x in range(-7, 8) if x]), rng.randint(1, 7))

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -156,6 +157,12 @@ class TestEuclid:
         code, _ = run_cli("euclid", "-p", "5", "7")
         assert code == 1
 
+    def test_detect_period_is_expand_only(self, capsys):
+        # euclid_expand has no period detection, so the flag is not offered
+        code, out = run_cli("euclid", "-p", "5", "--detect-period", "437", "70", "95")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --detect-period" in capsys.readouterr().err
+
 
 class TestEvaluateDigitsCheck:
     MCF_JSON = json.dumps(
@@ -222,6 +229,43 @@ class TestEvaluateDigitsCheck:
         assert code == 1
         assert "fail first at n=1" in out
 
+    # a_n^(2) = 1, 3, -2 is not a unit sequence.  The closed form
+    # (-1)^(n+1) * a_0^(2) ... a_n^(2) gives the dets -1, 3, 6.  At n = 1
+    # |3| < |2| fails (both are units); at n = 2 |-2| = 1 < |1/5| = 5 holds.
+    NON_UNIT_JSON = json.dumps(
+        {"m": 1, "a": [["1", "2", "1/5"], ["1", "3", "-2"]], "finite": True}
+    )
+
+    def test_check_text_bytes_non_unit(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.NON_UNIT_JSON))
+        code, out = run_cli("check", "-p", "5")
+        assert code == 1
+        assert out == (
+            "conditions (general): fail first at n=1\n"
+            "det B_0 = -1 (matches: True)\n"
+            "det B_1 = 3 (matches: True)\n"
+            "det B_2 = 6 (matches: True)\n"
+        )
+
+    def test_check_json_bytes_non_unit(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.NON_UNIT_JSON))
+        code, out = run_cli("check", "-p", "5", "--format", "json")
+        assert code == 1
+        expected = {
+            "conditions": {
+                "first_violation": 1,
+                "ok": False,
+                "per_index": [[1, True, False], [2, True, True]],
+                "unit_numerators": False,
+            },
+            "determinants": [
+                {"det": "-1", "matches": True, "n": 0},
+                {"det": "3", "matches": True, "n": 1},
+                {"det": "6", "matches": True, "n": 2},
+            ],
+        }
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
 
 class TestPaperExamples:
     def test_all_pass(self):
@@ -279,3 +323,21 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 1
         assert "odd prime" in proc.stderr
+
+    def test_closed_stdout_exits_quietly(self):
+        # the read end is closed before the child starts, so its first write
+        # to standard output fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "padic_mcf.cli", "euclid", "-p", "5", "437", "70", "95"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                cwd=PACKAGE_ROOT,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 1

@@ -20,10 +20,8 @@ from padic_mcf.mcf import (
     dehomogenize,
     determinant_check,
     evaluate_finite,
-    push_partial_quotients,
     reconstruct_initial,
     rescale,
-    step_matrix,
     strong_convergence_sequence,
 )
 from padic_mcf.padic import PLUS_INFINITY, valuation
@@ -76,7 +74,8 @@ class TestConvergentsTable:
         t = ConvergentsTable(2)
         q = None
         for row in Q5_PAIR.rows:
-            q = push_partial_quotients(t, row)
+            t.push(row)
+            q = t.try_convergents()
         assert q == (F(23, 5), F(14, 19))
 
     def test_zero_denominator_flagged_at_query_time(self):
@@ -93,13 +92,14 @@ class TestDeterminant:
         # det of one step matrix is (-1)^m * a_0^(m+1)
         for m in (1, 2, 3):
             mcf = MCF(m, [tuple([F(1)] * m) + (F(1),)])
-            det, ok = determinant_check(mcf, 0)
+            [(det, ok)] = determinant_check(mcf)
             assert ok and det == F(-1) ** m
 
     def test_unit_mcf_m2_constant_sign(self):
         mcf = MCF.unit_from_sequences([[1, 2, 3, 4], [5, 6, 7, 8]])
+        checks = determinant_check(mcf)
         for n in range(4):
-            det, ok = determinant_check(mcf, n)
+            det, ok = checks[n]
             assert ok and det == 1  # (-1)^(2(n+1)) = +1 for every n
 
     def test_random_mcfs_against_matrix_oracle(self):
@@ -118,11 +118,22 @@ class TestDeterminant:
                 out += F(-1) ** j * mat[0][j] * oracle_det(minor)
             return out
 
+        def step_matrix(row):
+            # partial quotients in the first column, a shifted identity to
+            # the right; the product B_0 ... B_n accumulates the columns
+            m1 = len(row)
+            return [
+                [row[i]] + [F(1) if j == i + 1 else F(0) for j in range(1, m1)]
+                for i in range(m1)
+            ]
+
         for m in (1, 2, 3):
             for _ in range(12):
                 mcf = random_mcf(rng, m, 7)
+                checks = determinant_check(mcf)
+                assert len(checks) == len(mcf)
                 prod = None
-                for row in mcf.rows:
+                for n, row in enumerate(mcf.rows):
                     sm = step_matrix(row)
                     prod = (
                         sm
@@ -135,12 +146,9 @@ class TestDeterminant:
                             for i in range(m + 1)
                         ]
                     )
-                want = oracle_det(prod)
-                for n in (0, 3, 6):
-                    det, ok = determinant_check(mcf, n)
+                    det, ok = checks[n]
                     assert ok
-                det, _ = determinant_check(mcf, mcf.last_index)
-                assert det == want
+                    assert det == oracle_det(prod)
 
 
 class TestConditions:
@@ -281,19 +289,13 @@ class TestConvergentDifferences:
 
 class TestStrongConvergence:
     def test_vanishes_at_termination(self):
-        t = ConvergentsTable(2, record=True)
-        for row in Q5_PAIR.rows:
-            t.push(row)
-        sc = strong_convergence_sequence(t, (F(23, 5), F(14, 19)), 5)
+        sc = strong_convergence_sequence(Q5_PAIR, (F(23, 5), F(14, 19)), 5)
         r = sc.last_index
         assert sc.at(r) == (0, 0)
         assert sc.valuation_at(r) == (PLUS_INFINITY, PLUS_INFINITY)
 
     def test_strict_ultrametric_decrease(self):
-        t = ConvergentsTable(2, record=True)
-        for row in Q5_PAIR.rows:
-            t.push(row)
-        sc = strong_convergence_sequence(t, (F(23, 5), F(14, 19)), 5)
+        sc = strong_convergence_sequence(Q5_PAIR, (F(23, 5), F(14, 19)), 5)
         for n in range(1, sc.last_index + 1):
             for i in range(2):
                 prev = [sc.valuation_at(n - j)[i] for j in range(1, 4)]
@@ -301,17 +303,12 @@ class TestStrongConvergence:
 
     def test_zero_targets_give_numerators(self):
         mcf = MCF(2, [(F(0), F(0), F(1)), (F(1, 5), F(2), F(1))])
-        t = ConvergentsTable(2, record=True)
+        sc = strong_convergence_sequence(mcf, (F(0), F(0)), 5)
+        t = ConvergentsTable(2)
         for row in mcf.rows:
             t.push(row)
-        sc = strong_convergence_sequence(t, (F(0), F(0)), 5)
-        col = t.history_column(1)
+        col = t.column(0)
         assert sc.at(1) == (col[0], col[1])
-
-    def test_requires_recording(self):
-        t = ConvergentsTable(2)
-        with pytest.raises(ValueError):
-            strong_convergence_sequence(t, (F(0), F(0)), 5)
 
     def test_algebraic_targets(self):
         # unrolled periodic block against its exact algebraic limit: valuations
@@ -323,10 +320,8 @@ class TestStrongConvergence:
         )
         alpha = emb(emb.field.generator())
         beta = 1 + 1 / alpha
-        t = ConvergentsTable(2, record=True)
-        for _ in range(6):
-            t.push((F(8, 5), F(1), F(1)))
-        sc = strong_convergence_sequence(t, (alpha, beta), 5)
+        block = MCF(2, [(F(8, 5), F(1), F(1))] * 6, finite=False)
+        sc = strong_convergence_sequence(block, (alpha, beta), 5)
         for i in range(2):
             for n in range(1, sc.last_index + 1):
                 prev = [sc.valuation_at(n - j)[i] for j in range(1, 4)]
@@ -340,18 +335,13 @@ class TestStrongConvergence:
 
         rows = Q5_PAIR.rows
         # a short prefix evaluates fine at adequate precision
-        t = ConvergentsTable(2, record=True)
-        for row in rows[:2]:
-            t.push(row)
+        prefix = MCF(2, rows[:2], finite=False)
         targets = (
             PAdicApprox.from_rational(F(23, 5), 5, 40),
             PAdicApprox.from_rational(F(14, 19), 5, 40),
         )
-        sc = strong_convergence_sequence(t, targets, 5)
+        sc = strong_convergence_sequence(prefix, targets, 5)
         assert sc.last_index == 1
         # through termination the exact-zero tail has no determinable norm
-        t2 = ConvergentsTable(2, record=True)
-        for row in rows:
-            t2.push(row)
         with pytest.raises(PrecisionExhausted):
-            strong_convergence_sequence(t2, targets, 5)
+            strong_convergence_sequence(Q5_PAIR, targets, 5)

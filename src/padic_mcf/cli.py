@@ -263,7 +263,9 @@ def _read_mcf(args) -> MCF:
         text = sys.stdin.read()
     try:
         return MCF.from_json_dict(json.loads(text))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        # JSON of the wrong shape ends in KeyError or TypeError, and a
+        # number too large for a float (1e400) in OverflowError
         raise UsageError(f"bad MCF JSON: {exc}") from None
 
 

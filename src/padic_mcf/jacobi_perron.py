@@ -14,6 +14,11 @@ inputs can repeat a complete-quotient tuple, which is detected as
 periodicity by exact equality.  Truncated p-adic inputs never claim
 periodicity or termination: an undecidable zero test raises
 InsufficientPrecision instead of guessing.
+
+Every digit of a rational run lies in Z[1/p], so rational inputs to
+jp_expand (without a custom digit map) and euclid_expand run the Euclidean
+form on integer tuples with p-power scaling (`_integer_euclid`) instead of
+on Fractions.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .padic import (
     in_browkin_range,
     is_zero,
     require_odd_prime,
+    split_p,
     valuation,
 )
 
@@ -191,6 +197,19 @@ def jp_expand(
     alphas = tuple(_coerce_value(x, p) for x in inputs)
     if not alphas:
         raise ValueError("need at least one input value")
+    if digit_map is None and all(isinstance(a, Fraction) for a in alphas):
+        # A rational run always terminates, so it has no period to detect.
+        rows = []
+        for quotients, parts, _ in _integer_euclid(lift_to_integer_tuple(alphas), p):
+            rows.append(quotients + (Fraction(1),))
+            if parts[-1] is None or len(rows) >= max_steps:
+                break
+        finite = parts[-1] is None
+        return ExpansionResult(
+            MCF(len(alphas), rows, finite),
+            "finite" if finite else "truncated",
+            len(rows),
+        )
     state = JPState(p, alphas, 0)
     exact = _state_key(state) is not None
     seen = {_state_key(state): 0} if detect_period and exact else None
@@ -244,32 +263,107 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
     a_n^(i-1) x_n^(m+1) with a_n^(i) = s(x_n^(i) / x_n^(m+1)), stopping when
     the last coordinate vanishes.  Returns the expansion result plus the
     full trace of tuples; the produced MCF is identical to jp_expand on the
-    coordinate ratios.
+    coordinate ratios.  Rational tuples run on the integer kernel and
+    their trace holds the same Fractions.
     """
     require_odd_prime(p)
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     xs = tuple(_coerce_value(x, p) for x in xs)
     if len(xs) < 2:
         raise ValueError("need an (m+1)-tuple with m >= 1")
     m = len(xs) - 1
     if is_zero(xs[-1]):
         raise ZeroDivisionError("last coordinate must be nonzero")
+    if all(isinstance(x, Fraction) for x in xs):
+        steps = _rational_euclid(xs, p)
+    else:
+        steps = _value_euclid(xs, p)
     trace = [xs]
     rows = []
-    status = "truncated"
-    while len(rows) < max_steps:
-        last = xs[-1]
-        quotients = tuple(browkin_s(xs[i] / last, p) for i in range(m))
+    for quotients, nxt in steps:
         rows.append(quotients + (Fraction(1),))
-        nxt = (last,) + tuple(xs[i] - quotients[i] * last for i in range(m))
         trace.append(nxt)
-        xs = nxt
-        if is_zero(xs[-1]):
-            status = "finite"
+        if is_zero(nxt[-1]) or len(rows) >= max_steps:
             break
+    status = "finite" if is_zero(trace[-1][-1]) else "truncated"
     return (
         ExpansionResult(MCF(m, rows, finite=status == "finite"), status, len(rows)),
         trace,
     )
+
+
+def _value_euclid(xs, p: int):
+    """Steps (quotients, next tuple) of the Euclidean form on values of any
+    backend, up to the step whose last coordinate vanishes."""
+    m = len(xs) - 1
+    while True:
+        last = xs[-1]
+        quotients = tuple(browkin_s(xs[i] / last, p) for i in range(m))
+        xs = (last,) + tuple(xs[i] - quotients[i] * last for i in range(m))
+        yield quotients, xs
+        if is_zero(xs[-1]):
+            return
+
+
+def _rational_euclid(xs, p: int):
+    """The steps of _value_euclid on a tuple of Fractions, computed by the
+    integer kernel.  Each next tuple is rebuilt as Fractions and, as in
+    _value_euclid, starts with the previous tuple's last entry itself."""
+    *ints, scale = lift_to_integer_tuple(xs)
+    last = xs[-1]
+    for quotients, parts, e in _integer_euclid(ints, p):
+        nxt = (last,) + tuple(
+            Fraction(0)
+            if part is None
+            else Fraction(part[1] * p ** (part[0] + e), scale)
+            for part in parts[1:]
+        )
+        last = nxt[-1]
+        yield quotients, nxt
+
+
+def _integer_euclid(xs, p: int):
+    """Steps of the Euclidean form on a tuple of integers, without fractions.
+
+    xs holds integers with a nonzero last entry.  The tuple is kept as an
+    exponent e >= 0 and parts (v, u) with v >= 0 and u prime to p, the
+    value of a part being u * p**(v + e); None is an exact zero.  Each step
+    yields (quotients, parts, e) for the next tuple, up to the step whose
+    last coordinate vanishes.
+
+    With x^(m+1) = u * p**w, a coordinate x^(i) = u_i * p**v_i with
+    k = 1 + w - v_i >= 1 has the Browkin digit a^(i) = R / p**(k-1), R the
+    symmetric residue of u_i / u mod p**k; for k < 1 the digit is 0.  The
+    digit depends only on u_i and u mod p**k, so browkin_s, the one
+    implementation of the digit map, is applied to those residues.
+    Divided by p**w, the next tuple is integral: its first entry is u and
+    (x^(i) - a^(i) x^(m+1)) / p**w = (u_i - R u) / p**(k-1), which p
+    divides.  The part prime to p of every coordinate is carried through
+    exact integer steps, so no gcd is taken on it.
+    """
+    m = len(xs) - 1
+    parts = [split_p(x, p) if x else None for x in xs]
+    e = 0
+    while True:
+        w, u = parts[m]
+        quotients = []
+        nxt = [(0, u)]
+        for part in parts[:m]:
+            if part is None or part[0] > w:
+                quotients.append(Fraction(0))
+                nxt.append(None if part is None else (part[0] - w, part[1]))
+                continue
+            mod = p ** (1 + w - part[0])  # p**k
+            a = browkin_s(Fraction(part[1] % mod, u % mod * (mod // p)), p)
+            quotients.append(a)
+            y = (part[1] - a.numerator * u) // a.denominator  # R, p**(k-1)
+            nxt.append(split_p(y, p) if y else None)
+        parts = nxt
+        e += w
+        yield tuple(quotients), parts, e
+        if parts[m] is None:
+            return
 
 
 def lift_to_integer_tuple(ratios):

@@ -14,6 +14,7 @@ same table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -126,6 +127,9 @@ class ConvergentsTable:
     index through the recurrence.  Only the last m+1 columns are kept: a
     caller that needs the whole sequence reads `column(0)` after each push,
     and the seeds as `column(-1 - n)` for n = -(m+1)..-1 before the first.
+    Each column is held as integers over its least common denominator, so
+    a push takes one gcd instead of normalising every Fraction; `column`
+    and `convergents` return Fractions.
     """
 
     def __init__(self, m: int):
@@ -133,15 +137,15 @@ class ConvergentsTable:
             raise ValueError("dimension must be >= 1")
         self.m = m
         self.n = -1
-        # newest first: columns n, n-1, ..., n-m
+        # newest first: (numerators, denominator) of columns n, n-1, ..., n-m
         self._window = [
-            tuple(Fraction(1) if i == j else Fraction(0) for i in range(m + 1))
-            for j in range(m + 1)
+            (tuple(int(i == j) for i in range(m + 1)), 1) for j in range(m + 1)
         ]
 
     def column(self, back: int = 0):
         """Column A_{n-back}^(i); back may reach m."""
-        return self._window[back]
+        nums, den = self._window[back]
+        return tuple(Fraction(x, den) for x in nums)
 
     def push(self, row) -> None:
         """Advance by one index with the partial-quotient tuple row."""
@@ -152,22 +156,33 @@ class ConvergentsTable:
             raise ValueError("a_n^(m+1) must be nonzero")
         if self.n == -1 and row[self.m] != 1:
             raise ValueError("a_0^(m+1) must equal 1")
-        new = tuple(
-            sum((row[j] * self._window[j][i] for j in range(self.m + 1)), Fraction(0))
-            for i in range(self.m + 1)
-        )
-        self._window = [new] + self._window[: self.m]
+        terms = [
+            (a.numerator, a.denominator * den, nums)
+            for a, (nums, den) in zip(row, self._window)
+            if a
+        ]
+        den = math.lcm(*(d for _, d, _ in terms))
+        new = [0] * (self.m + 1)
+        for num, d, nums in terms:
+            f = num * (den // d)
+            for i, x in enumerate(nums):
+                new[i] += f * x
+        g = math.gcd(den, *new)
+        if g > 1:
+            new, den = [x // g for x in new], den // g
+        self._window = [(tuple(new), den)] + self._window[: self.m]
         self.n += 1
 
     def denominator(self):
-        return self._window[0][self.m]
+        nums, den = self._window[0]
+        return Fraction(nums[self.m], den)
 
     def convergents(self):
         """Q_n^(i) for i = 1..m; raises while the denominator vanishes."""
-        den = self.denominator()
-        if den == 0:
+        nums = self._window[0][0]
+        if nums[self.m] == 0:
             raise ZeroDenominatorConvergent(f"A_{self.n}^({self.m + 1}) = 0")
-        return tuple(self._window[0][i] / den for i in range(self.m))
+        return tuple(Fraction(nums[i], nums[self.m]) for i in range(self.m))
 
     def try_convergents(self):
         try:
@@ -192,23 +207,23 @@ def convergents_of(mcf: MCF):
 
 
 def _det(mat):
-    m = [row[:] for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+    """Determinant of a square integer matrix by Bareiss elimination: every
+    division is exact, so no fraction arises."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
         for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
+            for k in range(c + 1, n):
+                a[r][k] = (a[r][k] * a[c][c] - a[r][c] * a[c][k]) // prev
+        prev = a[c][c]
+    return sign * a[n - 1][n - 1]
 
 
 def determinant_check(mcf: MCF):
@@ -228,7 +243,11 @@ def determinant_check(mcf: MCF):
     for row in mcf.rows:
         table.push(row)
         expected *= (-1) ** m * row[m]
-        det = _det([table.column(j) for j in range(m + 1)])
+        # the window's integer columns over their common denominators
+        window = table._window
+        det = Fraction(
+            _det([nums for nums, _ in window]), math.prod(den for _, den in window)
+        )
         out.append((det, det == expected))
     return out
 

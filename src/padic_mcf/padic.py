@@ -6,8 +6,10 @@ floor function, division with p-adically small remainder, and truncated
 p-adic numbers with explicit precision tracking.
 
 Throughout, p is an odd prime and exact rational arithmetic uses
-fractions.Fraction.  Norm comparisons are always valuation comparisons;
-no floating point is involved anywhere.
+fractions.Fraction; `split_p`, the p-part of an integer in O(log v)
+divisions, also serves the integer kernel of jacobi_perron.  Norm
+comparisons are always valuation comparisons; no floating point is
+involved anywhere.
 """
 
 from __future__ import annotations
@@ -70,16 +72,22 @@ def valuation(x, p: int):
     x = Fraction(x)
     if x == 0:
         return PLUS_INFINITY
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return split_p(x.numerator, p)[0] - split_p(x.denominator, p)[0]
+
+
+def split_p(n: int, q: int) -> tuple[int, int]:
+    """(v, u) with n == u * q**v and q not dividing u, for a nonzero integer n.
+
+    v_q(n) = 2 v_{q*q}(n) + (0 or 1): splitting off the q*q-part first and
+    then at most one more q takes O(log v) divisions instead of v.
+    """
+    if n % q:
+        return 0, n
+    if n == 0:
+        raise ValueError("0 has no p-part")  # q would be squared forever
+    w, u = split_p(n, q * q)
+    d, r = divmod(u, q)
+    return (2 * w + 1, d) if r == 0 else (2 * w, u)
 
 
 def is_zero(x) -> bool:
@@ -186,10 +194,18 @@ def browkin_s(x, p: int) -> Fraction:
     """
     require_odd_prime(p)
     if isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-        if x == 0 or valuation(x, p) > 0:
+        if x == 0:
             return Fraction(0)
-        return balanced_digit_expansion(x, p, 1).value(p)
+        vn, un = split_p(x.numerator, p)
+        vd, ud = split_p(x.denominator, p)
+        k = 1 - vn + vd  # the number of digits at exponents v .. 0
+        if k < 1:
+            return Fraction(0)
+        # For odd p, the residues of the unit mod p**k in (-p**k/2, p**k/2)
+        # are exactly the values of k balanced digits.
+        mod = p**k
+        r = un % mod * pow(ud % mod, -1, mod) % mod
+        return Fraction(r - mod if 2 * r > mod else r, mod // p)
     if not isinstance(x, PAdicApprox):
         if x.is_zero():
             return Fraction(0)

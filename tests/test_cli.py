@@ -190,6 +190,24 @@ class TestEvaluateDigitsCheck:
         code, _ = run_cli("evaluate")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (("evaluate",), "[1,2]"),
+            (("check", "-p", "5"), '{"m":"1","a":[["1","2"],["1","1"]]}'),
+            (("evaluate",), '{"m":1,"a":[["1",null],["1","1"]]}'),
+            (("evaluate",), '{"m":1,"a":[["1",1e400],["1","1"]]}'),
+        ],
+        ids=["list", "string-m", "null-quotient", "huge-float"],
+    )
+    def test_wrong_shape_is_usage_error(self, monkeypatch, capsys, command, text):
+        # well-formed JSON that is not an MCF: an error line, no traceback
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out = run_cli(*command)
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad MCF JSON: ") and err.count("\n") == 1
+
     def test_digits_text(self):
         code, out = run_cli("digits", "23/5", "-p", "5", "--upto", "3")
         assert code == 0

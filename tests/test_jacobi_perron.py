@@ -4,6 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_mcf import fraction_columns
 
 from padic_mcf.errors import DigitMapViolation, InsufficientPrecision
 from padic_mcf.jacobi_perron import (
@@ -19,11 +22,17 @@ from padic_mcf.mcf import (
     MCF,
     ConvergentsTable,
     check_convergence_conditions,
+    determinant_check,
     evaluate_finite,
     reconstruct_initial,
 )
 from padic_mcf.numberfield import NumberField, PAdicEmbedding
-from padic_mcf.padic import PAdicApprox, browkin_s, valuation
+from padic_mcf.padic import (
+    PAdicApprox,
+    balanced_digit_expansion,
+    browkin_s,
+    valuation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +172,14 @@ class TestJPExpand:
     def test_truncation(self):
         res = jp_expand((F(23, 5), F(14, 19)), 5, max_steps=2)
         assert res.status == "truncated" and res.steps == 2
+        # the same 4-step run through both entry points, cut at every length
+        for max_steps in range(1, 6):
+            eu, trace = euclid_expand((437, 70, 95), 5, max_steps=max_steps)
+            assert len(trace) == eu.steps + 1
+            for res in (jp_expand((F(23, 5), F(14, 19)), 5, max_steps=max_steps), eu):
+                finite = max_steps >= 4
+                assert res.status == ("finite" if finite else "truncated")
+                assert res.steps == min(max_steps, 4) and res.mcf.finite == finite
 
     def test_identity_reconstruction_at_every_step(self):
         inputs = (F(23, 5), F(14, 19))
@@ -286,6 +303,78 @@ class TestEuclid:
             jp = jp_expand(ratios, p)
             eu, _ = euclid_expand(xs, p)
             assert eu.mcf.rows == jp.mcf.rows
+
+
+def oracle_digit(x, p):
+    """The Browkin digit read off the balanced digit expansion."""
+    if x == 0 or valuation(x, p) > 0:
+        return F(0)
+    return balanced_digit_expansion(x, p, 1).value(p)
+
+
+def fraction_route(inputs, p):
+    """Rows of the generic jp_step loop on Fractions with oracle digits:
+    the slow reference for the integer kernel."""
+    state = JPState(p, tuple(inputs), 0)
+    rows = []
+    while state is not None:
+        step = jp_step(state, oracle_digit)
+        rows.append(step.quotients + (F(1),))
+        state = step.next_state
+    return rows
+
+
+def fraction_euclid_trace(xs, p):
+    """The Euclidean form on Fractions with oracle digits, every tuple
+    through the terminal zero."""
+    trace = [xs]
+    while xs[-1] != 0:
+        last = xs[-1]
+        digits = [oracle_digit(x / last, p) for x in xs[:-1]]
+        xs = (last,) + tuple(x - a * last for x, a in zip(xs, digits))
+        trace.append(xs)
+    return trace
+
+
+bits_300 = st.integers(-(2**300), 2**300)
+
+
+class TestIntegerKernel:
+    """jp_expand and euclid_expand on rationals run on integer tuples; the
+    Fraction route above is their reference."""
+
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        m=st.integers(1, 4),
+        nums=st.lists(bits_300, min_size=4, max_size=4),
+        dens=st.lists(bits_300.filter(bool), min_size=4, max_size=4),
+        shifts=st.lists(st.integers(-30, 30), min_size=4, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_route(self, p, m, nums, dens, shifts):
+        inputs = tuple(
+            F(n, d) * F(p) ** k for n, d, k in zip(nums[:m], dens, shifts)
+        )
+        rows = fraction_route(inputs, p)
+        res = jp_expand(inputs, p)
+        assert res.is_finite and res.mcf.rows == tuple(rows)
+
+        cols = fraction_columns(rows, m)
+        last = cols[-1]
+        assert evaluate_finite(res.mcf) == tuple(x / last[m] for x in last[:m])
+        assert determinant_check(res.mcf) == [
+            ((-1) ** (m * (n + 1)), True) for n in range(len(rows))
+        ]
+
+        lifted = lift_to_integer_tuple(inputs)
+        eu, trace = euclid_expand(lifted, p)
+        assert eu.mcf.rows == res.mcf.rows
+        assert trace == fraction_euclid_trace(tuple(map(F, lifted)), p)
+        # coordinates outside Z: the kernel runs on the tuple scaled to Z
+        fractional = inputs + (F(-1, 2 * p),)
+        eu, trace = euclid_expand(fractional, p)
+        assert trace == fraction_euclid_trace(fractional, p)
+        assert eu.is_finite and eu.steps == len(trace) - 1
 
 
 class TestTerminationDependence:

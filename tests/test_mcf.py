@@ -2,10 +2,13 @@
 finite evaluation, strong convergence."""
 
 import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_mcf.errors import (
     ZeroDenominatorConvergent,
@@ -44,6 +47,21 @@ def random_mcf(rng, m, length):
     return MCF(m, rows)
 
 
+def fraction_columns(rows, m):
+    """A_n for n = -(m+1) .. len(rows)-1, oldest first, by the plain
+    Fraction recurrence A_n^(i) = sum_j a_n^(j) A_{n-j}^(i): the reference
+    for the integer columns of ConvergentsTable."""
+    cols = [tuple(F(int(i == j)) for i in range(m + 1)) for j in range(m, -1, -1)]
+    for row in rows:
+        cols.append(
+            tuple(
+                sum((row[j] * cols[-1 - j][i] for j in range(m + 1)), F(0))
+                for i in range(m + 1)
+            )
+        )
+    return cols
+
+
 class TestMCFType:
     def test_requires_unit_leading_numerator(self):
         with pytest.raises(ValueError):
@@ -56,6 +74,9 @@ class TestMCFType:
     def test_json_round_trip(self):
         d = Q5_PAIR.to_json_dict()
         assert MCF.from_json_dict(json.loads(json.dumps(d))) == Q5_PAIR
+
+
+_ENTRY = st.builds(F, st.integers(-40, 40), st.integers(1, 60))
 
 
 class TestConvergentsTable:
@@ -77,6 +98,38 @@ class TestConvergentsTable:
             t.push(row)
             q = t.try_convergents()
         assert q == (F(23, 5), F(14, 19))
+
+    @given(
+        m=st.integers(1, 4),
+        rows=st.lists(
+            st.lists(st.one_of(st.just(F(0)), _ENTRY), min_size=5, max_size=5),
+            min_size=1,
+            max_size=12,
+        ),
+        lasts=st.lists(_ENTRY.filter(bool), min_size=12, max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_general_rows_match_fraction_recurrence(self, m, rows, lasts):
+        # entries outside Z[1/p], zeros and negative a_n^(m+1) included
+        rows = [
+            tuple(row[:m]) + (F(1) if n == 0 else lasts[n],)
+            for n, row in enumerate(rows)
+        ]
+        cols = fraction_columns(rows, m)
+        t = ConvergentsTable(m)
+        for back in range(m + 1):
+            assert t.column(back) == cols[m - back]
+        for n, row in enumerate(rows):
+            t.push(row)
+            now = n + m + 1  # index of A_n in cols
+            for back in range(m + 1):
+                assert t.column(back) == cols[now - back]
+            # held over the least common denominator, so integers stay small
+            assert t._window[0][1] == math.lcm(*(x.denominator for x in cols[now]))
+            den = cols[now][m]
+            assert t.denominator() == den
+            want = None if den == 0 else tuple(x / den for x in cols[now][:m])
+            assert t.try_convergents() == want
 
     def test_zero_denominator_flagged_at_query_time(self):
         t = ConvergentsTable(1)

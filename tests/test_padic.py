@@ -8,7 +8,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import padic_mcf
@@ -25,6 +25,7 @@ from padic_mcf.padic import (
     is_odd_prime,
     is_zero,
     padic_divide,
+    split_p,
     to_approx,
     valuation,
 )
@@ -34,6 +35,17 @@ PRIMES = (3, 5, 7, 11)
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
 prime_st = st.sampled_from(PRIMES)
+wide_prime_st = st.sampled_from((3, 5, 7, 11, 13))
+
+
+big_ints = st.integers(-(2**200), 2**200)
+
+
+def unit(a: int, b: int, p: int) -> F:
+    """A p-adic unit made from two integers: numerator and denominator are
+    a*p and |b|*p plus a residue in 1..p-1."""
+    b = abs(b)
+    return F(a * p + 1 + a % (p - 1), b * p + 1 + b % (p - 1))
 
 
 @lru_cache(maxsize=None)
@@ -74,6 +86,19 @@ class TestValuation:
     @given(x=rationals, p=prime_st)
     def test_matches_oracle(self, x, p):
         assert valuation(x, p) == oracle_valuation(x, p)
+
+    @given(p=wide_prime_st, k=st.integers(-3000, 3000), a=big_ints, b=big_ints)
+    @example(p=13, k=3000, a=2**200, b=-(2**200))
+    @example(p=3, k=-3000, a=-1, b=0)
+    @settings(max_examples=60, deadline=None)
+    def test_large_powers_match_oracle(self, p, k, a, b):
+        x = unit(a, b, p) * F(p) ** k
+        assert valuation(x, p) == oracle_valuation(x, p) == k
+
+    def test_split_p_rejects_zero(self):
+        # every power of p divides 0, so the squaring loop would not end
+        with pytest.raises(ValueError):
+            split_p(0, 5)
 
     @given(x=rationals, y=rationals, p=prime_st)
     def test_multiplicative(self, x, y, p):
@@ -180,6 +205,14 @@ class TestBrowkin:
     def test_truncated_agrees_with_exact(self, x, shift, p, n):
         x *= F(p) ** shift
         assert browkin_s(PAdicApprox.from_rational(x, p, n), p) == browkin_s(x, p)
+
+    @given(p=wide_prime_st, v=st.integers(-2000, 2), a=big_ints, b=big_ints)
+    @example(p=11, v=-2000, a=2**200, b=2**200)
+    @settings(max_examples=40, deadline=None)
+    def test_deep_valuations_match_digit_oracle(self, p, v, a, b):
+        x = unit(a, b, p) * F(p) ** v
+        want = balanced_digit_expansion(x, p, 1).value(p) if v <= 0 else 0
+        assert browkin_s(x, p) == want
 
     def test_fixes_its_range(self):
         for p in PRIMES:

@@ -20,7 +20,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import InsufficientPrecision
 from .exprparse import ExprError, evaluate_expression, parse_polynomial
 from .jacobi_perron import euclid_expand, jp_expand
 from .mcf import (
@@ -263,9 +262,8 @@ def _read_mcf(args) -> MCF:
         text = sys.stdin.read()
     try:
         return MCF.from_json_dict(json.loads(text))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        # JSON of the wrong shape ends in KeyError or TypeError, and a
-        # number too large for a float (1e400) in OverflowError
+    except (KeyError, TypeError, ValueError) as exc:
+        # JSON of the wrong shape ends in KeyError or TypeError
         raise UsageError(f"bad MCF JSON: {exc}") from None
 
 
@@ -371,7 +369,7 @@ def main(argv=None, out=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InsufficientPrecision, ZeroDivisionError, ExprError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,223 +1,99 @@
-"""Tiny recursive-descent parser for polynomials and rational expressions.
+"""Polynomials and rational expressions in x, read with the stdlib `ast`.
 
-Two front ends share one grammar over +, -, *, /, ^, parentheses, rational
-literals like 8/5, and the indeterminate x:
-
-* parse_polynomial: evaluates in Q[x] ("x^3-8/5*x^2-x-1"), also accepting
-  the plain coefficient-list form "c0,c1,...,cd" (constant first);
-* evaluate_expression: evaluates at a supplied value supporting field
-  arithmetic ("1+1/x" at x = theta).
+The grammar is +, -, *, /, ^ with an integer-literal exponent (optionally
+negated), unary + and -, parentheses, x and decimal integers (written in
+the digits of any script); input is checked against it in full before
+anything is evaluated.
 """
 
-from __future__ import annotations
-
+import ast
+import operator
+import re
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
 
-_TOKEN_CHARS = set("+-*/^()x")
+from .numberfield import _padd, _pmul, _pstrip
+
+_CHARS = frozenset("0123456789+-*/^()x ")
+_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name, ast.Load,
+          ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
 
 
 class ExprError(ValueError):
     """Malformed polynomial or expression input."""
 
 
-def _tokenize(s: str):
-    out = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            out.append(("num", int(s[i:j])))
-            i = j
-        elif ch in _TOKEN_CHARS:
-            out.append((ch, ch))
-            i += 1
-        else:
-            raise ExprError(f"unexpected character {ch!r}")
-    out.append(("end", None))
-    return out
+def _parse(s: str):
+    src = "".join(str(int(ch)) if ch.isdecimal() else ch for ch in " ".join(s.split()))
+    bad = [ch for ch in src if ch not in _CHARS]
+    if bad:
+        raise ExprError(f"unexpected character {bad[0]!r}")
+    if "**" in src:
+        raise ExprError("write powers with ^, not **")
+    src = re.sub(r"\b0+(?=\d)", "", src).replace("^", "**")  # "07" is no Python int
+    try:
+        tree = ast.parse(src, mode="eval")
+    except SyntaxError as exc:
+        raise ExprError(exc.msg) from None
+    for node in ast.walk(tree):
+        if not isinstance(node, _NODES):
+            raise ExprError(f"unsupported syntax: {type(node).__name__}")
+        if isinstance(node, (ast.Constant, ast.Name)):
+            text = ast.get_source_segment(src, node)  # "0x10" and "x2" parse too
+            if not (text.isdigit() or text == "x"):
+                raise ExprError(f"not a decimal integer or x: {text}")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exp = node.right
+            if isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub):
+                exp = exp.operand
+            if not isinstance(exp, ast.Constant):
+                raise ExprError("an exponent must be an integer literal")
+    return tree.body
 
 
-class _Parser:
-    """Produces a small AST of tuples: ('num', Fraction), ('x',),
-    ('+'|'-'|'*'|'/', a, b), ('neg', a), ('^', a, int)."""
-
-    def __init__(self, s: str):
-        self.toks = _tokenize(s)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos][0]
-
-    def take(self, kind=None):
-        k, v = self.toks[self.pos]
-        if kind is not None and k != kind:
-            raise ExprError(f"expected {kind!r}, found {k!r}")
-        self.pos += 1
-        return v
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() != "end":
-            raise ExprError(f"trailing input at token {self.toks[self.pos]}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in "+-":
-            op = self.take()
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() in "*/":
-            op = self.take()
-            node = (op, node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek() == "-":
-            self.take()
-            return ("neg", self.factor())
-        if self.peek() == "+":
-            self.take()
-            return self.factor()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            neg = False
-            if self.peek() == "-":
-                self.take()
-                neg = True
-            exp = self.take("num")
-            return ("^", base, -exp if neg else exp)
-        return base
-
-    def atom(self):
-        k = self.peek()
-        if k == "num":
-            return ("num", Fraction(self.take()))
-        if k == "x":
-            self.take()
-            return ("x",)
-        if k == "(":
-            self.take()
-            node = self.expr()
-            self.take(")")
-            return node
-        raise ExprError(f"unexpected token {k!r}")
+def _evaluate(s: str, x, const, ops):
+    """s at x, literals mapped by const, arithmetic from ops; ^k multiplies."""
+    def ev(node):
+        if isinstance(node, ast.Constant):
+            return const(node.value)
+        if isinstance(node, ast.Name):
+            return x
+        if isinstance(node, ast.UnaryOp):
+            return ops[type(node.op)](ev(node.operand))
+        if isinstance(node.op, ast.Pow):
+            k, base = ast.literal_eval(node.right), ev(node.left)
+            acc = reduce(ops[ast.Mult], repeat(base, abs(k)), const(1))
+            return ops[ast.Div](const(1), acc) if k < 0 else acc
+        return ops[type(node.op)](ev(node.left), ev(node.right))
+    try:
+        return ev(_parse(s))
+    except RecursionError:
+        raise ExprError("expression nested too deeply") from None
 
 
-def _eval_ast(node, x):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "x":
-        return x
-    if kind == "neg":
-        return -_eval_ast(node[1], x)
-    if kind == "^":
-        base = _eval_ast(node[1], x)
-        return base ** node[2]
-    a = _eval_ast(node[1], x)
-    b = _eval_ast(node[2], x)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        return a / b
-    raise ExprError(f"unknown node {kind!r}")
+def _pdiv(a, b):
+    if len(b) != 1:
+        raise ExprError("division by x is not allowed in a polynomial" if b
+                        else "division by zero in polynomial input")
+    return _pmul(a, (1 / b[0],))
 
 
-class _Poly:
-    """Throwaway Q[x] value for evaluating polynomial syntax."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        self.c = tuple(c)
-
-    def __add__(self, o):
-        o = self._co(o)
-        n = max(len(self.c), len(o.c))
-        return _Poly(
-            [
-                (self.c[i] if i < len(self.c) else 0)
-                + (o.c[i] if i < len(o.c) else 0)
-                for i in range(n)
-            ]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Poly([-a for a in self.c])
-
-    def __sub__(self, o):
-        return self + (-self._co(o))
-
-    def __rsub__(self, o):
-        return (-self) + o
-
-    def __mul__(self, o):
-        o = self._co(o)
-        if not self.c or not o.c:
-            return _Poly(())
-        out = [Fraction(0)] * (len(self.c) + len(o.c) - 1)
-        for i, a in enumerate(self.c):
-            for j, b in enumerate(o.c):
-                out[i + j] += a * b
-        return _Poly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = self._co(o)
-        if len(o.c) > 1:
-            raise ExprError("division by x is not allowed in a polynomial")
-        if not o.c or o.c[0] == 0:
-            raise ExprError("division by zero in polynomial input")
-        return _Poly([a / o.c[0] for a in self.c])
-
-    def __rtruediv__(self, o):
-        raise ExprError("division by x is not allowed in a polynomial")
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ExprError("negative powers are not allowed in a polynomial")
-        acc = _Poly((Fraction(1),))
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    @staticmethod
-    def _co(o):
-        return o if isinstance(o, _Poly) else _Poly((Fraction(o),))
+_FIELD_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.USub: operator.neg, ast.UAdd: lambda a: a}
+_POLY_OPS = {ast.Add: _padd, ast.Sub: lambda a, b: _padd(a, _pmul((-1,), b)),
+             ast.Mult: _pmul, ast.Div: _pdiv, ast.USub: lambda a: _pmul((-1,), a),
+             ast.UAdd: lambda a: a}
 
 
 def parse_polynomial(s: str) -> tuple[Fraction, ...]:
-    """Little-endian coefficients from "c0,c1,...,cd" or display syntax."""
-    s = s.strip()
+    """Little-endian coefficients from "c0,c1,...,cd" or "x^3-8/5*x^2-x-1"."""
     if "," in s:
         return tuple(Fraction(part.strip()) for part in s.split(","))
-    ast = _Parser(s).parse()
-    out = _eval_ast(ast, _Poly((Fraction(0), Fraction(1))))
-    if not isinstance(out, _Poly):
-        out = _Poly((Fraction(out),))
-    return out.c
+    x = (Fraction(0), Fraction(1))
+    return _evaluate(s, x, lambda n: _pstrip((Fraction(n),)), _POLY_OPS)
 
 
 def evaluate_expression(s: str, x):
-    """Evaluate an expression in x over whatever field x lives in."""
-    return _eval_ast(_Parser(s).parse(), x)
+    """Evaluate an expression in x ("1+1/x") over whatever field x lives in."""
+    return _evaluate(s, x, Fraction, _FIELD_OPS)

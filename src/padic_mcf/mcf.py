@@ -109,6 +109,9 @@ class MCF:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MCF":
+        bad = [x for seq in d["a"] for x in seq if type(x) not in (str, int)]
+        if bad:  # a JSON float would be read as its binary double, true as 1
+            raise ValueError(f"quotient {bad[0]!r} is not a string or an integer")
         seqs = [[Fraction(x) for x in seq] for seq in d["a"]]
         if len(seqs) != d["m"] + 1:
             raise ValueError("'a' must hold m+1 sequences")

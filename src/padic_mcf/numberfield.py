@@ -253,18 +253,6 @@ class AlgebraicNumber:
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
 
 # ---------------------------------------------------------------------------
 # Newton polygon and Hensel lifting
@@ -376,17 +364,6 @@ def _compose_affine(coeffs, r: int, p: int):
     return acc
 
 
-def _val_at_least(x, p: int, n: int) -> bool:
-    """Whether v_p(x) >= n, via a single exact reduction (no digit loop)."""
-    x = Fraction(x)
-    if x == 0:
-        return True
-    if n <= 0:
-        shifted = x * p ** (-n)
-        return shifted.denominator % p != 0
-    return (x / p**n).denominator % p != 0
-
-
 def padic_roots(field_or_coeffs, p: int, precision: int):
     """All roots of the defining polynomial inside Q_p.
 
@@ -425,7 +402,7 @@ def padic_roots(field_or_coeffs, p: int, precision: int):
                 if y % p == 0:
                     continue  # belongs to a different slope segment
                 x = Fraction(p) ** w * y
-                if not _val_at_least(_peval(coeffs, x), p, precision):
+                if valuation(_peval(coeffs, x), p) < precision:
                     deficit = max(deficit, 2)
                     break
                 found.append(PAdicApprox(p, w, y, w + k))

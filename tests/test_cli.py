@@ -2,13 +2,18 @@
 
 import io
 import json
+import operator
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padic_mcf
 from padic_mcf.cli import main
@@ -46,6 +51,114 @@ class TestExprParse:
             parse_polynomial("1/x")
         with pytest.raises(ExprError):
             evaluate_expression("1+", F(1))
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("07+x", F(10)),
+            ("-x^2", F(-9)),
+            ("--x", F(3)),
+            ("+x", F(3)),
+            ("x^-1", F(1, 3)),
+            ("x^ - 2", F(1, 9)),
+            (" 1 +\tx *\n 2 ", F(7)),
+        ],
+    )
+    def test_accepts_expression(self, text, value):
+        assert evaluate_expression(text, F(3)) == value
+
+    @pytest.mark.parametrize(
+        "text, coeffs",
+        [
+            ("2^-1", (F(1, 2),)),
+            ("07+x", (F(7), F(1))),
+            ("-x^2", (F(0), F(0), F(-1))),
+            ("x^3\n - 8/5 * x^2\t- x - 1", (F(-1), F(-1), F(-8, 5), F(1))),
+        ],
+    )
+    def test_accepts_polynomial(self, text, coeffs):
+        assert parse_polynomial(text) == coeffs
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1.5", "y", "sin(x)", "x.real", "x^x", "2^3^2", "0x10", "1_0", "1e3",
+            "2x", "x**3", "x^+2", "x # 1", "(0/0)+x2", "", "()",
+            "(" * 1000 + "x" + ")" * 1000,
+            "-" * 5000 + "x",
+        ],
+        ids=lambda t: t if len(t) < 20 else f"{t[:3]}...{len(t)}",
+    )
+    def test_rejects(self, text):
+        with pytest.raises(ExprError):
+            evaluate_expression(text, F(3))
+        with pytest.raises(ExprError):
+            parse_polynomial(text)
+
+    @pytest.mark.parametrize("text", ["x/0", "3/0", "x^-1", "1/(x+1)", "2/(x-x)"])
+    def test_polynomial_rejects_division_by_x_or_zero(self, text):
+        with pytest.raises(ExprError):
+            parse_polynomial(text)
+
+    @given(data=st.data(), x=st.fractions(min_value=-4, max_value=4, max_denominator=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_direct_evaluation(self, data, x):
+        divides = data.draw(st.booleans())
+        tree = data.draw(_expr_trees(4, divides))
+        try:
+            expected = _tree_value(tree, x)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                evaluate_expression(_render(tree), x)
+            return
+        assert evaluate_expression(_render(tree), x) == expected
+        if not divides:
+            coeffs = parse_polynomial(_render(tree))
+            assert sum(c * x**i for i, c in enumerate(coeffs)) == expected
+
+
+_TREE_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _expr_trees(depth, divides):
+    """Trees over +, -, *, / (when divides), ^k (k < 0 only when divides),
+    unary minus, integers and x."""
+    leaf = st.one_of(st.integers(0, 30).map(lambda n: ("int", n)), st.just(("x",)))
+    if depth == 0:
+        return leaf
+    sub = _expr_trees(depth - 1, divides)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from("+-*/" if divides else "+-*"), sub, sub),
+        st.tuples(st.just("^"), sub, st.integers(-3 if divides else 0, 3)),
+        st.tuples(st.just("neg"), sub),
+    )
+
+
+def _render(tree):
+    kind = tree[0]
+    if kind == "int":
+        return str(tree[1])
+    if kind == "x":
+        return "x"
+    if kind == "neg":
+        return f"-({_render(tree[1])})"
+    if kind == "^":
+        return f"({_render(tree[1])})^{tree[2]}"
+    return f"({_render(tree[1])}){kind}({_render(tree[2])})"
+
+
+def _tree_value(tree, x):
+    kind = tree[0]
+    if kind == "int":
+        return F(tree[1])
+    if kind == "x":
+        return x
+    if kind == "neg":
+        return -_tree_value(tree[1], x)
+    if kind == "^":
+        return _tree_value(tree[1], x) ** tree[2]
+    return _TREE_OPS[kind](_tree_value(tree[1], x), _tree_value(tree[2], x))
 
 
 class TestExpand:
@@ -86,6 +199,13 @@ class TestExpand:
         assert "status: periodic" in out
         assert "preperiod: 0" in out and "period: 1" in out
         assert "a(1): 8/5" in out
+
+    def test_elem_expr_power_matches_coefficients(self):
+        common = ("expand", "-p", "5", "--minpoly", "x^3-3", "--elem", "0,1,0",
+                  "--max-steps", "20", "--format", "json")
+        code, out = run_cli(*common, "--elem-expr", "x^2")
+        assert (code, out) == run_cli(*common, "--elem", "0,0,1")
+        assert code == 2 and json.loads(out)["steps"] == 20
 
     def test_even_prime_is_usage_error(self, capsys):
         code, _ = run_cli("expand", "-p", "4", "1/2")
@@ -197,8 +317,11 @@ class TestEvaluateDigitsCheck:
             (("check", "-p", "5"), '{"m":"1","a":[["1","2"],["1","1"]]}'),
             (("evaluate",), '{"m":1,"a":[["1",null],["1","1"]]}'),
             (("evaluate",), '{"m":1,"a":[["1",1e400],["1","1"]]}'),
+            (("evaluate",), '{"m":1,"a":[["1",0.1],["1","1"]],"finite":true}'),
+            (("evaluate",), '{"m":1,"a":[["1",true],["1","1"]],"finite":true}'),
         ],
-        ids=["list", "string-m", "null-quotient", "huge-float"],
+        ids=["list", "string-m", "null-quotient", "huge-float", "float-quotient",
+             "bool-quotient"],
     )
     def test_wrong_shape_is_usage_error(self, monkeypatch, capsys, command, text):
         # well-formed JSON that is not an MCF: an error line, no traceback
@@ -207,6 +330,15 @@ class TestEvaluateDigitsCheck:
         assert code == 1 and out == ""
         err = capsys.readouterr().err
         assert err.startswith("error: bad MCF JSON: ") and err.count("\n") == 1
+
+    def test_zero_intermediate_is_an_error_line(self, monkeypatch, capsys):
+        text = '{"m":1,"a":[["0","0"],["1","1"]],"finite":true}'
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out = run_cli("evaluate")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "error: ZeroIntermediate: alpha_1^(1) = 0 during backward evaluation\n"
+        )
 
     def test_digits_text(self):
         code, out = run_cli("digits", "23/5", "-p", "5", "--upto", "3")
@@ -319,6 +451,38 @@ class TestPaperExamples:
         bad = [r for r in results if not r["ok"]]
         assert len(bad) == 1 and bad[0]["id"] == "c9-q5-stop"
         assert "!=" in bad[0]["detail"]
+
+
+def _readme_cli_examples():
+    """(argv, stdin) for each command in the README's CLI block; an
+    `echo '...' |` prefix becomes standard input."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    examples = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        stdin = ""
+        if line.startswith("echo "):
+            echo, line = line.split("|", 1)
+            stdin = shlex.split(echo)[1]
+        argv = shlex.split(line)
+        assert argv[0] == "padic-mcf"
+        examples.append((argv[1:], stdin))
+    return examples
+
+
+README_EXAMPLES = _readme_cli_examples()
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize(
+        "argv, stdin", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]
+    )
+    def test_runs(self, monkeypatch, argv, stdin):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out = run_cli(*argv)
+        assert code == 0 and out.strip()
 
 
 class TestConsoleEntry:

@@ -49,7 +49,3 @@ class InternalMismatch(RuntimeError):
 
 class VerificationFailed(RuntimeError):
     """A consequence that must hold for a finite expansion does not hold."""
-
-
-class DigitMapViolation(ValueError):
-    """A pluggable digit map broke its runtime contract."""

@@ -3,7 +3,9 @@
 The grammar is +, -, *, /, ^ with an integer-literal exponent (optionally
 negated), unary + and -, parentheses, x and decimal integers (written in
 the digits of any script); input is checked against it in full before
-anything is evaluated.
+anything is evaluated.  A power is multiplied out, so the absolute value
+of its exponent times those of the powers around it (an exponent 0
+counting as 1) may not exceed MAX_POWER.
 """
 
 import ast
@@ -15,6 +17,7 @@ from itertools import repeat
 
 from .numberfield import _padd, _pmul, _pstrip
 
+MAX_POWER = 256
 _CHARS = frozenset("0123456789+-*/^()x ")
 _NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name, ast.Load,
           ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
@@ -49,6 +52,14 @@ def _parse(s: str):
                 exp = exp.operand
             if not isinstance(exp, ast.Constant):
                 raise ExprError("an exponent must be an integer literal")
+    outer = {tree.body: 1}  # product of the exponents of the powers around a node
+    for node in ast.walk(tree.body):
+        scale = outer[node]
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            scale *= max(abs(ast.literal_eval(node.right)), 1)
+            if scale > MAX_POWER:
+                raise ExprError(f"exponents multiply to more than {MAX_POWER}")
+        outer.update(dict.fromkeys(ast.iter_child_nodes(node), scale))
     return tree.body
 
 

@@ -16,9 +16,9 @@ periodicity or termination: an undecidable zero test raises
 InsufficientPrecision instead of guessing.
 
 Every digit of a rational run lies in Z[1/p], so rational inputs to
-jp_expand (without a custom digit map) and euclid_expand run the Euclidean
-form on integer tuples with p-power scaling (`_integer_euclid`) instead of
-on Fractions.
+jp_expand and euclid_expand run the Euclidean form on integer tuples with
+p-power scaling (`_integer_euclid`) instead of on Fractions; the jp_step
+loop serves algebraic, truncated and mixed inputs.
 """
 
 from __future__ import annotations
@@ -27,18 +27,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DigitMapViolation, InsufficientPrecision, VerificationFailed
+from .errors import VerificationFailed
 from .mcf import MCF, check_convergence_conditions, evaluate_finite
 from .numberfield import rational_linear_dependence
 from .padic import (
-    PLUS_INFINITY,
     browkin_s,
     exact_key,
     in_browkin_range,
     is_zero,
+    padic_divide,
     require_odd_prime,
     split_p,
-    valuation,
 )
 
 DEFAULT_MAX_STEPS = 10_000
@@ -110,46 +109,7 @@ def _coerce_value(x, p: int):
     return x
 
 
-def _validated_digit(digit_map, alpha, p: int) -> Fraction:
-    """Apply a pluggable digit map and enforce its runtime contract.
-
-    The emitted digit must lie in Z[1/p] intersected with (-p/2, p/2), must
-    satisfy |alpha - digit| < 1, and for |alpha| >= 1 must carry the same
-    norm as alpha.  (For |alpha| < 1 the shipped truncation returns 0, so
-    only |alpha - digit| <= |alpha| is enforceable there.)
-    """
-    a = Fraction(digit_map(alpha, p))
-    try:
-        zero = is_zero(alpha)
-    except InsufficientPrecision:
-        zero = False
-    if zero:
-        if a != 0:
-            raise DigitMapViolation("digit map must send 0 to 0")
-        return a
-    if not in_browkin_range(a, p):
-        raise DigitMapViolation(f"digit {a} outside Z[1/p] ∩ (-p/2, p/2)")
-    v_alpha = valuation(alpha, p)
-    v_diff = _diff_valuation(alpha, a, p)
-    if v_diff < 1:
-        raise DigitMapViolation(f"|alpha - digit| >= 1 (valuation {v_diff})")
-    if v_alpha <= 0:
-        if a == 0 or valuation(a, p) != v_alpha:
-            raise DigitMapViolation("digit must match the norm of alpha when |alpha| >= 1")
-    return a
-
-
-def _diff_valuation(alpha, a: Fraction, p: int):
-    diff = alpha - a
-    try:
-        if is_zero(diff):
-            return PLUS_INFINITY
-    except InsufficientPrecision:
-        return diff.precision  # lower bound is all we know; fine for >= 1 checks
-    return valuation(diff, p)
-
-
-def jp_step(state: JPState, digit_map=None) -> StepResult:
+def jp_step(state: JPState) -> StepResult:
     """One iteration: emit quotients, terminate or build the next state.
 
     Termination happens exactly when alpha_n^(m) - a_n^(m) = 0; vanishing
@@ -157,10 +117,7 @@ def jp_step(state: JPState, digit_map=None) -> StepResult:
     zeros.
     """
     p = state.prime
-    if digit_map is None:
-        quotients = tuple(browkin_s(a, p) for a in state.alphas)
-    else:
-        quotients = tuple(_validated_digit(digit_map, a, p) for a in state.alphas)
+    quotients = tuple(browkin_s(a, p) for a in state.alphas)
     last = state.alphas[-1] - quotients[-1]
     if is_zero(last):
         return StepResult(quotients, None)
@@ -182,7 +139,6 @@ def jp_expand(
     p: int,
     max_steps: int = DEFAULT_MAX_STEPS,
     detect_period: bool = False,
-    digit_map=None,
 ) -> ExpansionResult:
     """Run the expansion on an m-tuple of p-adic values.
 
@@ -197,7 +153,7 @@ def jp_expand(
     alphas = tuple(_coerce_value(x, p) for x in inputs)
     if not alphas:
         raise ValueError("need at least one input value")
-    if digit_map is None and all(isinstance(a, Fraction) for a in alphas):
+    if all(isinstance(a, Fraction) for a in alphas):
         # A rational run always terminates, so it has no period to detect.
         rows = []
         for quotients, parts, _ in _integer_euclid(lift_to_integer_tuple(alphas), p):
@@ -215,7 +171,7 @@ def jp_expand(
     seen = {_state_key(state): 0} if detect_period and exact else None
     rows = []
     while True:
-        res = jp_step(state, digit_map)
+        res = jp_step(state)
         rows.append(res.quotients + (Fraction(1),))
         if res.next_state is None:
             return ExpansionResult(
@@ -250,9 +206,11 @@ def _quotient_period_candidate(rows):
     periodic with at least two full repetitions; advisory only."""
     n = len(rows)
     for period in range(1, n // 2 + 1):
-        for pre in range(0, n - 2 * period + 1):
-            if all(rows[i] == rows[i + period] for i in range(pre, n - period)):
-                return (pre, period)
+        pre = n - period  # least index from which rows repeat with this period
+        while pre > 0 and rows[pre - 1] == rows[pre - 1 + period]:
+            pre -= 1
+        if pre <= n - 2 * period:
+            return (pre, period)
     return None
 
 
@@ -295,12 +253,12 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
 
 def _value_euclid(xs, p: int):
     """Steps (quotients, next tuple) of the Euclidean form on values of any
-    backend, up to the step whose last coordinate vanishes."""
-    m = len(xs) - 1
+    backend, up to the step whose last coordinate vanishes.  Each step
+    divides every other coordinate by the last with small remainder."""
     while True:
         last = xs[-1]
-        quotients = tuple(browkin_s(xs[i] / last, p) for i in range(m))
-        xs = (last,) + tuple(xs[i] - quotients[i] * last for i in range(m))
+        quotients, rests = zip(*(padic_divide(x, last, p) for x in xs[:-1]))
+        xs = (last,) + rests
         yield quotients, xs
         if is_zero(xs[-1]):
             return

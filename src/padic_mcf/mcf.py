@@ -115,7 +115,10 @@ class MCF:
         seqs = [[Fraction(x) for x in seq] for seq in d["a"]]
         if len(seqs) != d["m"] + 1:
             raise ValueError("'a' must hold m+1 sequences")
-        return cls.from_sequences(seqs, bool(d.get("finite", True)))
+        finite = d.get("finite", True)
+        if type(finite) is not bool:  # the string "false" would read as true
+            raise ValueError(f"finite {finite!r} is not true or false")
+        return cls.from_sequences(seqs, finite)
 
 
 def format_rational(x) -> str:
@@ -262,7 +265,7 @@ def determinant_check(mcf: MCF):
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of the partial-quotient norm conditions for n = 1..upto.
+    """Outcome of the partial-quotient norm conditions for n = 1..last_index.
 
     In the general form the requirements are |a_n^(1)| >= 1 and
     |a_n^(i)| < |a_n^(1)| for i = 2..m+1; with unit_numerators the first
@@ -284,16 +287,12 @@ class ConditionReport:
 
 
 def check_convergence_conditions(
-    mcf: MCF, p: int, upto: int | None = None, unit_numerators: bool = False
+    mcf: MCF, p: int, unit_numerators: bool = False
 ) -> ConditionReport:
     require_odd_prime(p)
-    if upto is None:
-        upto = mcf.last_index
-    if not 0 <= upto <= mcf.last_index:
-        raise ValueError("upto outside the stored range")
     entries = []
     first = None
-    for n in range(1, upto + 1):
+    for n in range(1, mcf.last_index + 1):
         row = mcf.rows[n]
         v1 = valuation(row[0], p)
         cond1 = v1 < 0 if unit_numerators else v1 <= 0

@@ -84,6 +84,7 @@ class TestExprParse:
         [
             "1.5", "y", "sin(x)", "x.real", "x^x", "2^3^2", "0x10", "1_0", "1e3",
             "2x", "x**3", "x^+2", "x # 1", "(0/0)+x2", "", "()",
+            "(x+1)^2000", "((x+1)^50)^50",
             "(" * 1000 + "x" + ")" * 1000,
             "-" * 5000 + "x",
         ],
@@ -319,9 +320,10 @@ class TestEvaluateDigitsCheck:
             (("evaluate",), '{"m":1,"a":[["1",1e400],["1","1"]]}'),
             (("evaluate",), '{"m":1,"a":[["1",0.1],["1","1"]],"finite":true}'),
             (("evaluate",), '{"m":1,"a":[["1",true],["1","1"]],"finite":true}'),
+            (("evaluate",), '{"m":1,"a":[["1","2"],["1","1"]],"finite":"false"}'),
         ],
         ids=["list", "string-m", "null-quotient", "huge-float", "float-quotient",
-             "bool-quotient"],
+             "bool-quotient", "string-finite"],
     )
     def test_wrong_shape_is_usage_error(self, monkeypatch, capsys, command, text):
         # well-formed JSON that is not an MCF: an error line, no traceback
@@ -453,11 +455,16 @@ class TestPaperExamples:
         assert "!=" in bad[0]["detail"]
 
 
+def _readme_block(heading, lang):
+    """The first code block under a README heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    return re.search(rf"## {heading}\n\n```{lang}\n(.*?)```", readme, re.S).group(1)
+
+
 def _readme_cli_examples():
     """(argv, stdin) for each command in the README's CLI block; an
     `echo '...' |` prefix becomes standard input."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
-    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    block = _readme_block("CLI", "sh")
     examples = []
     for line in block.replace("\\\n", " ").splitlines():
         if not line.strip() or line.lstrip().startswith("#"):
@@ -483,6 +490,12 @@ class TestReadmeExamples:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
         code, out = run_cli(*argv)
         assert code == 0 and out.strip()
+
+    def test_library_example(self, capsys):
+        code = _readme_block("Library example", "python")
+        exec(compile(code, "README.md", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("finite ") and lines[-1] == "periodic"
 
 
 class TestConsoleEntry:

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_mcf import fraction_columns
 
-from padic_mcf.errors import DigitMapViolation, InsufficientPrecision
+from padic_mcf.errors import InsufficientPrecision
 from padic_mcf.jacobi_perron import (
     JPState,
+    _quotient_period_candidate,
     euclid_expand,
     jp_expand,
     jp_step,
@@ -30,7 +31,6 @@ from padic_mcf.numberfield import NumberField, PAdicEmbedding
 from padic_mcf.padic import (
     PAdicApprox,
     balanced_digit_expansion,
-    browkin_s,
     valuation,
 )
 
@@ -234,34 +234,6 @@ class TestJPExpand:
             assert res.is_finite
 
 
-class TestDigitMapPlugin:
-    def test_wrapped_browkin_is_accepted(self):
-        calls = []
-
-        def my_map(x, p):
-            calls.append(x)
-            return browkin_s(x, p)
-
-        res = jp_expand((F(23, 5), F(14, 19)), 5, digit_map=my_map)
-        assert res.is_finite and calls
-        assert res.mcf.sequences()[0] == (F(-2, 5), F(6, 5), F(6, 5), F(4, 5))
-
-    def test_constant_map_is_rejected(self):
-        def bad_map(x, p):
-            return F(2)
-
-        with pytest.raises(DigitMapViolation):
-            jp_expand((F(23, 5), F(14, 19)), 5, digit_map=bad_map)
-
-    def test_out_of_range_map_is_rejected(self):
-        def bad_map(x, p):
-            s = browkin_s(x, p)
-            return s + p  # correct residue class, Euclidean size too large
-
-        with pytest.raises(DigitMapViolation):
-            jp_expand((F(23, 5), F(14, 19)), 5, digit_map=bad_map)
-
-
 class TestEuclid:
     def test_lift(self):
         assert lift_to_integer_tuple((F(23, 5), F(14, 19))) == (437, 70, 95)
@@ -313,15 +285,19 @@ def oracle_digit(x, p):
 
 
 def fraction_route(inputs, p):
-    """Rows of the generic jp_step loop on Fractions with oracle digits:
-    the slow reference for the integer kernel."""
-    state = JPState(p, tuple(inputs), 0)
+    """Rows of the expansion on Fractions with oracle digits, through the
+    step whose last difference vanishes: the slow reference for the
+    integer kernel."""
+    alphas = tuple(inputs)
     rows = []
-    while state is not None:
-        step = jp_step(state, oracle_digit)
-        rows.append(step.quotients + (F(1),))
-        state = step.next_state
-    return rows
+    while True:
+        digits = tuple(oracle_digit(a, p) for a in alphas)
+        rows.append(digits + (F(1),))
+        last = alphas[-1] - digits[-1]
+        if last == 0:
+            return rows
+        lead = 1 / last
+        alphas = (lead,) + tuple(lead * (a - d) for a, d in zip(alphas, digits[:-1]))
 
 
 def fraction_euclid_trace(xs, p):
@@ -445,3 +421,27 @@ class TestApproxBackend:
         )
         with pytest.raises(InsufficientPrecision):
             euclid_expand(xs, 5)
+
+
+def triple_loop_period_candidate(rows):
+    """Every (period, preperiod) pair tried in turn, each checked in full:
+    the slow reference for the backward scan."""
+    n = len(rows)
+    for period in range(1, n // 2 + 1):
+        for pre in range(0, n - 2 * period + 1):
+            if all(rows[i] == rows[i + period] for i in range(pre, n - period)):
+                return (pre, period)
+    return None
+
+
+class TestPeriodCandidate:
+    @given(
+        prefix=st.lists(st.integers(0, 2), max_size=12),
+        block=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+        repeats=st.integers(0, 5),
+        cut=st.integers(0, 5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_triple_loop(self, prefix, block, repeats, cut):
+        rows = [(a,) for a in prefix + block * repeats + block[:cut]]
+        assert _quotient_period_candidate(rows) == triple_loop_period_candidate(rows)

@@ -57,6 +57,8 @@ def _check_run_args(args):
         raise UsageError("--max-steps must be >= 1")
     if args.precision < 1:
         raise UsageError("--precision must be >= 1")
+    if args.backend == "numberfield" and getattr(args, "minpoly", None) is None:
+        raise UsageError("--backend numberfield needs --minpoly")
 
 
 def _dump_json(obj) -> str:
@@ -104,7 +106,6 @@ def build_parser() -> _ArgumentParser:
         default=[],
         help="field element as an expression in x, e.g. 1+1/x",
     )
-    ex.add_argument("--root", choices=("largest",), default="largest")
     ex.add_argument("--detect-period", action="store_true")
     _add_common(ex)
 
@@ -153,7 +154,7 @@ def _build_inputs(args):
             field = NumberField(parse_polynomial(args.minpoly))
         except (ExprError, ValueError) as exc:
             raise UsageError(f"bad --minpoly: {exc}") from None
-        emb = PAdicEmbedding.create(field, args.prime, args.precision, select=args.root)
+        emb = PAdicEmbedding.create(field, args.prime, args.precision)
         theta = emb(field.generator())
         inputs = list(rationals)
         for spec in args.elem:

@@ -24,6 +24,11 @@ from .errors import (
 )
 from .padic import PAdicApprox, PLUS_INFINITY, require_odd_prime, valuation
 
+#: Largest accepted field degree.  An inverse is an exact elimination of
+#: about d^3 rational operations (0.46 s for (x+1)^2 at d = 128 on a 2-vCPU
+#: host), and an expansion step takes several.
+MAX_DEGREE = 64
+
 # ---------------------------------------------------------------------------
 # dense polynomials over Q, little-endian coefficient tuples
 # ---------------------------------------------------------------------------
@@ -74,12 +79,15 @@ class NumberField:
     polynomial is normalised to monic form.  Irreducibility over Q is
     always verified at construction (exact factorisation via sympy), so
     every NumberField is a field and every nonzero element is invertible.
+    The degree is at most MAX_DEGREE.
     """
 
     def __init__(self, coeffs):
         c = _pstrip([Fraction(x) for x in coeffs])
         if len(c) < 3:
             raise ValueError("defining polynomial must have degree >= 2")
+        if len(c) - 1 > MAX_DEGREE:
+            raise ValueError(f"degree {len(c) - 1} exceeds {MAX_DEGREE}")
         lead = c[-1]
         self.minpoly: tuple[Fraction, ...] = tuple(x / lead for x in c)
         if not _is_irreducible(self.minpoly):
@@ -158,15 +166,29 @@ class AlgebraicNumber:
     the monic minimal polynomial f, rewriting x^d as -(f_0 + ... +
     f_{d-1} x^{d-1}) from the top.  The inverse of x comes from the unique
     Q-linear dependence between x, x*theta, ..., x*theta^(d-1) and 1.
+
+    An element may carry a p-adic embedding `emb` of its field (None for
+    plain field arithmetic).  It then behaves as an exact p-adic value:
+    field arithmetic stays exact and digit queries go through the embedding
+    at whatever precision they need.  A result carries the embedding of
+    either operand; operands embedded at different primes raise
+    FieldMismatch and compare unequal.  Equality and the hash otherwise
+    ignore the embedding.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "emb")
 
-    def __init__(self, field: NumberField, coeffs: tuple[Fraction, ...]):
+    def __init__(
+        self,
+        field: NumberField,
+        coeffs: tuple[Fraction, ...],
+        emb: PAdicEmbedding | None = None,
+    ):
         if len(coeffs) != field.degree:
             raise ValueError("coefficient vector has wrong length")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "emb", emb)
 
     def __setattr__(self, *a):
         raise AttributeError("AlgebraicNumber is immutable")
@@ -175,8 +197,14 @@ class AlgebraicNumber:
         if isinstance(other, AlgebraicNumber):
             if other.field != self.field:
                 raise FieldMismatch("elements of different number fields")
+            if self.emb and other.emb and other.emb.prime != self.emb.prime:
+                raise FieldMismatch("values use different embeddings")
             return other
         return self.field.element([Fraction(other)])
+
+    @property
+    def prime(self) -> int:
+        return self.emb.prime
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -189,6 +217,31 @@ class AlgebraicNumber:
             raise ValueError("not a rational element")
         return self.coeffs[0]
 
+    def to_approx(self, precision: int) -> PAdicApprox:
+        return embed(self, self.emb, precision)
+
+    def exact_key(self):
+        """Hashable key of the exact value.  A rational element keys as its
+        Fraction, so a value hopping between the Fraction and the
+        constant-vector representation keys identically."""
+        return self.as_fraction() if self.is_rational() else self.coeffs
+
+    def valuation(self):
+        """Exact valuation, found by raising the embedding precision until a
+        nonzero digit appears.  PLUS_INFINITY for the exact zero."""
+        if self.is_zero():
+            return PLUS_INFINITY
+        if self.is_rational():
+            return valuation(self.as_fraction(), self.prime)
+        n = 8  # independent of the cached root precision: most values are
+        # far from zero, and starting large would ratchet the cache up
+        for _ in range(20):
+            a = self.to_approx(n)
+            if not a.is_zero_at_precision():
+                return a.val
+            n *= 2
+        raise InsufficientPrecision("valuation not resolved; value too close to zero")
+
     def __eq__(self, other):
         try:
             other = self._coerce(other)
@@ -200,18 +253,21 @@ class AlgebraicNumber:
         return hash((self.field, self.coeffs))
 
     def __repr__(self):
-        return f"({poly_str(self.coeffs)})"
+        at = "" if self.emb is None else f"@Q_{self.emb.prime}"
+        return f"({poly_str(self.coeffs)}){at}"
 
     def __add__(self, other):
         other = self._coerce(other)
         return AlgebraicNumber(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            self.field,
+            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
+            self.emb or other.emb,
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicNumber(self.field, tuple(-a for a in self.coeffs))
+        return AlgebraicNumber(self.field, tuple(-a for a in self.coeffs), self.emb)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -228,7 +284,8 @@ class AlgebraicNumber:
             if c:
                 for i in range(d):
                     prod[k - d + i] -= c * f[i]
-        return self.field.element(prod)
+        prod += [Fraction(0)] * (d - len(prod))
+        return AlgebraicNumber(self.field, tuple(prod), self.emb or other.emb)
 
     __rmul__ = __mul__
 
@@ -244,7 +301,7 @@ class AlgebraicNumber:
         for _ in range(self.field.degree - 1):
             cols.append(cols[-1] * theta)
         c = rational_linear_dependence(cols + [Fraction(1)])
-        return self.field.element([-x / c[-1] for x in c[:-1]])
+        return AlgebraicNumber(self.field, tuple(-x / c[-1] for x in c[:-1]), self.emb)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -449,14 +506,9 @@ class PAdicEmbedding:
 
     @classmethod
     def create(
-        cls,
-        field: NumberField,
-        prime: int,
-        precision: int = 32,
-        select: str = "largest",
+        cls, field: NumberField, prime: int, precision: int = 32
     ) -> "PAdicEmbedding":
-        if select != "largest":
-            raise ValueError("only 'largest' root selection is supported")
+        """The embedding at the unique root of maximal p-adic norm."""
         root = select_largest_root(padic_roots(field, prime, precision))
         return cls(field, prime, root)
 
@@ -483,10 +535,10 @@ class PAdicEmbedding:
                     return self._root
             raise LiftingObstruction("refined roots no longer match the cached root")
 
-    def __call__(self, x: "AlgebraicNumber") -> "EmbeddedAlgebraic":
+    def __call__(self, x: AlgebraicNumber) -> AlgebraicNumber:
         if x.field != self.field:
             raise FieldMismatch("element belongs to a different field")
-        return EmbeddedAlgebraic(x, self)
+        return AlgebraicNumber(x.field, x.coeffs, self)
 
 
 def embed(x: AlgebraicNumber, emb: PAdicEmbedding, precision: int) -> PAdicApprox:
@@ -513,105 +565,6 @@ def embed(x: AlgebraicNumber, emb: PAdicEmbedding, precision: int) -> PAdicAppro
     raise InsufficientPrecision("embedding did not reach the requested precision")
 
 
-class EmbeddedAlgebraic:
-    """An AlgebraicNumber together with a p-adic embedding of its field.
-
-    Behaves as an exact p-adic value: field arithmetic is exact, digit
-    queries go through the embedding at whatever precision they need.
-    """
-
-    __slots__ = ("alg", "emb")
-
-    def __init__(self, alg: AlgebraicNumber, emb: PAdicEmbedding):
-        if alg.field != emb.field:
-            raise FieldMismatch("element belongs to a different field")
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "emb", emb)
-
-    def __setattr__(self, *a):
-        raise AttributeError("EmbeddedAlgebraic is immutable")
-
-    @property
-    def prime(self) -> int:
-        return self.emb.prime
-
-    def is_zero(self) -> bool:
-        return self.alg.is_zero()
-
-    def to_approx(self, precision: int) -> PAdicApprox:
-        return embed(self.alg, self.emb, precision)
-
-    def exact_key(self):
-        """Hashable key of the exact value.  A rational element keys as its
-        Fraction, so a value hopping between the Fraction and the
-        constant-vector representation keys identically."""
-        return self.alg.as_fraction() if self.alg.is_rational() else self.alg.coeffs
-
-    def valuation(self):
-        """Exact valuation, found by raising the embedding precision until a
-        nonzero digit appears.  PLUS_INFINITY for the exact zero."""
-        if self.alg.is_zero():
-            return PLUS_INFINITY
-        if self.alg.is_rational():
-            return valuation(self.alg.as_fraction(), self.prime)
-        n = 8  # independent of the cached root precision: most values are
-        # far from zero, and starting large would ratchet the cache up
-        for _ in range(20):
-            a = self.to_approx(n)
-            if not a.is_zero_at_precision():
-                return a.val
-            n *= 2
-        raise InsufficientPrecision("valuation not resolved; value too close to zero")
-
-    def _wrap(self, alg: AlgebraicNumber) -> "EmbeddedAlgebraic":
-        return EmbeddedAlgebraic(alg, self.emb)
-
-    def _unwrap(self, other):
-        if isinstance(other, EmbeddedAlgebraic):
-            if other.emb is not self.emb and (
-                other.emb.field != self.emb.field or other.emb.prime != self.emb.prime
-            ):
-                raise FieldMismatch("values use different embeddings")
-            return other.alg
-        return other
-
-    def __add__(self, other):
-        return self._wrap(self.alg + self._unwrap(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._wrap(-self.alg)
-
-    def __sub__(self, other):
-        return self._wrap(self.alg - self._unwrap(other))
-
-    def __rsub__(self, other):
-        return self._wrap(self._unwrap(other) - self.alg)
-
-    def __mul__(self, other):
-        return self._wrap(self.alg * self._unwrap(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._wrap(self.alg / self._unwrap(other))
-
-    def __rtruediv__(self, other):
-        return self._wrap(self._unwrap(other) / self.alg)
-
-    def __eq__(self, other):
-        if isinstance(other, EmbeddedAlgebraic):
-            return self.prime == other.prime and self.alg == other.alg
-        return self.alg == other
-
-    def __hash__(self):
-        return hash((self.prime, self.alg))
-
-    def __repr__(self):
-        return f"{self.alg!r}@Q_{self.prime}"
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q
 # ---------------------------------------------------------------------------
@@ -620,21 +573,20 @@ class EmbeddedAlgebraic:
 def rational_linear_dependence(values):
     """A nonzero rational vector c with sum(c_j * values_j) == 0, or None.
 
-    Values may be Fractions, ints, AlgebraicNumbers of one common field, or
-    EmbeddedAlgebraic wrappers thereof.  The kernel is computed exactly on
-    the coefficient matrix; the returned vector is scaled to coprime
-    integers with a positive leading entry.
+    Values may be Fractions, ints or AlgebraicNumbers of one common field,
+    embedded or not.  The kernel is computed exactly on the coefficient
+    matrix; the returned vector is scaled to coprime integers with a
+    positive leading entry.
     """
     vecs = []
     field = None
-    raw = [v.alg if isinstance(v, EmbeddedAlgebraic) else v for v in values]
-    for v in raw:
+    for v in values:
         if isinstance(v, AlgebraicNumber):
             if field is None:
                 field = v.field
             elif v.field != field:
                 raise FieldMismatch("values in different number fields")
-    for v in raw:
+    for v in values:
         if isinstance(v, AlgebraicNumber):
             vecs.append(list(v.coeffs))
         else:

@@ -163,16 +163,7 @@ def balanced_digit_expansion(x, p: int, upto: int) -> BalancedDigits:
     v = valuation(x, p)
     if upto <= v:
         raise ValueError(f"upto={upto} must exceed valuation {v}")
-    t = x / Fraction(p) ** v  # p-adic unit: numerator and denominator coprime to p
-    k = upto - v
-    mod = p**k
-    r = t.numerator % mod * pow(t.denominator % mod, -1, mod) % mod
-    digits = []
-    for _ in range(k):
-        d = _balanced_residue(r, p)
-        digits.append(d)
-        r = (r - d) // p
-    return BalancedDigits(v, tuple(digits))
+    return PAdicApprox.from_rational(x, p, upto).digits
 
 
 def in_browkin_range(x, p: int) -> bool:

@@ -192,8 +192,6 @@ class TestExpand:
             "0,1,0",
             "--elem-expr",
             "1+1/x",
-            "--root",
-            "largest",
             "--detect-period",
         )
         assert code == 0
@@ -249,6 +247,14 @@ class TestExpand:
         assert code == 1
         assert "AmbiguousSelection" in capsys.readouterr().err
 
+    def test_degree_bound_is_usage_error(self, capsys):
+        code, out = run_cli(
+            "expand", "-p", "5", "--minpoly", "x^256*x^256*x^256*x^256-6",
+            "--elem", "0,1", "--max-steps", "3",
+        )
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: bad --minpoly: degree 1024 exceeds 64\n"
+
     def test_verbose_digit_lists(self):
         code, out = run_cli("expand", "-p", "5", "23/5", "14/19", "--verbose")
         assert code == 0
@@ -283,6 +289,15 @@ class TestEuclid:
         code, out = run_cli("euclid", "-p", "5", "--detect-period", "437", "70", "95")
         assert code == 1 and out == ""
         assert "unrecognized arguments: --detect-period" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [("expand", "23/5", "14/19"), ("euclid", "437", "70", "95")]
+)
+def test_numberfield_backend_needs_minpoly(capsys, argv):
+    code, out = run_cli(argv[0], "-p", "5", "--backend", "numberfield", *argv[1:])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: --backend numberfield needs --minpoly\n"
 
 
 class TestEvaluateDigitsCheck:

@@ -13,9 +13,9 @@ from padic_mcf.errors import (
     NoRoot,
 )
 from padic_mcf.numberfield import (
+    MAX_DEGREE,
     NumberField,
     PAdicEmbedding,
-    EmbeddedAlgebraic,
     embed,
     newton_polygon_slopes,
     padic_roots,
@@ -65,6 +65,11 @@ class TestNumberField:
             NumberField([-1, 0, 1])  # x^2 - 1
         with pytest.raises(ValueError):
             NumberField([0, 1])  # degree 1
+
+    def test_degree_bound(self):
+        assert NumberField([-6] + [0] * (MAX_DEGREE - 1) + [1]).degree == 64
+        with pytest.raises(ValueError, match="degree 65 exceeds 64"):
+            NumberField([-6] + [0] * MAX_DEGREE + [1])
 
     def test_normalises_to_monic(self):
         k = NumberField([2, 0, 2])  # 2x^2 + 2 -> x^2 + 1
@@ -250,6 +255,41 @@ class TestEmbedding:
         other = NumberField([-2, 0, 0, 1])
         with pytest.raises(FieldMismatch):
             emb5(other.generator())
+
+
+class TestEmbeddedValues:
+    """theta of x^3 - 3 embedded at p = 5 (a) and p = 11 (b), and bare (g)."""
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        k = NumberField([-3, 0, 0, 1])
+        g = k.generator()
+        a = PAdicEmbedding.create(k, 5, 16)(g)
+        b = PAdicEmbedding.create(k, 11, 16)(g)
+        return k, a, b, g
+
+    def test_different_primes_do_not_mix(self, values):
+        _, a, b, _ = values
+        with pytest.raises(FieldMismatch):
+            a + b
+        assert a != b
+
+    def test_results_keep_the_embedding(self, values):
+        _, a, _, g = values
+        assert (g + a).emb is a.emb and (a + g).emb is a.emb
+        assert (g * a).emb is a.emb and (1 / a).emb is a.emb
+        assert g.emb is None and (g * g).emb is None
+
+    def test_embedded_equals_bare(self, values):
+        _, a, _, g = values
+        assert a == g and hash(a) == hash(g)
+        assert len({a, g}) == 1
+
+    def test_repr(self, values):
+        k, a, _, _ = values
+        assert repr(a) == "(x)@Q_5"
+        assert repr(1 / a) == "(1/3*x^2)@Q_5"
+        assert repr(k) == "NumberField(x^3-3)"
 
 
 class TestLinearDependence:

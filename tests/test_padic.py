@@ -393,15 +393,17 @@ class TestValueProtocol:
             assert is_zero(zero)
             assert valuation(zero, 5) == PLUS_INFINITY
         assert exact_key(theta - theta) == exact_key(F(0))
-        assert exact_key(theta) == theta.alg.coeffs
+        assert exact_key(theta) == theta.coeffs
 
 
 # Only padic knows the value backends; these modules go through its
 # protocol (valuation, is_zero, to_approx, exact_key).
-BACKEND_NAMES = {"PAdicApprox", "EmbeddedAlgebraic", "is_zero_at_precision"}
+BACKEND_NAMES = {"PAdicApprox", "AlgebraicNumber", "is_zero_at_precision"}
 
 
-@pytest.mark.parametrize("module", ["jacobi_perron", "mcf", "cli"])
+@pytest.mark.parametrize(
+    "module", ["jacobi_perron", "mcf", "cli", "exprparse", "worked_examples"]
+)
 def test_backends_stay_behind_the_padic_protocol(module):
     path = Path(padic_mcf.__file__).parent / f"{module}.py"
     named = set()

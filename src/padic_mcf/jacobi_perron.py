@@ -100,7 +100,8 @@ class ExpansionResult:
 
 def _coerce_value(x, p: int):
     """Inputs that carry a prime (p-adic values) must carry p; anything
-    else is read as a rational."""
+    else is read as a rational.  A field element with no embedding raises
+    ValueError from its `prime`."""
     prime = getattr(x, "prime", None)
     if prime is None:
         return Fraction(x)

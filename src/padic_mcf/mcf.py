@@ -26,6 +26,7 @@ from .errors import (
     ZeroIntermediate,
     ZeroWeight,
 )
+from .numberfield import _bareiss
 from .padic import is_zero, require_odd_prime, valuation
 
 
@@ -112,6 +113,8 @@ class MCF:
         bad = [x for seq in d["a"] for x in seq if type(x) not in (str, int)]
         if bad:  # a JSON float would be read as its binary double, true as 1
             raise ValueError(f"quotient {bad[0]!r} is not a string or an integer")
+        if type(d["m"]) is not int:  # true and 1.0 would read as 1
+            raise ValueError(f"m {d['m']!r} is not an integer")
         seqs = [[Fraction(x) for x in seq] for seq in d["a"]]
         if len(seqs) != d["m"] + 1:
             raise ValueError("'a' must hold m+1 sequences")
@@ -212,26 +215,6 @@ def convergents_of(mcf: MCF):
 # ---------------------------------------------------------------------------
 
 
-def _det(mat):
-    """Determinant of a square integer matrix by Bareiss elimination: every
-    division is exact, so no fraction arises."""
-    a = [list(row) for row in mat]
-    n = len(a)
-    sign, prev = 1, 1
-    for c in range(n - 1):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            for k in range(c + 1, n):
-                a[r][k] = (a[r][k] * a[c][c] - a[r][c] * a[c][k]) // prev
-        prev = a[c][c]
-    return sign * a[n - 1][n - 1]
-
-
 def determinant_check(mcf: MCF):
     """For every n, the exact determinant of the window A_n, ..., A_{n-m}
     and whether it matches the closed form (-1)**(m*(n+1)) * prod(a_j^(m+1)).
@@ -249,11 +232,11 @@ def determinant_check(mcf: MCF):
     for row in mcf.rows:
         table.push(row)
         expected *= (-1) ** m * row[m]
-        # the window's integer columns over their common denominators
+        # Bareiss determinant of the window's integer columns over their denominators
         window = table._window
-        det = Fraction(
-            _det([nums for nums, _ in window]), math.prod(den for _, den in window)
-        )
+        a = [list(nums) for nums, _ in window]
+        r, sign = _bareiss(a)
+        det = Fraction(sign * a[m][m] if r > m else 0, math.prod(d for _, d in window))
         out.append((det, det == expected))
     return out
 

@@ -336,9 +336,11 @@ class TestEvaluateDigitsCheck:
             (("evaluate",), '{"m":1,"a":[["1",0.1],["1","1"]],"finite":true}'),
             (("evaluate",), '{"m":1,"a":[["1",true],["1","1"]],"finite":true}'),
             (("evaluate",), '{"m":1,"a":[["1","2"],["1","1"]],"finite":"false"}'),
+            (("evaluate",), '{"m":true,"a":[["1","2"],["1","1"]]}'),
+            (("evaluate",), '{"m":1.0,"a":[["1","2"],["1","1"]]}'),
         ],
         ids=["list", "string-m", "null-quotient", "huge-float", "float-quotient",
-             "bool-quotient", "string-finite"],
+             "bool-quotient", "string-finite", "bool-m", "float-m"],
     )
     def test_wrong_shape_is_usage_error(self, monkeypatch, capsys, command, text):
         # well-formed JSON that is not an MCF: an error line, no traceback

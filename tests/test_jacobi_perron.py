@@ -275,6 +275,13 @@ class TestEuclid:
             assert eu.mcf.rows == jp.mcf.rows
 
 
+@pytest.mark.parametrize("expand", [jp_expand, euclid_expand])
+def test_bare_field_element_needs_embedding(expand):
+    theta = NumberField([-3, 0, 0, 1]).generator()
+    with pytest.raises(ValueError, match="has no p-adic embedding"):
+        expand((theta, F(1)), 5)
+
+
 def oracle_digit(x, p):
     """The Browkin digit read off the balanced digit expansion."""
     if x == 0 or valuation(x, p) > 0:

@@ -1,5 +1,6 @@
 """Number field arithmetic, p-adic root finding, embeddings, dependence."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -35,6 +36,8 @@ ORACLE_MINPOLYS = (
     (-6, 2, 0, F(-3, 7), 1),
 )
 small_fractions = st.fractions(min_value=-99, max_value=99, max_denominator=20)
+# Eisenstein at 2, so irreducible: x^d + 2x + 2 for d = 2..8
+DEPENDENCE_FIELDS = {d: NumberField([2, 2] + [0] * (d - 2) + [1]) for d in range(2, 9)}
 
 
 def _sympy_poly(coeffs):
@@ -285,6 +288,13 @@ class TestEmbeddedValues:
         assert a == g and hash(a) == hash(g)
         assert len({a, g}) == 1
 
+    def test_rational_element_hashes_as_its_fraction(self, values):
+        k, a, _, _ = values
+        half = k.element([F(1, 2)])
+        assert k.one() == 1 and len({k.one(), 1, F(1)}) == 1
+        assert {F(1, 2): "v"}[half] == "v"
+        assert hash(a.emb(half)) == hash(half) == hash(F(1, 2))
+
     def test_repr(self, values):
         k, a, _, _ = values
         assert repr(a) == "(x)@Q_5"
@@ -350,6 +360,50 @@ class TestLinearDependence:
         other = NumberField([-2, 0, 0, 1])
         with pytest.raises(FieldMismatch):
             rational_linear_dependence([k5.generator(), other.generator()])
+
+    def test_empty_is_independent(self):
+        assert rational_linear_dependence([]) is None
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy_rank(self, data):
+        # The columns of M are the values' coefficient vectors.  The first
+        # prefix whose sympy rank drops fixes the index r of the dependence.
+        degree = data.draw(st.sampled_from((1,) + tuple(DEPENDENCE_FIELDS)))
+        k = DEPENDENCE_FIELDS.get(degree)
+        n = data.draw(st.integers(0, degree + 2))
+        vecs, values = [], []
+        for _ in range(n):
+            kind = data.draw(st.sampled_from(("zero", "rational", "element", "combo")))
+            if kind == "combo" and vecs:
+                w = data.draw(st.lists(small_fractions, min_size=len(vecs),
+                                       max_size=len(vecs)))
+                vec = [sum(x * v[i] for x, v in zip(w, vecs)) for i in range(degree)]
+            elif kind == "element" and k is not None:
+                vec = data.draw(st.lists(small_fractions, min_size=degree,
+                                         max_size=degree))
+            else:
+                q = F(0) if kind == "zero" else data.draw(small_fractions)
+                vec = [q] + [F(0)] * (degree - 1)
+            vecs.append(vec)
+            rational = all(x == 0 for x in vec[1:])
+            if k is None or (rational and data.draw(st.booleans())):
+                values.append(vec[0])
+            else:
+                values.append(k.element(vec))
+        dep = rational_linear_dependence(values)
+        flat = [sympy.Rational(x.numerator, x.denominator) for v in vecs for x in v]
+        M = sympy.Matrix(n, degree, flat).T
+        if M.rank() == n:
+            assert dep is None
+            return
+        r = next(j for j in range(n) if M[:, : j + 1].rank() == j)
+        assert dep is not None and len(dep) == n
+        assert all(x.denominator == 1 for x in dep)
+        c = [int(x) for x in dep]
+        assert M * sympy.Matrix(c) == sympy.zeros(degree, 1)
+        assert math.gcd(*c) == 1 and next(x for x in c if x) > 0
+        assert c[r] != 0 and all(x == 0 for x in c[r + 1 :])
 
     @given(
         a=st.fractions(min_value=-99, max_value=99, max_denominator=20),

@@ -17,8 +17,11 @@ InsufficientPrecision instead of guessing.
 
 Every digit of a rational run lies in Z[1/p], so rational inputs to
 jp_expand and euclid_expand run the Euclidean form on integer tuples with
-p-power scaling (`_integer_euclid`) instead of on Fractions; the jp_step
-loop serves algebraic, truncated and mixed inputs.
+p-power scaling (`_integer_euclid`) instead of on Fractions.  An exact
+tuple with a number-field element runs it projectively on integer
+coefficient vectors, reading digits from their residues modulo a power of
+p (`_ProjectiveEuclid`); it confirms a period by exact equality in the
+field.  The jp_step loop serves truncated inputs only.
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import VerificationFailed
+from .errors import InsufficientPrecision, VerificationFailed
 from .mcf import MCF, check_convergence_conditions, evaluate_finite
-from .numberfield import rational_linear_dependence
+from .numberfield import MAX_DOUBLINGS, rational_linear_dependence
 from .padic import (
     browkin_s,
-    exact_key,
     in_browkin_range,
+    integer_lift,
     is_zero,
     padic_divide,
     require_odd_prime,
@@ -129,12 +132,6 @@ def jp_step(state: JPState) -> StepResult:
     return StepResult(quotients, JPState(p, nxt, state.n + 1))
 
 
-def _state_key(state: JPState):
-    """Exact key of the complete quotients; None on a truncated backend."""
-    key = tuple(exact_key(a) for a in state.alphas)
-    return None if None in key else key
-
-
 def jp_expand(
     inputs,
     p: int,
@@ -167,9 +164,10 @@ def jp_expand(
             "finite" if finite else "truncated",
             len(rows),
         )
+    lift = integer_lift(alphas + (Fraction(1),))
+    if lift is not None:
+        return _projective_expand(lift, p, max_steps, detect_period)
     state = JPState(p, alphas, 0)
-    exact = _state_key(state) is not None
-    seen = {_state_key(state): 0} if detect_period and exact else None
     rows = []
     while True:
         res = jp_step(state)
@@ -179,27 +177,49 @@ def jp_expand(
                 MCF(state.m, rows, finite=True), "finite", len(rows)
             )
         state = res.next_state
-        if seen is not None:
-            key = _state_key(state)
-            if key in seen:
-                first = seen[key]
-                return ExpansionResult(
-                    MCF(state.m, rows, finite=False),
-                    "periodic",
-                    len(rows),
-                    preperiod=first,
-                    period=state.n - first,
-                    witness=(first, state.n),
-                    witness_state=state,
-                )
-            seen[key] = state.n
         if len(rows) >= max_steps:
             return ExpansionResult(
                 MCF(state.m, rows, finite=False),
                 "truncated",
                 len(rows),
-                period_candidate=None if exact else _quotient_period_candidate(rows),
+                period_candidate=_quotient_period_candidate(rows),
             )
+
+
+def _projective_expand(lift, p: int, max_steps: int, detect_period: bool):
+    """jp_expand on the Euclidean tuple (alpha^(1), ..., alpha^(m), 1) of an
+    IntegerLift.  Equal complete quotients give equal fingerprints, so each
+    tuple is compared exactly only with the earlier tuples that share its
+    fingerprint."""
+    run = _ProjectiveEuclid(lift, p)
+    m = len(run.vectors) - 1
+    seen = {} if detect_period else None  # fingerprint -> [(n, vectors)]
+    rows = []
+    while True:
+        n = len(rows)
+        if seen is not None:
+            key = run.fingerprint()
+            for k, vectors in seen.get(key, ()):
+                *xs, x_last = lift.values(vectors)
+                *ys, y_last = lift.values(run.vectors)
+                # x_i / x_last == y_i / y_last, by exact cross products
+                if all(x * y_last == y * x_last for x, y in zip(xs, ys)):
+                    inv = 1 / y_last
+                    return ExpansionResult(
+                        MCF(m, rows, finite=False),
+                        "periodic",
+                        n,
+                        preperiod=k,
+                        period=n - k,
+                        witness=(k, n),
+                        witness_state=JPState(p, tuple(y * inv for y in ys), n),
+                    )
+            seen.setdefault(key, []).append((n, run.vectors))
+        if n >= max_steps:
+            return ExpansionResult(MCF(m, rows, finite=False), "truncated", n)
+        rows.append(run.step() + (Fraction(1),))
+        if run.finished:
+            return ExpansionResult(MCF(m, rows, finite=True), "finite", n + 1)
 
 
 def _quotient_period_candidate(rows):
@@ -223,7 +243,9 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
     the last coordinate vanishes.  Returns the expansion result plus the
     full trace of tuples; the produced MCF is identical to jp_expand on the
     coordinate ratios.  Rational tuples run on the integer kernel and
-    their trace holds the same Fractions.
+    their trace holds the same Fractions; exact tuples with a field element
+    run on the projective kernel and their trace holds the same field
+    elements.
     """
     require_odd_prime(p)
     if max_steps < 1:
@@ -237,7 +259,8 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
     if all(isinstance(x, Fraction) for x in xs):
         steps = _rational_euclid(xs, p)
     else:
-        steps = _value_euclid(xs, p)
+        lift = integer_lift(xs)
+        steps = _value_euclid(xs, p) if lift is None else _projective_euclid(lift, xs, p)
     trace = [xs]
     rows = []
     for quotients, nxt in steps:
@@ -255,7 +278,8 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
 def _value_euclid(xs, p: int):
     """Steps (quotients, next tuple) of the Euclidean form on values of any
     backend, up to the step whose last coordinate vanishes.  Each step
-    divides every other coordinate by the last with small remainder."""
+    divides every other coordinate by the last with small remainder.
+    euclid_expand runs it on truncated tuples only."""
     while True:
         last = xs[-1]
         quotients, rests = zip(*(padic_divide(x, last, p) for x in xs[:-1]))
@@ -282,6 +306,37 @@ def _rational_euclid(xs, p: int):
         yield quotients, nxt
 
 
+def _projective_euclid(lift, xs, p: int):
+    """The steps of _value_euclid on an exact tuple with a field element,
+    computed by the projective kernel.  Each next tuple is rebuilt from the
+    vectors and, as in _value_euclid, starts with the previous tuple's last
+    entry itself."""
+    run = _ProjectiveEuclid(lift, p)
+    last = xs[-1]
+    while True:
+        quotients = run.step()
+        nxt = (last,) + lift.values(run.vectors[1:], run.scale)
+        last = nxt[-1]
+        yield quotients, nxt
+        if run.finished:
+            return
+
+
+def _digit(part, w: int, u: int, p: int) -> Fraction:
+    """The Browkin digit of u_i * p**v_i / (u * p**w), for part = (v_i, u_i)
+    and u prime to p; None is an exact zero.
+
+    With k = 1 + w - v_i >= 1 the digit is R / p**(k-1), R the symmetric
+    residue of u_i / u mod p**k; for k < 1 it is 0.  It depends only on
+    u_i and u mod p**k, so browkin_s, the one implementation of the digit
+    map, is applied to those residues.
+    """
+    if part is None or part[0] > w:
+        return Fraction(0)
+    mod = p ** (1 + w - part[0])  # p**k
+    return browkin_s(Fraction(part[1] % mod, u % mod * (mod // p)), p)
+
+
 def _integer_euclid(xs, p: int):
     """Steps of the Euclidean form on a tuple of integers, without fractions.
 
@@ -291,15 +346,13 @@ def _integer_euclid(xs, p: int):
     yields (quotients, parts, e) for the next tuple, up to the step whose
     last coordinate vanishes.
 
-    With x^(m+1) = u * p**w, a coordinate x^(i) = u_i * p**v_i with
-    k = 1 + w - v_i >= 1 has the Browkin digit a^(i) = R / p**(k-1), R the
-    symmetric residue of u_i / u mod p**k; for k < 1 the digit is 0.  The
-    digit depends only on u_i and u mod p**k, so browkin_s, the one
-    implementation of the digit map, is applied to those residues.
-    Divided by p**w, the next tuple is integral: its first entry is u and
-    (x^(i) - a^(i) x^(m+1)) / p**w = (u_i - R u) / p**(k-1), which p
-    divides.  The part prime to p of every coordinate is carried through
-    exact integer steps, so no gcd is taken on it.
+    With x^(m+1) = u * p**w, a coordinate x^(i) = u_i * p**v_i has the
+    digit a^(i) = _digit((v_i, u_i), w, u, p), R / p**(k-1) when
+    k = 1 + w - v_i >= 1.  Divided by p**w, the next tuple is integral: its
+    first entry is u and (x^(i) - a^(i) x^(m+1)) / p**w =
+    (u_i - R u) / p**(k-1), which p divides.  The part prime to p of every
+    coordinate is carried through exact integer steps, so no gcd is taken
+    on it.
     """
     m = len(xs) - 1
     parts = [split_p(x, p) if x else None for x in xs]
@@ -309,13 +362,11 @@ def _integer_euclid(xs, p: int):
         quotients = []
         nxt = [(0, u)]
         for part in parts[:m]:
-            if part is None or part[0] > w:
-                quotients.append(Fraction(0))
+            a = _digit(part, w, u, p)
+            quotients.append(a)
+            if not a:
                 nxt.append(None if part is None else (part[0] - w, part[1]))
                 continue
-            mod = p ** (1 + w - part[0])  # p**k
-            a = browkin_s(Fraction(part[1] % mod, u % mod * (mod // p)), p)
-            quotients.append(a)
             y = (part[1] - a.numerator * u) // a.denominator  # R, p**(k-1)
             nxt.append(split_p(y, p) if y else None)
         parts = nxt
@@ -323,6 +374,122 @@ def _integer_euclid(xs, p: int):
         yield tuple(quotients), parts, e
         if parts[m] is None:
             return
+
+
+#: Digits of the unit of each ratio x^(i) / x^(m+1) that a period
+#: fingerprint records, and the cap on the valuation it records.
+_FINGERPRINT_DIGITS = 24
+#: Precision of the first residues of a projective run.
+_START_PRECISION = 32
+
+
+class _ProjectiveEuclid:
+    """The Euclidean form on an IntegerLift, kept projectively.
+
+    The tuple is held as integer coefficient vectors x^(i), the true tuple
+    being the vectors times `scale`, and as residues E_i, known modulo
+    p**precision, with p**offset * E_i = c * emb(x^(i)) for one p-adic c
+    common to every coordinate.  E_i / E_(m+1) is the embedded ratio
+    x^(i) / x^(m+1), so each digit is read off the residues by _digit, as
+    in _integer_euclid.
+
+    With a^(i) = R_i / p**(k_i-1), P = p**s and s = max(k_i-1), a step maps
+    the tuple to P * (x^(m+1), x^(i) - a^(i) x^(m+1)), which is integral,
+    alike on the vectors and on E.  Every new E_i is divisible by p**(s+w),
+    w the valuation of E_(m+1), and is divided by it, which costs as many
+    digits of precision.  The vectors are then divided by their content g:
+    its p-part only moves the offset, and its unit part joins c, since a
+    unit common to every E_i changes no ratio.  Zero tests are on the
+    vectors.  When a digit or a fingerprint needs more digits than E
+    carries, E is computed again from the vectors with at least twice the
+    precision of the last such re-lift; a run takes at most MAX_DOUBLINGS
+    re-lifts.
+    """
+
+    def __init__(self, lift, p: int):
+        self.lift, self.p = lift, p
+        self.vectors, self.scale = lift.vectors, lift.scale
+        self.offset, self.relifts = 0, 0
+        self.precision = self._lifted = _START_PRECISION
+        self.residues = lift.residues(self.vectors, self.precision)
+        self._read_state = None  # _read(keyed=True) of the current tuple
+
+    @property
+    def finished(self) -> bool:
+        return not any(self.vectors[-1])
+
+    def _read(self, keyed: bool):
+        """(w, u, parts) with E_(m+1) = u * p**w and parts[i] = (v_i, u_i),
+        E_i = u_i * p**v_i, or None where E_i is 0 mod p**precision (so that
+        v_i >= precision > w and the digit is 0).  Re-lifts until every
+        digit and, if keyed, the fingerprint is determined."""
+        p, t = self.p, _FINGERPRINT_DIGITS
+        while True:
+            need = self.precision + 1  # while E_(m+1) is 0 mod p**precision
+            if self.residues[-1]:
+                w, u = split_p(self.residues[-1], p)
+                parts = [split_p(e, p) if e else None for e in self.residues[:-1]]
+                vs = [part[0] for part in parts if part is not None]
+                # u_i and u mod p**(1 + w - v_i) for each digit
+                need = max([1 + 2 * w - v for v in vs if v <= w], default=0)
+                if keyed:  # the cap test and the units mod p**t
+                    need = max(need, w + t, *(v + t for v in vs if v < w + t))
+                if need <= self.precision:
+                    return w, u, parts
+            if self.relifts == MAX_DOUBLINGS:
+                raise InsufficientPrecision(
+                    f"expansion needs more than {MAX_DOUBLINGS} re-lifts"
+                )
+            self.relifts += 1
+            self.precision = self._lifted = max(2 * self._lifted, need)
+            shift = p**self.offset
+            self.residues = [
+                r // shift
+                for r in self.lift.residues(self.vectors, self.offset + self.precision)
+            ]
+
+    def fingerprint(self) -> tuple:
+        """A function of the complete quotients x^(i) / x^(m+1) alone: for
+        each i, None for an exact zero, else the valuation of the ratio
+        capped at t, with its unit mod p**t below the cap."""
+        w, u, parts = self._read_state = self._read(keyed=True)
+        t = _FINGERPRINT_DIGITS
+        mod = self.p**t
+        inv = pow(u % mod, -1, mod)
+        return tuple(
+            None if not any(vec)
+            else t if part is None or part[0] - w >= t
+            else (part[0] - w, part[1] * inv % mod)
+            for vec, part in zip(self.vectors, parts)
+        )
+
+    def step(self) -> tuple:
+        """The quotients of the current tuple; moves on to the next tuple."""
+        w, u, parts = self._read_state or self._read(keyed=False)
+        self._read_state = None
+        p = self.p
+        quotients = tuple(_digit(part, w, u, p) for part in parts)
+        big = max(a.denominator for a in quotients)  # P
+        coefs = [a.numerator * (big // a.denominator) for a in quotients]  # P * a^(i)
+        *xs, last = self.vectors
+        *es, e_last = self.residues
+        vectors = [[big * c for c in last]] + [
+            [big * c - a * l for c, l in zip(x, last)] for x, a in zip(xs, coefs)
+        ]
+        drop = split_p(big, p)[0] + w  # s + w
+        self.precision -= drop
+        shift, mod = p**drop, p**self.precision
+        self.residues = [u % mod] + [
+            (big * e - a * e_last) // shift % mod for e, a in zip(es, coefs)
+        ]
+        g = math.gcd(*(c for v in vectors for c in v))
+        if g > 1:
+            vectors = [[c // g for c in v] for v in vectors]
+            drop -= split_p(g, p)[0]
+        self.vectors = vectors
+        self.offset += drop
+        self.scale *= Fraction(g, big)
+        return quotients
 
 
 def lift_to_integer_tuple(ratios):

@@ -6,7 +6,9 @@ the polynomial inside Q_p are located by Newton-polygon slope analysis
 (only integer slopes can carry Q_p roots) followed by Hensel lifting of
 simple residues, with a recursive disc subdivision for residues that are
 not simple modulo p.  An embedding fixes one such root and evaluates
-coefficient vectors at it to any requested precision.
+coefficient vectors at it to any requested precision.  An IntegerLift holds
+a tuple of field elements as integer coefficient vectors for the projective
+expansion kernel of jacobi_perron.
 """
 
 from __future__ import annotations
@@ -27,8 +29,14 @@ from .padic import PAdicApprox, PLUS_INFINITY, require_odd_prime, valuation
 
 #: Largest accepted field degree.  An inverse is a fraction-free elimination
 #: of about d^3 integer operations (1.2 s for 64 small random coefficients
-#: at d = 64 on a 2-vCPU host), and an expansion step takes several.
+#: at d = 64 on a 2-vCPU host).  An expansion step takes no inverse, but
+#: confirming a period or building its witness takes products and one.
 MAX_DEGREE = 64
+
+#: Precision doublings one exact query may take before it raises
+#: InsufficientPrecision: AlgebraicNumber.valuation, and the re-lifts of one
+#: expansion run on an IntegerLift.
+MAX_DOUBLINGS = 20
 
 # ---------------------------------------------------------------------------
 # dense polynomials over Q, little-endian coefficient tuples
@@ -224,11 +232,9 @@ class AlgebraicNumber:
     def to_approx(self, precision: int) -> PAdicApprox:
         return embed(self, self.emb, precision)
 
-    def exact_key(self):
-        """Hashable key of the exact value.  A rational element keys as its
-        Fraction, so a value hopping between the Fraction and the
-        constant-vector representation keys identically."""
-        return self.as_fraction() if self.is_rational() else self.coeffs
+    def integer_lift(self, values) -> "IntegerLift":
+        """The tuple `values`, this element among them, as an IntegerLift."""
+        return IntegerLift(values)
 
     def valuation(self):
         """Exact valuation, found by raising the embedding precision until a
@@ -239,7 +245,7 @@ class AlgebraicNumber:
             return valuation(self.as_fraction(), self.prime)
         n = 8  # independent of the cached root precision: most values are
         # far from zero, and starting large would ratchet the cache up
-        for _ in range(20):
+        for _ in range(MAX_DOUBLINGS):
             a = self.to_approx(n)
             if not a.is_zero_at_precision():
                 return a.val
@@ -567,6 +573,57 @@ def embed(x: AlgebraicNumber, emb: PAdicEmbedding, precision: int) -> PAdicAppro
             return acc.with_precision(precision)
         work += precision - achieved + pad + 1
     raise InsufficientPrecision("embedding did not reach the requested precision")
+
+
+class IntegerLift:
+    """An exact tuple over one number field as integer coefficient vectors.
+
+    Built from values of which at least one is an embedded AlgebraicNumber;
+    a rational becomes a constant vector.  `vectors` times `scale` are the
+    coefficient vectors of the values.  The projective kernel of
+    jacobi_perron runs on such vectors and asks this class only what needs
+    the field: their residues through the embedding, and their values.
+    """
+
+    def __init__(self, values):
+        field = emb = None
+        coeffs = []
+        for x in values:
+            if isinstance(x, AlgebraicNumber):
+                if field is not None and x.field != field:
+                    raise FieldMismatch("elements of different number fields")
+                field, emb = x.field, emb or x.emb
+                coeffs.append(x.coeffs)
+            else:
+                coeffs.append((Fraction(x),))
+        self.field, self.emb = field, emb
+        ell = math.lcm(*(c.denominator for vec in coeffs for c in vec))
+        self.vectors = [
+            [c.numerator * (ell // c.denominator) for c in vec]
+            + [0] * (field.degree - len(vec))
+            for vec in coeffs
+        ]
+        self.scale = Fraction(1, ell)
+        # p**shift * emb(v) is p-integral for every integer vector v
+        self._shift = (field.degree - 1) * max(0, -emb.root.val)
+
+    def values(self, vectors, scale=Fraction(1)) -> tuple:
+        """The embedded field elements `vectors` times `scale`."""
+        return tuple(
+            AlgebraicNumber(self.field, tuple(c * scale for c in v), self.emb)
+            for v in vectors
+        )
+
+    def residues(self, vectors, precision: int) -> list[int]:
+        """p**s * emb(v) modulo p**precision for each vector v, as integers in
+        [0, p**precision); the fixed shift s makes every one p-integral."""
+        p, mod = self.emb.prime, self.emb.prime**precision
+        out = []
+        for x in self.values(vectors):
+            a = embed(x, self.emb, max(precision - self._shift, 1))
+            zero = a.is_zero_at_precision()
+            out.append(0 if zero else a.unit * p ** (a.val + self._shift) % mod)
+        return out
 
 
 # ---------------------------------------------------------------------------

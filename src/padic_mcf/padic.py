@@ -113,14 +113,16 @@ def to_approx(x, p: int, precision: int) -> "PAdicApprox":
     return x.to_approx(precision)
 
 
-def exact_key(x):
-    """Hashable key on which equal exact values agree; None for a truncated
-    PAdicApprox, whose equality is undecidable."""
-    if isinstance(x, (int, Fraction)):
-        return x
-    if isinstance(x, PAdicApprox):
+def integer_lift(values):
+    """The exact tuple `values` as integer coefficient vectors over the
+    number field of its field elements (a numberfield.IntegerLift); None
+    when a value is a truncated PAdicApprox or every value is rational."""
+    if any(isinstance(x, PAdicApprox) for x in values):
         return None
-    return x.exact_key()
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            return x.integer_lift(values)
+    return None
 
 
 def _balanced_residue(r: int, p: int) -> int:

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_mcf import fraction_columns
 
-from padic_mcf.errors import InsufficientPrecision
+from padic_mcf import jacobi_perron
+from padic_mcf.errors import FieldMismatch, InsufficientPrecision
 from padic_mcf.jacobi_perron import (
     JPState,
     _quotient_period_candidate,
+    _value_euclid,
     euclid_expand,
     jp_expand,
     jp_step,
@@ -27,7 +29,12 @@ from padic_mcf.mcf import (
     evaluate_finite,
     reconstruct_initial,
 )
-from padic_mcf.numberfield import NumberField, PAdicEmbedding
+from padic_mcf.numberfield import (
+    AlgebraicNumber,
+    IntegerLift,
+    NumberField,
+    PAdicEmbedding,
+)
 from padic_mcf.padic import (
     PAdicApprox,
     balanced_digit_expansion,
@@ -450,3 +457,215 @@ class TestPeriodCandidate:
     def test_matches_triple_loop(self, prefix, block, repeats, cut):
         rows = [(a,) for a in prefix + block * repeats + block[:cut]]
         assert _quotient_period_candidate(rows) == triple_loop_period_candidate(rows)
+
+
+# ---------------------------------------------------------------------------
+# the projective kernel for exact tuples with a field element
+# ---------------------------------------------------------------------------
+
+
+def coefficient_key(state, degree):
+    """The complete quotients as coefficient vectors, a rational as a
+    constant vector."""
+    return tuple(
+        a.coeffs if isinstance(a, AlgebraicNumber) else (F(a),) + (F(0),) * (degree - 1)
+        for a in state.alphas
+    )
+
+
+def oracle_expand(inputs, p, max_steps, detect_period):
+    """The jp_step loop with exact period lookup on coefficient vectors:
+    the slow reference for the projective kernel.  Returns (rows, status,
+    witness, witness_state)."""
+    degree = next(a.field.degree for a in inputs if isinstance(a, AlgebraicNumber))
+    state = JPState(p, tuple(inputs), 0)
+    seen = {coefficient_key(state, degree): 0}
+    rows = []
+    while True:
+        res = jp_step(state)
+        rows.append(res.quotients + (F(1),))
+        if res.next_state is None:
+            return rows, "finite", None, None
+        state = res.next_state
+        key = coefficient_key(state, degree)
+        if detect_period and key in seen:
+            return rows, "periodic", (seen[key], state.n), state
+        seen[key] = state.n
+        if len(rows) >= max_steps:
+            return rows, "truncated", None, None
+
+
+def assert_matches_oracle(inputs, p, max_steps, detect_period):
+    rows, status, witness, state = oracle_expand(inputs, p, max_steps, detect_period)
+    res = jp_expand(inputs, p, max_steps=max_steps, detect_period=detect_period)
+    assert res.mcf.rows == tuple(rows)
+    assert (res.status, res.steps, res.witness) == (status, len(rows), witness)
+    assert res.period_candidate is None
+    if status == "periodic":
+        assert (res.preperiod, res.period) == (witness[0], witness[1] - witness[0])
+        assert res.witness_state.n == state.n
+        assert res.witness_state.alphas == state.alphas
+    else:
+        assert res.preperiod is res.period is res.witness_state is None
+    return res
+
+
+@pytest.fixture
+def count_relifts(monkeypatch):
+    """Counts the residue computations of IntegerLift: one per run, plus
+    one per re-lift."""
+    calls = []
+    residues = IntegerLift.residues
+
+    def counted(self, vectors, precision):
+        calls.append(precision)
+        return residues(self, vectors, precision)
+
+    monkeypatch.setattr(IntegerLift, "residues", counted)
+    return calls
+
+
+def eisenstein_field(rng, p, degree):
+    """x^d + (u/p) x^(d-1) + ... + a_0, as the bench draws it: exactly one
+    root of valuation -1 in Q_p, irreducible by Eisenstein at q != p after
+    scaling."""
+    q = rng.choice([q for q in (2, 3) if q != p])
+    u = q * rng.choice([c for c in range(-9, 10) if c and (q * c) % p])
+    a0 = q * rng.choice([c for c in range(-9, 10) if c % q])
+    middle = [q * rng.randint(-9, 9) for _ in range(degree - 2)]
+    return [a0, *middle, F(u, p), 1]
+
+
+def small_rational(rng):
+    return F(rng.randint(-30, 30), rng.randint(1, 30))
+
+
+class TestProjectiveKernel:
+    """jp_expand and euclid_expand on exact tuples with a field element
+    against the jp_step loop and _value_euclid."""
+
+    # quadratic fields too: about one in ten of their m = 1 runs is periodic
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        degree=st.sampled_from((2, 3, 4)),
+        rng=st.randoms(use_true_random=False),
+        detect_period=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_jp_step_loop(self, p, degree, rng, detect_period):
+        field = NumberField(eisenstein_field(rng, p, degree))
+        emb = PAdicEmbedding.create(field, p, 16)
+        theta = emb(field.generator())
+        m = rng.randint(1, max(2, degree - 1))
+        powers = [theta]
+        for _ in range(degree - 2):
+            powers.append(powers[-1] * theta)
+        # theta^1 .. theta^m, some replaced by rationals or shifted by them
+        inputs = []
+        for i in range(m):
+            kind = rng.randrange(3)
+            if kind == 0 and i > 0:
+                inputs.append(small_rational(rng))
+            elif kind == 1:
+                inputs.append(powers[i % len(powers)] + small_rational(rng))
+            else:
+                inputs.append(powers[i % len(powers)])
+        rng.shuffle(inputs)
+        max_steps = rng.randint(1, 30)
+        res = assert_matches_oracle(tuple(inputs), p, max_steps, detect_period)
+
+        scale = theta + small_rational(rng)
+        xs = tuple(scale * x for x in inputs) + (scale,)
+        eu, trace = euclid_expand(xs, p, max_steps=max_steps)
+        reference = [xs]
+        for _, nxt in _value_euclid(xs, p):
+            reference.append(nxt)
+            if len(reference) > eu.steps:
+                break
+        assert trace == reference
+        assert eu.mcf.rows[: res.steps] == res.mcf.rows[: eu.steps]
+
+    @pytest.mark.parametrize("detect_period", [False, True])
+    def test_paper_cubics(self, emb_cubic_q5, emb_cubic_q7, detect_period):
+        alpha = emb_cubic_q5(emb_cubic_q5.field.generator())
+        gamma = emb_cubic_q7(emb_cubic_q7.field.generator())
+        assert_matches_oracle((alpha, 1 + 1 / alpha), 5, 12, detect_period)
+        assert_matches_oracle((gamma, -2 + 1 / gamma), 7, 12, detect_period)
+
+    @pytest.mark.parametrize(
+        "case, rows, witness",
+        [
+            ("c4", [(F(2, 5), F(1, 5)), (F(8, 5), F(1))], (1, 2)),
+            ("c6", [(F(1, 7), F(3)), (F(-3, 7), F(-2))], (1, 2)),
+            ("c6-twice", [(F(-2), F(3, 49)), (F(1, 7), F(3)), (F(-3, 7), F(-2))], (2, 3)),
+        ],
+    )
+    def test_periods_with_a_preperiod(self, emb_cubic_q5, emb_cubic_q7, case, rows, witness):
+        # (alpha, beta) = (a1 + beta'/alpha', a2 + 1/alpha') undoes one step
+        # from (alpha', beta') with the digit row (a1, a2); the row is valid
+        # since both added terms have valuation 1
+        def back(pair, digits):
+            (x, y), (a1, a2) = pair, digits
+            return a1 + y / x, a2 + 1 / x
+
+        if case == "c4":
+            alpha = emb_cubic_q5(emb_cubic_q5.field.generator())
+            p, pair = 5, (alpha, 1 + 1 / alpha)
+        else:
+            gamma = emb_cubic_q7(emb_cubic_q7.field.generator())
+            p, pair = 7, (gamma, -2 + 1 / gamma)
+        for digits in reversed(rows[:-1]):
+            pair = back(pair, digits)
+        res = assert_matches_oracle(pair, p, 50, True)
+        assert res.mcf.rows == tuple(r + (F(1),) for r in rows)
+        assert (res.preperiod, res.period, res.witness) == (witness[0], 1, witness)
+        state = res.witness_state
+        for _ in range(res.period):
+            state = jp_step(state).next_state
+        assert state.alphas == res.witness_state.alphas
+
+    def test_fingerprint_is_only_a_filter(self, monkeypatch, emb_cubic_q5):
+        # with one digit, unequal states share fingerprints, and only the
+        # exact comparison in the field tells them apart
+        monkeypatch.setattr(jacobi_perron, "_FINGERPRINT_DIGITS", 1)
+        emb = PAdicEmbedding.create(NumberField([-3, 0, 0, 1]), 5, 32)
+        theta = emb(emb.field.generator())
+        assert_matches_oracle((theta, theta * theta), 5, 60, True)
+        alpha = emb_cubic_q5(emb_cubic_q5.field.generator())
+        beta = 1 + 1 / alpha
+        res = assert_matches_oracle((F(2, 5) + beta / alpha, F(1, 5) + 1 / alpha), 5, 50, True)
+        assert res.witness == (1, 2)
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            lambda t: (t, t + F(5) ** 80),
+            lambda t: (F(5) ** -60 * t, t * t),
+            lambda t: (t, t * t + F(5) ** -40),
+        ],
+        ids=["theta+5^80", "5^-60*theta", "theta^2+5^-40"],
+    )
+    def test_relifts_match_the_oracle(self, inputs, count_relifts):
+        emb = PAdicEmbedding.create(NumberField([-3, 0, 0, 1]), 5, 32)
+        values = inputs(emb(emb.field.generator()))
+        for detect_period in (False, True):
+            count_relifts.clear()
+            assert_matches_oracle(values, 5, 40, detect_period)
+            assert len(count_relifts) >= 3  # the first residues, two re-lifts
+
+    def test_relift_bound(self, monkeypatch):
+        emb = PAdicEmbedding.create(NumberField([-3, 0, 0, 1]), 5, 32)
+        theta = emb(emb.field.generator())
+        monkeypatch.setattr(jacobi_perron, "MAX_DOUBLINGS", 1)
+        with pytest.raises(InsufficientPrecision, match="re-lifts"):
+            jp_expand((F(5) ** -60 * theta, theta * theta), 5, max_steps=40)
+
+    @pytest.mark.parametrize("expand", [jp_expand, euclid_expand])
+    def test_errors_stay_the_same(self, expand, emb_cubic_q5, emb_cubic_q7):
+        alpha = emb_cubic_q5(emb_cubic_q5.field.generator())
+        other = PAdicEmbedding.create(NumberField([-3, 0, 0, 1]), 5, 32)
+        with pytest.raises(FieldMismatch):
+            expand((alpha, other(other.field.generator())), 5)
+        gamma = emb_cubic_q7(emb_cubic_q7.field.generator())
+        with pytest.raises(ValueError, match="value carries a different prime"):
+            expand((alpha, gamma), 5)

@@ -20,7 +20,6 @@ from padic_mcf.padic import (
     PAdicApprox,
     balanced_digit_expansion,
     browkin_s,
-    exact_key,
     in_browkin_range,
     is_odd_prime,
     is_zero,
@@ -362,7 +361,7 @@ class TestPAdicApprox:
 
 
 class TestValueProtocol:
-    """valuation, is_zero, to_approx and exact_key agree across backends."""
+    """valuation, is_zero and to_approx agree across backends."""
 
     @given(x=nonzero_rationals, p=prime_st)
     @settings(max_examples=60, deadline=None)
@@ -373,7 +372,6 @@ class TestValueProtocol:
         approx = PAdicApprox.from_rational(x, p, v + 8)
         assert valuation(approx, p) == v
         assert valuation(alg, p) == v
-        assert exact_key(x) == exact_key(alg)
         assert to_approx(x, p, v + 8) == to_approx(alg, p, v + 8) == approx
         assert to_approx(approx, p, v + 8) is approx
         assert not (is_zero(x) or is_zero(alg) or is_zero(approx))
@@ -385,19 +383,18 @@ class TestValueProtocol:
             is_zero(z)
         with pytest.raises(InsufficientPrecision):
             valuation(z, p)
-        assert exact_key(z) is None
 
     def test_exact_zeros(self):
         theta = generator(5)
         for zero in (F(0), theta - theta):
             assert is_zero(zero)
             assert valuation(zero, 5) == PLUS_INFINITY
-        assert exact_key(theta - theta) == exact_key(F(0))
-        assert exact_key(theta) == theta.coeffs
 
 
 # Only padic knows the value backends; these modules go through its
-# protocol (valuation, is_zero, to_approx, exact_key).
+# protocol (valuation, is_zero, to_approx, integer_lift).  An exact tuple
+# with a field element reaches jacobi_perron as an opaque integer lift,
+# whose field-specific operations live in numberfield.
 BACKEND_NAMES = {"PAdicApprox", "AlgebraicNumber", "is_zero_at_precision"}
 
 

@@ -257,8 +257,11 @@ def format_valuation(v) -> str:
 
 def _read_mcf(args) -> MCF:
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read MCF file: {exc}") from None
     else:
         text = sys.stdin.read()
     try:

@@ -5,10 +5,10 @@ elements are coefficient vectors reduced modulo that polynomial.  Roots of
 the polynomial inside Q_p are located by Newton-polygon slope analysis
 (only integer slopes can carry Q_p roots) followed by Hensel lifting of
 simple residues, with a recursive disc subdivision for residues that are
-not simple modulo p.  An embedding fixes one such root and evaluates
-coefficient vectors at it to any requested precision.  An IntegerLift holds
-a tuple of field elements as integer coefficient vectors for the projective
-expansion kernel of jacobi_perron.
+not simple modulo p.  An embedding fixes one such root, lifts it alone by
+Newton's method as digits are needed, and evaluates coefficient vectors at
+it.  An IntegerLift holds a tuple of field elements as integer coefficient
+vectors for the projective expansion kernel of jacobi_perron.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     LiftingObstruction,
     NoRoot,
 )
-from .padic import PAdicApprox, PLUS_INFINITY, require_odd_prime, valuation
+from .padic import PAdicApprox, PLUS_INFINITY, require_odd_prime, split_p, valuation
 
 #: Largest accepted field degree.  An inverse is a fraction-free elimination
 #: of about d^3 integer operations (1.2 s for 64 small random coefficients
@@ -35,7 +35,9 @@ MAX_DEGREE = 64
 
 #: Precision doublings one exact query may take before it raises
 #: InsufficientPrecision: AlgebraicNumber.valuation, and the re-lifts of one
-#: expansion run on an IntegerLift.
+#: expansion run on an IntegerLift.  The one other budget is the depth-64
+#: separation guard of _zp_roots (LiftingObstruction); root lifts and
+#: embeddings compute their digit counts exactly and never retry.
 MAX_DOUBLINGS = 20
 
 # ---------------------------------------------------------------------------
@@ -70,7 +72,7 @@ def _pmul(a, b):
 
 
 def _peval(c, x):
-    acc = Fraction(0)
+    acc = 0
     for coef in reversed(c):
         acc = acc * x + coef
     return acc
@@ -353,39 +355,38 @@ def newton_polygon_slopes(coeffs, p: int):
     return out
 
 
-def _int_poly_mod(coeffs, p: int, k: int):
-    """Reduce p-integral rational coefficients modulo p**k to integers."""
-    mod = p**k
-    out = []
-    for c in coeffs:
-        c = Fraction(c)
-        if c.denominator % p == 0:
-            raise ValueError("coefficient is not p-integral")
-        out.append(c.numerator % mod * pow(c.denominator % mod, -1, mod) % mod)
-    return out
+def _pderiv(c):
+    return [i * c[i] for i in range(1, len(c))]
 
 
-def _hensel_lift(coeffs, p: int, r: int, k: int) -> int:
-    """Lift a simple root r of a p-integral polynomial from mod p to mod p**k."""
-    have = 1
-    root = r % p
-    while have < k:
-        have = min(2 * have, k)
-        ic = _int_poly_mod(coeffs, p, have)
-        dc = [(i * ic[i]) for i in range(1, len(ic))]
-        mod = p**have
-        fx = 0
-        for c in reversed(ic):
-            fx = (fx * root + c) % mod
-        dfx = 0
-        for c in reversed(dc):
-            dfx = (dfx * root + c) % mod
-        root = (root - fx * pow(dfx, -1, mod)) % mod
-    return root
+def _newton_lift(f, y: int, p: int, k: int):
+    """The root of an integer polynomial f near y, modulo p**k, or None.
+
+    With t = v(f(y)) and d = v(f'(y)), Hensel's condition t > 2d gives f
+    one root z with v(z - y) > d, and v(z - y) >= t - d.  The Newton step
+    y - f(y)/f'(y) keeps d and raises t to at least 2t - 2d, so t - 2d at
+    least doubles with every step.  None when the condition fails at y.
+    """
+    df = _pderiv(f)
+    while True:
+        fy = _peval(f, y)
+        if fy == 0:
+            return y % p**k
+        dfy = _peval(df, y)
+        if dfy == 0:
+            return None
+        t = split_p(fy, p)[0]
+        d, u = split_p(dfy, p)
+        if t <= 2 * d:
+            return None
+        if t - d >= k:
+            return y % p**k
+        mod = p ** (2 * t - 2 * d)
+        y = (y - fy // p**d * pow(u, -1, mod)) % mod
 
 
 def _zp_roots(coeffs, p: int, k: int, depth: int = 0):
-    """All roots in Z_p of a squarefree p-integral polynomial, mod p**k.
+    """All roots in Z_p of a squarefree integer polynomial, mod p**k.
 
     Returns integers r with f(r) == 0 mod p**k, one per genuine Z_p root.
     Residues that are not simple modulo p are separated recursively; failure
@@ -393,27 +394,15 @@ def _zp_roots(coeffs, p: int, k: int, depth: int = 0):
     """
     if depth > 64:
         raise LiftingObstruction("root separation did not stabilise")
-    vals = [valuation(c, p) for c in coeffs if c != 0]
-    if not vals:
-        return []
-    shift = min(vals)
-    work = tuple(Fraction(c) / Fraction(p) ** shift for c in coeffs)
-    fp = _int_poly_mod(work, p, 1)
-    if all(c == 0 for c in fp):  # cannot happen after normalisation
-        raise LiftingObstruction("polynomial vanishes mod p")
-    dfp = [(i * fp[i]) % p for i in range(1, len(fp))]
+    shift = min(split_p(c, p)[0] for c in coeffs if c != 0)
+    work = [c // p**shift for c in coeffs]
+    dwork = _pderiv(work)
     roots = []
     for r in range(p):
-        fr = 0
-        for c in reversed(fp):
-            fr = (fr * r + c) % p
-        if fr != 0:
+        if _peval(work, r) % p != 0:
             continue
-        dfr = 0
-        for c in reversed(dfp):
-            dfr = (dfr * r + c) % p
-        if dfr % p != 0:
-            roots.append(_hensel_lift(work, p, r, k))
+        if _peval(dwork, r) % p != 0:
+            roots.append(_newton_lift(work, r, p, k))
         else:
             # shift into the residue disc r + p*Z_p and recurse
             sub = _compose_affine(work, r, p)
@@ -424,11 +413,22 @@ def _zp_roots(coeffs, p: int, k: int, depth: int = 0):
 
 def _compose_affine(coeffs, r: int, p: int):
     """Coefficients of f(r + p*z) as a polynomial in z."""
-    acc = ()
-    lin = (Fraction(r), Fraction(p))
+    acc = []
     for c in reversed(coeffs):
-        acc = _padd(_pmul(acc, lin), (Fraction(c),))
+        acc = [r * a + p * b for a, b in zip(acc + [0], [0] + acc)]  # acc*(r+pz)
+        acc[0] += c
     return acc
+
+
+def _unit_root_poly(coeffs, w: int, p: int):
+    """(h, shift): h is f(p**w * y) / p**shift, shift the least valuation of
+    its coefficients, scaled by a unit to an integer polynomial.  The roots
+    of f of valuation w are p**w times the unit roots of h."""
+    scaled = [Fraction(c) * Fraction(p) ** (w * i) for i, c in enumerate(coeffs)]
+    shift = min(valuation(c, p) for c in scaled if c != 0)
+    h = [c / Fraction(p) ** shift for c in scaled]
+    ell = math.lcm(*(c.denominator for c in h))
+    return [c.numerator * (ell // c.denominator) for c in h], shift
 
 
 def padic_roots(field_or_coeffs, p: int, precision: int):
@@ -453,31 +453,14 @@ def padic_roots(field_or_coeffs, p: int, precision: int):
         if w.denominator != 1:
             continue
         w = int(w)
-        # substitute x = p^w * y and renormalise: unit roots y remain
-        scaled = [c * Fraction(p) ** (w * i) for i, c in enumerate(coeffs)]
-        shift = min(valuation(c, p) for c in scaled if c != 0)
-        h = tuple(c / Fraction(p) ** shift for c in scaled)
-        k = max(precision - w, 1)
-        attempts = 0
-        while True:
-            attempts += 1
-            if attempts > 12:
-                raise LiftingObstruction("residual did not reach requested precision")
-            deficit = 0
-            found = []
-            for y in _zp_roots(h, p, k):
-                if y % p == 0:
-                    continue  # belongs to a different slope segment
-                x = Fraction(p) ** w * y
-                if valuation(_peval(coeffs, x), p) < precision:
-                    deficit = max(deficit, 2)
-                    break
-                found.append(PAdicApprox(p, w, y, w + k))
-            if deficit == 0:
-                roots.extend(found)
-                break
-            # lifting more digits raises the residual valuation one-for-one
-            k += max(precision - (w + k), 0) + deficit + 2
+        h, shift = _unit_root_poly(coeffs, w, p)
+        # A representative y of a root known to k digits has v(h(y)) >= k,
+        # as h is p-integral, so v(f(p^w y)) >= k + shift: this k meets
+        # both halves of the contract in one pass.
+        k = max(precision - min(w, shift), 1)
+        for y in _zp_roots(h, p, k):
+            if y % p != 0:  # roots divisible by p belong to other segments
+                roots.append(PAdicApprox(p, w, y, w + k))
     roots.sort(key=lambda r: (r.val, r.unit))
     return roots
 
@@ -504,8 +487,9 @@ class PAdicEmbedding:
     """A choice of root of a number field's polynomial inside Q_p.
 
     The root is cached at some achieved precision and transparently re-lifted
-    (by doubling) when more digits are needed.  Refinement is serialised with
-    a lock; concurrent reads are safe.
+    (by doubling) when more digits are needed; refine_to(n) meets the
+    contract of padic_roots(n).  Refinement is serialised with a lock;
+    concurrent reads are safe.
     """
 
     def __init__(self, field: NumberField, prime: int, root: PAdicApprox):
@@ -513,6 +497,10 @@ class PAdicEmbedding:
         self.prime = require_odd_prime(prime)
         self._root = root
         self._lock = threading.Lock()
+        # the unit roots of h are the roots of f of the root's valuation w
+        # over p**w; k digits of the root meet padic_roots(k + low)'s contract
+        h, shift = _unit_root_poly(field.minpoly, root.val, prime)
+        self._h, self._low = h, min(root.val, shift)
 
     @classmethod
     def create(
@@ -532,18 +520,40 @@ class PAdicEmbedding:
 
     def refine_to(self, precision: int) -> PAdicApprox:
         with self._lock:
-            if self._root.precision >= precision:
-                return self._root
-            target = max(precision, 2 * self._root.precision)
-            roots = padic_roots(self.field, self.prime, target)
             old = self._root
-            for r in roots:
-                if r.val == old.val and (r.unit - old.unit) % self.prime ** (
-                    old.precision - old.val
-                ) == 0:
+            p, w = self.prime, old.val
+            if old.precision - w + self._low >= precision:
+                return old
+            target = max(precision, 2 * old.precision)
+            k = max(target - self._low, 1)
+            y = _newton_lift(self._h, old.unit, p, k)
+            # y keeps all the cached digits: a root other than the lifted one
+            # agrees with them to at most d places, the lifted one to t - d > d
+            if y is not None:
+                self._root = PAdicApprox(p, w, y, w + k)
+                return self._root
+            # Hensel's condition fails at the cached digits: match them again
+            for r in padic_roots(self.field, p, target):
+                if r.val == w and (r.unit - old.unit) % p ** (old.precision - w) == 0:
                     self._root = r
                     return self._root
             raise LiftingObstruction("refined roots no longer match the cached root")
+
+    def residue(self, vector, k: int) -> int:
+        """p**s * emb(v) mod p**k for an integer vector v = (c_0, ..., c_(d-1)).
+
+        With theta = p**r * u, the fixed shift s = (d-1) * max(0, -r) makes
+        it p-integral: the sum of c_j * u**j * p**(r*j + s) needs u mod p**k.
+        """
+        p, r = self.prime, self._root.val
+        mod = p**k
+        a = self.refine_to(k + self._low).unit * p ** max(r, 0) % mod
+        b = p ** max(-r, 0)  # theta = a / b
+        acc, bj = 0, 1  # Horner on the homogeneous sum of c_j a^j b^(d-1-j)
+        for c in reversed(vector):
+            acc = (acc * a + c * bj) % mod
+            bj *= b
+        return acc
 
     def __call__(self, x: AlgebraicNumber) -> AlgebraicNumber:
         if x.field != self.field:
@@ -557,22 +567,14 @@ def embed(x: AlgebraicNumber, emb: PAdicEmbedding, precision: int) -> PAdicAppro
     if x.field != emb.field:
         raise FieldMismatch("element belongs to a different field")
     p = emb.prime
-    if x.is_rational():
-        return PAdicApprox.from_rational(x.coeffs[0], p, precision)
-    root_val = emb.root.val
-    pad = max(0, -root_val) * max(1, x.field.degree - 1)
-    pad += max((max(0, -valuation(c, p)) for c in x.coeffs if c != 0), default=0)
-    work = precision + pad + 1
-    for _ in range(12):
-        root = emb.refine_to(work)
-        acc = PAdicApprox.from_rational(x.coeffs[-1], p, work + max(0, -root_val))
-        for c in reversed(x.coeffs[:-1]):
-            acc = acc * root + c
-        achieved = acc.precision
-        if achieved >= precision:
-            return acc.with_precision(precision)
-        work += precision - achieved + pad + 1
-    raise InsufficientPrecision("embedding did not reach the requested precision")
+    # x = v / ell for an integer vector v, with ell = p**t * ell_unit
+    ell = math.lcm(*(c.denominator for c in x.coeffs))
+    t, ell_unit = split_p(ell, p)
+    s = (x.field.degree - 1) * max(0, -emb.root.val)
+    k = precision + s + t
+    vector = [c.numerator * (ell // c.denominator) for c in x.coeffs]
+    unit = emb.residue(vector, k) * pow(ell_unit, -1, p**k)
+    return PAdicApprox(p, -s - t, unit, precision)
 
 
 class IntegerLift:
@@ -604,8 +606,6 @@ class IntegerLift:
             for vec in coeffs
         ]
         self.scale = Fraction(1, ell)
-        # p**shift * emb(v) is p-integral for every integer vector v
-        self._shift = (field.degree - 1) * max(0, -emb.root.val)
 
     def values(self, vectors, scale=Fraction(1)) -> tuple:
         """The embedded field elements `vectors` times `scale`."""
@@ -615,15 +615,9 @@ class IntegerLift:
         )
 
     def residues(self, vectors, precision: int) -> list[int]:
-        """p**s * emb(v) modulo p**precision for each vector v, as integers in
-        [0, p**precision); the fixed shift s makes every one p-integral."""
-        p, mod = self.emb.prime, self.emb.prime**precision
-        out = []
-        for x in self.values(vectors):
-            a = embed(x, self.emb, max(precision - self._shift, 1))
-            zero = a.is_zero_at_precision()
-            out.append(0 if zero else a.unit * p ** (a.val + self._shift) % mod)
-        return out
+        """PAdicEmbedding.residue of each vector: p**s * emb(v) modulo
+        p**precision, the fixed shift s making every one p-integral."""
+        return [self.emb.residue(v, precision) for v in vectors]
 
 
 # ---------------------------------------------------------------------------

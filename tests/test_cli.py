@@ -350,6 +350,22 @@ class TestEvaluateDigitsCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: bad MCF JSON: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, path, reason",
+        [
+            (("evaluate",), "missing.json", "[Errno 2] No such file or directory"),
+            (("check", "-p", "5"), "", "[Errno 21] Is a directory"),
+        ],
+        ids=["evaluate-missing", "check-directory"],
+    )
+    def test_unreadable_file_is_an_error_line(self, tmp_path, capsys, command, path, reason):
+        target = str(tmp_path / path)
+        code, out = run_cli(*command, "--file", target)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: cannot read MCF file: {reason}: {target!r}\n"
+        )
+
     def test_zero_intermediate_is_an_error_line(self, monkeypatch, capsys):
         text = '{"m":1,"a":[["0","0"],["1","1"]],"finite":true}'
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))

@@ -7,7 +7,9 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import eisenstein_field
 
+from padic_mcf import numberfield
 from padic_mcf.errors import (
     AmbiguousSelection,
     FieldMismatch,
@@ -15,8 +17,10 @@ from padic_mcf.errors import (
 )
 from padic_mcf.numberfield import (
     MAX_DEGREE,
+    IntegerLift,
     NumberField,
     PAdicEmbedding,
+    _newton_lift,
     embed,
     newton_polygon_slopes,
     padic_roots,
@@ -26,6 +30,10 @@ from padic_mcf.numberfield import (
 from padic_mcf.padic import PLUS_INFINITY, PAdicApprox, browkin_s, valuation
 
 CUBIC_Q5 = [F(-1), F(-1), F(-8, 5), F(1)]  # x^3 - 8/5 x^2 - x - 1
+# (x-1)^3 - 5^11 (x-1) - 5^17 at p = 5: one root in Q_5, 1 + z with v(z) = 6,
+# where v(f') = 11; with 8 digits of it v(f) is 19 < 22, so Hensel's
+# condition fails, and with 16 digits it holds
+HENSEL_FAILS_AT_8 = (-1 + 5**11 - 5**17, 3 - 5**11, -3, 1)
 
 
 # x^2+2, x^3-8/5x^2-x-1, x^3-3, x^4-3/7x^3+2x-6
@@ -34,6 +42,16 @@ ORACLE_MINPOLYS = (
     tuple(CUBIC_Q5),
     (-3, 0, 0, 1),
     (-6, 2, 0, F(-3, 7), 1),
+)
+# (coefficients, p) with roots in Q_p: the cubic above (root valuations
+# -1 and 1/2), the same field scaled by 5^3 (-4 and -5/2), a quadratic with
+# roots of valuation -4 (shift -8) and 4 (shift 0), and the field whose root
+# fails Hensel's condition at 8 digits
+RESIDUAL_FIELDS = (
+    (CUBIC_Q5, 5),
+    ((F(-1, 5**9), F(-1, 5**6), F(-8, 5**4), 1), 5),
+    ((-1, F(-1, 7**4), 1), 7),
+    (HENSEL_FAILS_AT_8, 5),
 )
 small_fractions = st.fractions(min_value=-99, max_value=99, max_denominator=20)
 # Eisenstein at 2, so irreducible: x^d + 2x + 2 for d = 2..8
@@ -50,6 +68,40 @@ def _from_sympy(poly, degree):
     """A sympy Poly of degree < `degree` as a length-`degree` Fraction tuple."""
     c = [F(int(r.p), int(r.q)) for r in reversed(poly.all_coeffs())]
     return tuple(c + [F(0)] * (degree - len(c)))
+
+
+def scaled_field(coeffs, p, e):
+    """The monic polynomial whose roots are those of `coeffs` over p**e."""
+    d = len(coeffs) - 1
+    return [F(c) * F(p) ** (e * (i - d)) for i, c in enumerate(coeffs)]
+
+
+def random_element_coeffs(rng, p, degree):
+    """Zero, a rational or a general vector, with p-power and other
+    denominators and p-power factors: every valuation is at least -6."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [F(0)] * degree
+    c = [
+        F(rng.randint(-99, 99), rng.choice((1, 2, 9, 13)) * p ** rng.randint(0, 3))
+        * F(p) ** rng.randint(-3, 3)
+        for _ in range(degree)
+    ]
+    return c[:1] + [F(0)] * (degree - 1) if kind == 1 else c
+
+
+def assert_refined(field, p, root, n):
+    """root has n digits, v(f(x)) >= n for its representative x, and it
+    agrees mod p**n with exactly one root of padic_roots(field, p, n)."""
+    assert root.precision >= n
+    x = root.rational_view()
+    assert valuation(sum(c * x**i for i, c in enumerate(field.minpoly)), p) >= n
+    known = p ** max(n - root.val, 0)
+    matching = [
+        r for r in padic_roots(field, p, n)
+        if r.val == root.val and (r.unit - root.unit) % known == 0
+    ]
+    assert len(matching) == 1
 
 
 @pytest.fixture(scope="module")
@@ -160,12 +212,30 @@ class TestPadicRoots:
             x = r.rational_view()
             assert valuation(x * x - 17 * x - 59, 5) >= 6
 
-    @pytest.mark.parametrize("n", (1, 2, 8, 32))
-    def test_residual_invariant(self, k5, n):
-        for r in padic_roots(k5, 5, n):
-            x = r.rational_view()
-            mp = sum(c * x**i for i, c in enumerate(k5.minpoly))
-            assert valuation(mp, 5) >= n
+    @pytest.mark.parametrize("n", (1, 2, 8, 32, 64))
+    def test_residual_invariant(self, n):
+        # one pass of padic_roots must give n digits and v(f(x)) >= n, also
+        # where the root's valuation w is negative and the shift below w
+        for coeffs, p in RESIDUAL_FIELDS:
+            k = NumberField(coeffs)
+            roots = padic_roots(k, p, n)
+            assert roots
+            for r in roots:
+                assert r.precision >= n
+                x = r.rational_view()
+                mp = sum(c * x**i for i, c in enumerate(k.minpoly))
+                assert valuation(mp, p) >= n
+
+    def test_newton_lift_needs_hensels_condition(self):
+        # f = (x - 1)(x - 1 - 5^4).  At 1 + 5^2, t = v(f) = 4 = 2d: no lift,
+        # since both roots are as near.  From 1 + 5^5 (t = 9, d = 4) and
+        # 1 + 5^4 + 5^9 (t = 13, d = 4) Newton's method reaches the nearer
+        # root; from a root it stops at once.
+        f = [1 + 5**4, -(2 + 5**4), 1]
+        assert _newton_lift(f, 1 + 5**2, 5, 20) is None
+        assert _newton_lift(f, 1 + 5**5, 5, 20) == 1
+        assert _newton_lift(f, 1 + 5**4 + 5**9, 5, 20) == 1 + 5**4
+        assert _newton_lift(f, 1 + 5**4, 5, 3) == 1
 
     def test_constructed_ground_truth(self):
         # (x - a)(x - b)(x^2 - c) with c a quadratic nonresidue mod p, so the
@@ -235,6 +305,69 @@ class TestEmbedding:
         x = root.rational_view()
         mp = sum(c * x**i for i, c in enumerate(k5.minpoly))
         assert valuation(mp, 5) >= 64
+        # f' has valuation -2 at the root, so the cached digits run 2 ahead
+        # of v(f(x)); a request between the two must still lift
+        for n in range(65, 131):
+            assert_refined(k5, 5, e.refine_to(n), n)
+
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        degree=st.sampled_from((2, 3, 4)),
+        e=st.integers(-2, 3),
+        start=st.sampled_from((1, 2, 8)),
+        targets=st.lists(st.integers(1, 200), min_size=1, max_size=4),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_refinement_matches_padic_roots(self, p, degree, e, start, targets, rng):
+        # roots of valuation -1 - e: from -4 to 1
+        field = NumberField(scaled_field(eisenstein_field(rng, p, degree), p, e))
+        emb = PAdicEmbedding.create(field, p, start)
+        for n in targets:
+            root = emb.refine_to(n)
+            assert root is emb.root
+            assert_refined(field, p, root, n)
+
+    def test_refinement_rematches_where_hensel_fails(self, monkeypatch):
+        field = NumberField(HENSEL_FAILS_AT_8)
+        embs = {start: PAdicEmbedding.create(field, 5, start) for start in (8, 16)}
+        calls = []
+
+        def counting_padic_roots(*args):
+            calls.append(args)
+            return padic_roots(*args)
+
+        monkeypatch.setattr(numberfield, "padic_roots", counting_padic_roots)
+        for start, rematches in ((8, 1), (16, 0)):
+            calls.clear()
+            root = embs[start].refine_to(40)
+            assert len(calls) == rematches
+            assert_refined(field, 5, root, 40)
+
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        degree=st.sampled_from((2, 3, 4)),
+        n=st.integers(1, 200),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_embed_and_residues_match_rational_oracle(self, p, degree, n, rng):
+        field = NumberField(eisenstein_field(rng, p, degree))
+        emb = PAdicEmbedding.create(field, p, rng.choice((1, 8, 32)))
+        # The oracle evaluates at a rational x with n + 32 digits of the
+        # root, which has valuation -1: with d <= 4 and coefficient
+        # valuations >= -6 the evaluation error stays below p**n.
+        [root] = [r for r in padic_roots(field, p, n + 32) if r.val == emb.root.val]
+        x = root.rational_view()
+        elements = [random_element_coeffs(rng, p, degree) for _ in range(4)]
+        for c in elements:
+            want = sum(cj * x**j for j, cj in enumerate(c))
+            assert embed(field.element(c), emb, n) == PAdicApprox.from_rational(want, p, n)
+        lift = IntegerLift([emb(field.element(c)) for c in elements])
+        s = degree - 1  # p**s * x**j is an integer for j < degree
+        want = [int(p**s * sum(vj * x**j for j, vj in enumerate(v))) % p**n
+                for v in lift.vectors]
+        assert lift.residues(lift.vectors, n) == want
 
     def test_embed_is_homomorphic_up_to_slack(self, k5, emb5):
         a = k5.element([1, F(2, 5), 0])

@@ -154,7 +154,7 @@ def _build_inputs(args):
             field = NumberField(parse_polynomial(args.minpoly))
         except (ExprError, ValueError) as exc:
             raise UsageError(f"bad --minpoly: {exc}") from None
-        emb = PAdicEmbedding.create(field, args.prime, args.precision)
+        emb = PAdicEmbedding.create(field, args.prime)
         theta = emb(field.generator())
         inputs = list(rationals)
         for spec in args.elem:

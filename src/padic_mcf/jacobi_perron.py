@@ -15,13 +15,14 @@ periodicity by exact equality.  Truncated p-adic inputs never claim
 periodicity or termination: an undecidable zero test raises
 InsufficientPrecision instead of guessing.
 
-Every digit of a rational run lies in Z[1/p], so rational inputs to
-jp_expand and euclid_expand run the Euclidean form on integer tuples with
-p-power scaling (`_integer_euclid`) instead of on Fractions.  An exact
-tuple with a number-field element runs it projectively on integer
+Both entry points run an exact tuple through one loop, `_exact_expand`, on
+the kernel that `_exact_run` chooses for its Euclidean (m+1)-tuple.  Every
+digit of a rational run lies in Z[1/p], so rationals run on integer tuples
+with p-power scaling (`_IntegerEuclid`) instead of on Fractions.  An exact
+tuple with a number-field element runs projectively on integer
 coefficient vectors, reading digits from their residues modulo a power of
 p (`_ProjectiveEuclid`); it confirms a period by exact equality in the
-field.  The jp_step loop serves truncated inputs only.
+field.  Truncated inputs run the jp_step loop and `_value_euclid`.
 """
 
 from __future__ import annotations
@@ -151,22 +152,9 @@ def jp_expand(
     alphas = tuple(_coerce_value(x, p) for x in inputs)
     if not alphas:
         raise ValueError("need at least one input value")
-    if all(isinstance(a, Fraction) for a in alphas):
-        # A rational run always terminates, so it has no period to detect.
-        rows = []
-        for quotients, parts, _ in _integer_euclid(lift_to_integer_tuple(alphas), p):
-            rows.append(quotients + (Fraction(1),))
-            if parts[-1] is None or len(rows) >= max_steps:
-                break
-        finite = parts[-1] is None
-        return ExpansionResult(
-            MCF(len(alphas), rows, finite),
-            "finite" if finite else "truncated",
-            len(rows),
-        )
-    lift = integer_lift(alphas + (Fraction(1),))
-    if lift is not None:
-        return _projective_expand(lift, p, max_steps, detect_period)
+    run = _exact_run(alphas + (Fraction(1),), p)
+    if run is not None:
+        return _exact_expand(run, max_steps, detect_period)
     state = JPState(p, alphas, 0)
     rows = []
     while True:
@@ -186,40 +174,54 @@ def jp_expand(
             )
 
 
-def _projective_expand(lift, p: int, max_steps: int, detect_period: bool):
-    """jp_expand on the Euclidean tuple (alpha^(1), ..., alpha^(m), 1) of an
-    IntegerLift.  Equal complete quotients give equal fingerprints, so each
-    tuple is compared exactly only with the earlier tuples that share its
-    fingerprint."""
-    run = _ProjectiveEuclid(lift, p)
-    m = len(run.vectors) - 1
+def _exact_run(xs, p: int):
+    """The exact kernel for the Euclidean form on the (m+1)-tuple xs: the
+    integer kernel for Fractions, the projective kernel for an exact tuple
+    with a field element, None for a truncated tuple."""
+    if all(isinstance(x, Fraction) for x in xs):
+        return _IntegerEuclid(xs, p)
+    lift = integer_lift(xs)
+    return None if lift is None else _ProjectiveEuclid(lift, p)
+
+
+def _exact_expand(run, max_steps: int, detect_period: bool = False, trace=None):
+    """The expansion computed by an exact kernel, up to max_steps rows.
+
+    With a trace list, each next tuple is appended to it and, as in
+    _value_euclid, starts with the previous tuple's last entry itself.
+    Equal complete quotients give equal fingerprints, so each tuple is
+    compared exactly only with the earlier tuples that share its
+    fingerprint; a kernel whose runs always terminate has none."""
     seen = {} if detect_period else None  # fingerprint -> [(n, vectors)]
     rows = []
     while True:
         n = len(rows)
-        if seen is not None:
-            key = run.fingerprint()
+        if seen is not None and (key := run.fingerprint()) is not None:
             for k, vectors in seen.get(key, ()):
-                *xs, x_last = lift.values(vectors)
-                *ys, y_last = lift.values(run.vectors)
+                *xs, x_last = run.lift.values(vectors)
+                *ys, y_last = run.lift.values(run.vectors)
                 # x_i / x_last == y_i / y_last, by exact cross products
                 if all(x * y_last == y * x_last for x, y in zip(xs, ys)):
                     inv = 1 / y_last
                     return ExpansionResult(
-                        MCF(m, rows, finite=False),
+                        MCF(run.m, rows, finite=False),
                         "periodic",
                         n,
                         preperiod=k,
                         period=n - k,
                         witness=(k, n),
-                        witness_state=JPState(p, tuple(y * inv for y in ys), n),
+                        witness_state=JPState(
+                            run.p, tuple(y * inv for y in ys), n
+                        ),
                     )
             seen.setdefault(key, []).append((n, run.vectors))
         if n >= max_steps:
-            return ExpansionResult(MCF(m, rows, finite=False), "truncated", n)
+            return ExpansionResult(MCF(run.m, rows, finite=False), "truncated", n)
         rows.append(run.step() + (Fraction(1),))
+        if trace is not None:
+            trace.append((trace[-1][-1],) + run.rest())
         if run.finished:
-            return ExpansionResult(MCF(m, rows, finite=True), "finite", n + 1)
+            return ExpansionResult(MCF(run.m, rows, finite=True), "finite", n + 1)
 
 
 def _quotient_period_candidate(rows):
@@ -242,10 +244,9 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
     a_n^(i-1) x_n^(m+1) with a_n^(i) = s(x_n^(i) / x_n^(m+1)), stopping when
     the last coordinate vanishes.  Returns the expansion result plus the
     full trace of tuples; the produced MCF is identical to jp_expand on the
-    coordinate ratios.  Rational tuples run on the integer kernel and
-    their trace holds the same Fractions; exact tuples with a field element
-    run on the projective kernel and their trace holds the same field
-    elements.
+    coordinate ratios.  An exact tuple runs on the kernel and loop of
+    jp_expand, and its trace holds the same Fractions or field elements as
+    that of _value_euclid, which runs truncated tuples.
     """
     require_odd_prime(p)
     if max_steps < 1:
@@ -253,26 +254,21 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
     xs = tuple(_coerce_value(x, p) for x in xs)
     if len(xs) < 2:
         raise ValueError("need an (m+1)-tuple with m >= 1")
-    m = len(xs) - 1
     if is_zero(xs[-1]):
         raise ZeroDivisionError("last coordinate must be nonzero")
-    if all(isinstance(x, Fraction) for x in xs):
-        steps = _rational_euclid(xs, p)
-    else:
-        lift = integer_lift(xs)
-        steps = _value_euclid(xs, p) if lift is None else _projective_euclid(lift, xs, p)
     trace = [xs]
+    run = _exact_run(xs, p)
+    if run is not None:
+        return _exact_expand(run, max_steps, trace=trace), trace
     rows = []
-    for quotients, nxt in steps:
+    for quotients, nxt in _value_euclid(xs, p):
         rows.append(quotients + (Fraction(1),))
         trace.append(nxt)
         if is_zero(nxt[-1]) or len(rows) >= max_steps:
             break
-    status = "finite" if is_zero(trace[-1][-1]) else "truncated"
-    return (
-        ExpansionResult(MCF(m, rows, finite=status == "finite"), status, len(rows)),
-        trace,
-    )
+    finite = is_zero(trace[-1][-1])
+    status = "finite" if finite else "truncated"
+    return ExpansionResult(MCF(len(xs) - 1, rows, finite), status, len(rows)), trace
 
 
 def _value_euclid(xs, p: int):
@@ -286,39 +282,6 @@ def _value_euclid(xs, p: int):
         xs = (last,) + rests
         yield quotients, xs
         if is_zero(xs[-1]):
-            return
-
-
-def _rational_euclid(xs, p: int):
-    """The steps of _value_euclid on a tuple of Fractions, computed by the
-    integer kernel.  Each next tuple is rebuilt as Fractions and, as in
-    _value_euclid, starts with the previous tuple's last entry itself."""
-    *ints, scale = lift_to_integer_tuple(xs)
-    last = xs[-1]
-    for quotients, parts, e in _integer_euclid(ints, p):
-        nxt = (last,) + tuple(
-            Fraction(0)
-            if part is None
-            else Fraction(part[1] * p ** (part[0] + e), scale)
-            for part in parts[1:]
-        )
-        last = nxt[-1]
-        yield quotients, nxt
-
-
-def _projective_euclid(lift, xs, p: int):
-    """The steps of _value_euclid on an exact tuple with a field element,
-    computed by the projective kernel.  Each next tuple is rebuilt from the
-    vectors and, as in _value_euclid, starts with the previous tuple's last
-    entry itself."""
-    run = _ProjectiveEuclid(lift, p)
-    last = xs[-1]
-    while True:
-        quotients = run.step()
-        nxt = (last,) + lift.values(run.vectors[1:], run.scale)
-        last = nxt[-1]
-        yield quotients, nxt
-        if run.finished:
             return
 
 
@@ -337,14 +300,14 @@ def _digit(part, w: int, u: int, p: int) -> Fraction:
     return browkin_s(Fraction(part[1] % mod, u % mod * (mod // p)), p)
 
 
-def _integer_euclid(xs, p: int):
-    """Steps of the Euclidean form on a tuple of integers, without fractions.
+class _IntegerEuclid:
+    """The Euclidean form on a tuple of Fractions, run on integers without
+    fractions.
 
-    xs holds integers with a nonzero last entry.  The tuple is kept as an
+    The tuple, scaled to integers x^(i) over `scale` by
+    lift_to_integer_tuple, has a nonzero last entry.  It is kept as an
     exponent e >= 0 and parts (v, u) with v >= 0 and u prime to p, the
-    value of a part being u * p**(v + e); None is an exact zero.  Each step
-    yields (quotients, parts, e) for the next tuple, up to the step whose
-    last coordinate vanishes.
+    value of a part being u * p**(v + e) / scale; None is an exact zero.
 
     With x^(m+1) = u * p**w, a coordinate x^(i) = u_i * p**v_i has the
     digit a^(i) = _digit((v_i, u_i), w, u, p), R / p**(k-1) when
@@ -354,14 +317,27 @@ def _integer_euclid(xs, p: int):
     coordinate is carried through exact integer steps, so no gcd is taken
     on it.
     """
-    m = len(xs) - 1
-    parts = [split_p(x, p) if x else None for x in xs]
-    e = 0
-    while True:
-        w, u = parts[m]
+
+    def __init__(self, xs, p: int):
+        *ints, self.scale = lift_to_integer_tuple(xs)
+        self.p, self.m, self.e = p, len(ints) - 1, 0
+        self.parts = [split_p(x, p) if x else None for x in ints]
+
+    @property
+    def finished(self) -> bool:
+        return self.parts[-1] is None
+
+    def fingerprint(self) -> None:
+        """None: a rational run always terminates."""
+        return None
+
+    def step(self) -> tuple:
+        """The quotients of the current tuple; moves on to the next tuple."""
+        p = self.p
+        w, u = self.parts[-1]
         quotients = []
         nxt = [(0, u)]
-        for part in parts[:m]:
+        for part in self.parts[:-1]:
             a = _digit(part, w, u, p)
             quotients.append(a)
             if not a:
@@ -369,11 +345,19 @@ def _integer_euclid(xs, p: int):
                 continue
             y = (part[1] - a.numerator * u) // a.denominator  # R, p**(k-1)
             nxt.append(split_p(y, p) if y else None)
-        parts = nxt
-        e += w
-        yield tuple(quotients), parts, e
-        if parts[m] is None:
-            return
+        self.parts = nxt
+        self.e += w
+        return tuple(quotients)
+
+    def rest(self) -> tuple:
+        """The current tuple after its first entry, as Fractions."""
+        p, e = self.p, self.e
+        return tuple(
+            Fraction(0)
+            if part is None
+            else Fraction(part[1] * p ** (part[0] + e), self.scale)
+            for part in self.parts[1:]
+        )
 
 
 #: Digits of the unit of each ratio x^(i) / x^(m+1) that a period
@@ -391,7 +375,7 @@ class _ProjectiveEuclid:
     p**precision, with p**offset * E_i = c * emb(x^(i)) for one p-adic c
     common to every coordinate.  E_i / E_(m+1) is the embedded ratio
     x^(i) / x^(m+1), so each digit is read off the residues by _digit, as
-    in _integer_euclid.
+    in _IntegerEuclid.
 
     With a^(i) = R_i / p**(k_i-1), P = p**s and s = max(k_i-1), a step maps
     the tuple to P * (x^(m+1), x^(i) - a^(i) x^(m+1)), which is integral,
@@ -409,6 +393,7 @@ class _ProjectiveEuclid:
     def __init__(self, lift, p: int):
         self.lift, self.p = lift, p
         self.vectors, self.scale = lift.vectors, lift.scale
+        self.m = len(self.vectors) - 1
         self.offset, self.relifts = 0, 0
         self.precision = self._lifted = _START_PRECISION
         self.residues = lift.residues(self.vectors, self.precision)
@@ -491,6 +476,10 @@ class _ProjectiveEuclid:
         self.scale *= Fraction(g, big)
         return quotients
 
+    def rest(self) -> tuple:
+        """The current tuple after its first entry, as field elements."""
+        return self.lift.values(self.vectors[1:], self.scale)
+
 
 def lift_to_integer_tuple(ratios):
     """Scale an m-tuple of rationals by the lcm of denominators, returning
@@ -515,11 +504,7 @@ def verify_termination_dependence(result: ExpansionResult, inputs):
     dep = rational_linear_dependence(values)
     if dep is None:
         raise VerificationFailed("finite run but inputs are Q-linearly independent")
-    acc = None
-    for c, v in zip(dep, values):
-        term = c * v
-        acc = term if acc is None else acc + term
-    if acc != 0:
+    if sum(c * v for c, v in zip(dep, values)) != 0:
         raise VerificationFailed("dependency vector does not annihilate the inputs")
     return dep
 

@@ -110,6 +110,9 @@ class MCF:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MCF":
+        if type(d["a"]) is not list or any(type(seq) is not list for seq in d["a"]):
+            # a string would be read one character at a time
+            raise ValueError("'a' must be an array of arrays")
         bad = [x for seq in d["a"] for x in seq if type(x) not in (str, int)]
         if bad:  # a JSON float would be read as its binary double, true as 1
             raise ValueError(f"quotient {bad[0]!r} is not a string or an integer")

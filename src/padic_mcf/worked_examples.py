@@ -181,9 +181,9 @@ def _run_rational(params) -> tuple[bool, str]:
     return True, f"{len(res.mcf)} steps, value matches"
 
 
-def _make_embedded_pair(params, precision: int = 64):
+def _make_embedded_pair(params):
     field = NumberField(parse_polynomial(params["minpoly"]))
-    emb = PAdicEmbedding.create(field, params["p"], precision)
+    emb = PAdicEmbedding.create(field, params["p"])
     theta = emb(field.generator())
     second = evaluate_expression(params["second"], theta)
     return theta, second

@@ -255,6 +255,22 @@ class TestExpand:
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == "error: bad --minpoly: degree 1024 exceeds 64\n"
 
+    def test_root_scan_bound_is_an_error_line(self, capsys):
+        code, out = run_cli(
+            "expand", "-p", "1000000007", "--minpoly", "x^3-3", "--elem", "0,1"
+        )
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert "MAX_ROOT_SCAN" in err and err.count("\n") == 1
+
+    def test_precision_does_not_change_exact_runs(self):
+        # an exact run refines its embedding on demand
+        argv = ("expand", "-p", "5", "-m", "2", "--minpoly", "x^3-8/5*x^2-x-1",
+                "--elem", "0,1,0", "--elem-expr", "1+1/x", "--detect-period")
+        assert run_cli(*argv, "--precision", "100000") == run_cli(
+            *argv, "--precision", "64"
+        )
+
     def test_verbose_digit_lists(self):
         code, out = run_cli("expand", "-p", "5", "23/5", "14/19", "--verbose")
         assert code == 0
@@ -338,9 +354,14 @@ class TestEvaluateDigitsCheck:
             (("evaluate",), '{"m":1,"a":[["1","2"],["1","1"]],"finite":"false"}'),
             (("evaluate",), '{"m":true,"a":[["1","2"],["1","1"]]}'),
             (("evaluate",), '{"m":1.0,"a":[["1","2"],["1","1"]]}'),
+            (("evaluate",), '{"m":1,"a":["12","11"]}'),
+            (("check", "-p", "5"), '{"m":1,"a":["12","11"]}'),
+            (("evaluate",), '{"m":1,"a":"11"}'),
+            (("check", "-p", "5"), '{"m":1,"a":"11"}'),
         ],
         ids=["list", "string-m", "null-quotient", "huge-float", "float-quotient",
-             "bool-quotient", "string-finite", "bool-m", "float-m"],
+             "bool-quotient", "string-finite", "bool-m", "float-m",
+             "string-sequences", "check-string-sequences", "string-a", "check-string-a"],
     )
     def test_wrong_shape_is_usage_error(self, monkeypatch, capsys, command, text):
         # well-formed JSON that is not an MCF: an error line, no traceback

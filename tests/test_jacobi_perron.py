@@ -659,3 +659,63 @@ class TestProjectiveKernel:
         gamma = emb_cubic_q7(emb_cubic_q7.field.generator())
         with pytest.raises(ValueError, match="value carries a different prime"):
             expand((alpha, gamma), 5)
+
+
+def assert_cuts_the_full_run(inputs, p, cap):
+    """jp_expand and euclid_expand at every max_steps from 1 to n + 1 give
+    the first max_steps rows of the full run of n rows, at most cap of
+    them, and are finite exactly when the full run fits.  Returns the
+    jp_expand results by max_steps."""
+    full = jp_expand(inputs, p, max_steps=cap)
+    n = full.steps
+    xs = tuple(inputs) + (F(1),)
+    reference = [xs]
+    for _, nxt in _value_euclid(xs, p):
+        reference.append(nxt)
+        if len(reference) > n:
+            break
+    results = {}
+    for max_steps in range(1, n + 1 + full.is_finite):
+        res = results[max_steps] = jp_expand(inputs, p, max_steps=max_steps)
+        assert res.mcf.rows == full.mcf.rows[:max_steps]
+        fits = full.is_finite and n <= max_steps
+        assert res.status == ("finite" if fits else "truncated")
+        assert res.steps == len(res.mcf.rows)
+        eu, trace = euclid_expand(xs, p, max_steps=max_steps)
+        assert (eu.mcf.rows, eu.status, eu.steps) == (res.mcf.rows, res.status, res.steps)
+        assert trace == reference[: eu.steps + 1]
+    return results
+
+
+class TestLoopBoundaries:
+    """One loop runs both exact kernels: a rational run and a run with a
+    field element stop at max_steps alike, in jp_expand as in
+    euclid_expand."""
+
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        m=st.integers(1, 3),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rational_tuples(self, p, m, rng):
+        inputs = random_inputs(rng, m, bound=10**4)
+        results = assert_cuts_the_full_run(inputs, p, 10**4)
+        for max_steps, res in results.items():
+            assert jp_expand(inputs, p, max_steps, detect_period=True) == res
+
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        degree=st.sampled_from((2, 3, 4)),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_field_tuples(self, p, degree, rng):
+        field = NumberField(eisenstein_field(rng, p, degree))
+        theta = PAdicEmbedding.create(field, p, 16)(field.generator())
+        inputs = [theta]
+        for _ in range(rng.randint(0, 2)):
+            inputs.append(rng.choice([inputs[-1] * theta, small_rational(rng)]))
+        inputs = [x + small_rational(rng) for x in inputs]
+        rng.shuffle(inputs)
+        assert_cuts_the_full_run(tuple(inputs), p, 40)

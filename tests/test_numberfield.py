@@ -17,6 +17,7 @@ from padic_mcf.errors import (
 )
 from padic_mcf.numberfield import (
     MAX_DEGREE,
+    MAX_ROOT_SCAN,
     IntegerLift,
     NumberField,
     PAdicEmbedding,
@@ -211,6 +212,13 @@ class TestPadicRoots:
             assert r.unit % 5 == 1
             x = r.rational_view()
             assert valuation(x * x - 17 * x - 59, 5) >= 6
+
+    def test_root_scan_bound(self):
+        # the scan tries every residue mod p; at this prime it would take
+        # minutes, so the bound must raise before it starts
+        with pytest.raises(ValueError, match="MAX_ROOT_SCAN"):
+            padic_roots(NumberField([-3, 0, 0, 1]), 1000000007, 8)
+        assert 1000003 * 4 <= MAX_ROOT_SCAN < 1000000007 * 4
 
     @pytest.mark.parametrize("n", (1, 2, 8, 32, 64))
     def test_residual_invariant(self, n):

@@ -394,8 +394,32 @@ class TestValueProtocol:
 # Only padic knows the value backends; these modules go through its
 # protocol (valuation, is_zero, to_approx, integer_lift).  An exact tuple
 # with a field element reaches jacobi_perron as an opaque integer lift,
-# whose field-specific operations live in numberfield.
+# whose field-specific operations live in numberfield.  jacobi_perron tells
+# rational tuples from field tuples in one function, _exact_run, which
+# chooses the exact kernel of both jp_expand and euclid_expand.
 BACKEND_NAMES = {"PAdicApprox", "AlgebraicNumber", "is_zero_at_precision"}
+
+
+def kernel_choices(tree):
+    """Names of the functions that hold an isinstance(..., Fraction) test
+    or an integer_lift call."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            types = node.args[1:] if name == "isinstance" else []
+            if name == "integer_lift" or any(
+                getattr(t, "id", None) == "Fraction" for a in types for t in ast.walk(a)
+            ):
+                found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
 
 
 @pytest.mark.parametrize(
@@ -403,8 +427,9 @@ BACKEND_NAMES = {"PAdicApprox", "AlgebraicNumber", "is_zero_at_precision"}
 )
 def test_backends_stay_behind_the_padic_protocol(module):
     path = Path(padic_mcf.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     named = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             named.update(a.name for a in node.names)
         elif isinstance(node, ast.Name):
@@ -412,3 +437,5 @@ def test_backends_stay_behind_the_padic_protocol(module):
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
     assert not named & BACKEND_NAMES
+    if module == "jacobi_perron":
+        assert kernel_choices(tree) == {"_exact_run"}

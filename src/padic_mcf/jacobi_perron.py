@@ -38,6 +38,7 @@ from .padic import (
     browkin_s,
     in_browkin_range,
     integer_lift,
+    inverse_mod_pk,
     is_zero,
     padic_divide,
     require_odd_prime,
@@ -440,7 +441,7 @@ class _ProjectiveEuclid:
         w, u, parts = self._read_state = self._read(keyed=True)
         t = _FINGERPRINT_DIGITS
         mod = self.p**t
-        inv = pow(u % mod, -1, mod)
+        inv = inverse_mod_pk(u, self.p, t)
         return tuple(
             None if not any(vec)
             else t if part is None or part[0] - w >= t

@@ -25,7 +25,14 @@ from .errors import (
     LiftingObstruction,
     NoRoot,
 )
-from .padic import PAdicApprox, PLUS_INFINITY, require_odd_prime, split_p, valuation
+from .padic import (
+    PAdicApprox,
+    PLUS_INFINITY,
+    inverse_mod_pk,
+    require_odd_prime,
+    split_p,
+    valuation,
+)
 
 #: Largest accepted field degree.  An inverse is a fraction-free elimination
 #: of about d^3 integer operations (1.2 s for 64 small random coefficients
@@ -33,9 +40,11 @@ from .padic import PAdicApprox, PLUS_INFINITY, require_odd_prime, split_p, valua
 #: confirming a period or building its witness takes products and one.
 MAX_DEGREE = 64
 
-#: Largest p * (d + 1) for the root scan of padic_roots, which tries every
-#: residue mod p on a polynomial of degree d.  Just above it one scan took
-#: 0.7-0.9 s on a 2-vCPU host, at d = 3, p = 1048583 and d = 64, p = 65537.
+#: Budget of one padic_roots call for its root scans, each of which tries
+#: every residue mod p on a polynomial of degree d reduced mod p and costs
+#: p * (d + 1).  A Newton segment scans once, and every residue that is not
+#: simple once more.  One scan just below it took 0.37-0.41 s on a 2-vCPU
+#: host, at d = 3, p = 1048573 and d = 64, p = 64499.
 MAX_ROOT_SCAN = 2**22
 
 #: Precision doublings one exact query may take before it raises
@@ -386,16 +395,17 @@ def _newton_lift(f, y: int, p: int, k: int):
             return None
         if t - d >= k:
             return y % p**k
-        mod = p ** (2 * t - 2 * d)
-        y = (y - fy // p**d * pow(u, -1, mod)) % mod
+        e = 2 * t - 2 * d
+        y = (y - fy // p**d * inverse_mod_pk(u, p, e)) % p**e
 
 
-def _zp_roots(coeffs, p: int, k: int, depth: int = 0):
+def _zp_roots(coeffs, p: int, k: int, budget: list, depth: int = 0):
     """All roots in Z_p of a squarefree integer polynomial, mod p**k.
 
     Returns integers r with f(r) == 0 mod p**k, one per genuine Z_p root.
     Residues that are not simple modulo p are separated recursively; failure
-    to separate raises LiftingObstruction.
+    to separate raises LiftingObstruction.  Every scan of the residues mod p
+    is charged to budget[0], shared by the whole padic_roots call.
     """
     if depth > 64:
         raise LiftingObstruction("root separation did not stabilise")
@@ -403,17 +413,38 @@ def _zp_roots(coeffs, p: int, k: int, depth: int = 0):
     work = [c // p**shift for c in coeffs]
     dwork = _pderiv(work)
     roots = []
-    for r in range(p):
-        if _peval(work, r) % p != 0:
-            continue
+    for r in _roots_mod_p(work, p, budget):
         if _peval(dwork, r) % p != 0:
             roots.append(_newton_lift(work, r, p, k))
         else:
             # shift into the residue disc r + p*Z_p and recurse
             sub = _compose_affine(work, r, p)
-            for z in _zp_roots(sub, p, max(k - 1, 1), depth + 1):
+            for z in _zp_roots(sub, p, max(k - 1, 1), budget, depth + 1):
                 roots.append((r + p * z) % p**k)
     return roots
+
+
+def _roots_mod_p(coeffs, p: int, budget: list) -> list[int]:
+    """The residues r mod p with f(r) == 0 mod p, by trying each one on f
+    reduced mod p; the scan costs p * (its degree mod p + 1) of budget[0]."""
+    reduced = _pstrip([c % p for c in coeffs])[::-1]
+    if len(reduced) == 1:  # a nonzero constant mod p
+        return []
+    cost = p * len(reduced)
+    if cost > budget[0]:
+        raise ValueError(
+            f"root scan: p * (degree + 1) summed over the scans of one "
+            f"padic_roots call exceeds MAX_ROOT_SCAN = {MAX_ROOT_SCAN}"
+        )
+    budget[0] -= cost
+    found = []
+    for r in range(p):
+        acc = 0
+        for c in reduced:
+            acc = (acc * r + c) % p
+        if acc == 0:
+            found.append(r)
+    return found
 
 
 def _compose_affine(coeffs, r: int, p: int):
@@ -453,11 +484,7 @@ def padic_roots(field_or_coeffs, p: int, precision: int):
         if isinstance(field_or_coeffs, NumberField)
         else _pstrip([Fraction(c) for c in field_or_coeffs])
     )
-    if p * len(coeffs) > MAX_ROOT_SCAN:
-        raise ValueError(
-            f"root scan: p * (degree + 1) = {p * len(coeffs)} exceeds "
-            f"MAX_ROOT_SCAN = {MAX_ROOT_SCAN}"
-        )
+    budget = [MAX_ROOT_SCAN]  # shared by every root scan of this call
     roots = []
     for w, _count in newton_polygon_slopes(coeffs, p):
         if w.denominator != 1:
@@ -468,7 +495,7 @@ def padic_roots(field_or_coeffs, p: int, precision: int):
         # as h is p-integral, so v(f(p^w y)) >= k + shift: this k meets
         # both halves of the contract in one pass.
         k = max(precision - min(w, shift), 1)
-        for y in _zp_roots(h, p, k):
+        for y in _zp_roots(h, p, k, budget):
             if y % p != 0:  # roots divisible by p belong to other segments
                 roots.append(PAdicApprox(p, w, y, w + k))
     roots.sort(key=lambda r: (r.val, r.unit))
@@ -583,7 +610,7 @@ def embed(x: AlgebraicNumber, emb: PAdicEmbedding, precision: int) -> PAdicAppro
     s = (x.field.degree - 1) * max(0, -emb.root.val)
     k = precision + s + t
     vector = [c.numerator * (ell // c.denominator) for c in x.coeffs]
-    unit = emb.residue(vector, k) * pow(ell_unit, -1, p**k)
+    unit = emb.residue(vector, k) * inverse_mod_pk(ell_unit, p, k)
     return PAdicApprox(p, -s - t, unit, precision)
 
 

@@ -1,5 +1,6 @@
 """The expansion algorithm, its Euclidean form, termination, periodicity."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -39,6 +40,7 @@ from padic_mcf.numberfield import (
 from padic_mcf.padic import (
     PAdicApprox,
     balanced_digit_expansion,
+    to_approx,
     valuation,
 )
 
@@ -719,3 +721,81 @@ class TestLoopBoundaries:
         inputs = [x + small_rational(rng) for x in inputs]
         rng.shuffle(inputs)
         assert_cuts_the_full_run(tuple(inputs), p, 40)
+
+
+def rows_until_precision_runs_out(steps, cap):
+    """The first cap rows of a truncated run, or all it emits before it
+    raises InsufficientPrecision."""
+    rows = []
+    try:
+        for row in itertools.islice(steps, cap):
+            rows.append(row)
+    except InsufficientPrecision:
+        pass
+    return rows
+
+
+def assert_truncated_rows_are_exact_rows(inputs, p, precision, cap):
+    """jp_expand and euclid_expand on the inputs truncated modulo
+    p**precision emit the first rows of the exact run, whether they stop at
+    cap rows or run out of precision first (then the rows are those their
+    loops, jp_step and _value_euclid, emit before they raise)."""
+    exact = jp_expand(inputs, p, max_steps=cap).mcf.rows
+    approx = tuple(to_approx(x, p, precision) for x in inputs)
+
+    def jp_rows():
+        state = JPState(p, approx, 0)
+        while state is not None:
+            res = jp_step(state)
+            yield res.quotients + (F(1),)
+            state = res.next_state
+
+    def euclid_rows():
+        for quotients, _ in _value_euclid(approx + (F(1),), p):
+            yield quotients + (F(1),)
+
+    for run, steps in (
+        (lambda: jp_expand(approx, p, max_steps=cap), jp_rows),
+        (lambda: euclid_expand(approx + (F(1),), p, max_steps=cap)[0], euclid_rows),
+    ):
+        try:
+            res = run()
+        except InsufficientPrecision:
+            rows = rows_until_precision_runs_out(steps(), cap)
+        else:
+            assert res.status == "truncated" and res.steps == cap
+            rows = list(res.mcf.rows)
+        assert rows == list(exact[: len(rows)])
+
+
+class TestTruncatedAgainstExact:
+    """The truncated backend emits only rows the exact run emits."""
+
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        m=st.integers(1, 3),
+        precision=st.integers(50, 600),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rational_tuples(self, p, m, precision, rng):
+        inputs = random_inputs(rng, m, bound=10 ** rng.randint(2, 60))
+        assert_truncated_rows_are_exact_rows(inputs, p, precision, rng.randint(1, precision))
+
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        precision=st.integers(50, 600),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_cubic_field_tuples(self, p, precision, rng):
+        field = NumberField(eisenstein_field(rng, p, 3))
+        theta = PAdicEmbedding.create(field, p, 16)(field.generator())
+        inputs = [theta]
+        for _ in range(rng.randint(0, 2)):
+            inputs.append(rng.choice([inputs[-1] * theta, small_rational(rng)]))
+        inputs = [x + small_rational(rng) for x in inputs]
+        rng.shuffle(inputs)
+        assert_truncated_rows_are_exact_rows(
+            tuple(inputs), p, precision, rng.randint(1, precision)
+        )

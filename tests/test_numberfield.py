@@ -220,6 +220,25 @@ class TestPadicRoots:
             padic_roots(NumberField([-3, 0, 0, 1]), 1000000007, 8)
         assert 1000003 * 4 <= MAX_ROOT_SCAN < 1000000007 * 4
 
+    def test_root_scan_budget_covers_the_whole_call(self, monkeypatch):
+        # x^2 - 17x - 59 over Q_5 scans twice, 5 * 3 residue evaluations
+        # each: once for its Newton segment, once in the double residue 1
+        k = NumberField([-59, -17, 1])
+        monkeypatch.setattr(numberfield, "MAX_ROOT_SCAN", 29)
+        with pytest.raises(ValueError, match="MAX_ROOT_SCAN"):
+            padic_roots(k, 5, 6)
+        monkeypatch.setattr(numberfield, "MAX_ROOT_SCAN", 30)
+        assert len(padic_roots(k, 5, 6)) == 2
+
+    def test_root_scans_near_the_bound(self):
+        p = 1000003
+        # one scan of x^3 - 3 fits: three cube roots of 3 (p = 1 mod 3)
+        assert len(padic_roots(NumberField([-3, 0, 0, 1]), p, 8)) == 3
+        # x^3 - x^2/p - 2 scans its segment of slope 1 and then the double
+        # residue 0 of y^3 - y^2 - 2p^3: together they exceed the budget
+        with pytest.raises(ValueError, match="MAX_ROOT_SCAN"):
+            padic_roots(NumberField([-2, 0, F(-1, p), 1]), p, 8)
+
     @pytest.mark.parametrize("n", (1, 2, 8, 32, 64))
     def test_residual_invariant(self, n):
         # one pass of padic_roots must give n digits and v(f(x)) >= n, also

@@ -21,6 +21,7 @@ from padic_mcf.padic import (
     balanced_digit_expansion,
     browkin_s,
     in_browkin_range,
+    inverse_mod_pk,
     is_odd_prime,
     is_zero,
     padic_divide,
@@ -38,6 +39,15 @@ wide_prime_st = st.sampled_from((3, 5, 7, 11, 13))
 
 
 big_ints = st.integers(-(2**200), 2**200)
+# numerators and denominators of up to 3000 bits times powers of
+# 15015 = 3 * 5 * 7 * 11 * 13, so that valuations of either sign occur
+big_rationals = st.builds(
+    lambda a, b, k, j: F(a * 15015**k, b * 15015**j),
+    st.integers(-(2**3000), 2**3000).filter(bool),
+    st.integers(1, 2**3000),
+    st.integers(0, 40),
+    st.integers(0, 40),
+)
 
 
 def unit(a: int, b: int, p: int) -> F:
@@ -72,6 +82,46 @@ def oracle_valuation(x: F, p: int):
         x *= p
         v -= 1
     return v
+
+
+def oracle_approx(x: F, p: int, n: int) -> tuple:
+    """(val, unit, precision) of the PAdicApprox of x modulo p**n, the unit
+    inverted by pow; zero at precision when v(x) >= n, x = 0 included."""
+    v = oracle_valuation(x, p)
+    if v >= n:
+        return n, 0, n
+    t = x / F(p) ** v
+    mod = p ** (n - v)
+    return v, t.numerator * pow(t.denominator, -1, mod) % mod, n
+
+
+def fields(a: PAdicApprox) -> tuple:
+    return a.val, a.unit, a.precision
+
+
+# exponents where the halving chain of inverse_mod_pk changes shape
+CHAIN_EDGES = (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129, 256, 257,
+               512, 513, 1024, 1025)
+exponents = st.one_of(st.sampled_from(CHAIN_EDGES), st.integers(1, 2000))
+
+
+class TestInverseModPk:
+    @given(p=wide_prime_st, k=exponents, a=st.integers(-(2**8000), 2**8000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pow(self, p, k, a):
+        a = a * p + 1 + a % (p - 1)  # prime to p
+        y = inverse_mod_pk(a, p, k)
+        assert y == pow(a, -1, p**k)
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    def test_chain_edges(self, p):
+        for k in CHAIN_EDGES:
+            for a in (1, -1, 2, p - 1, p + 1, p**k - 1, 7 * p**k + 2):
+                assert inverse_mod_pk(a, p, k) == pow(a, -1, p**k)
+
+    def test_non_unit_is_an_error(self):
+        with pytest.raises(ValueError):
+            inverse_mod_pk(10, 5, 300)
 
 
 class TestValuation:
@@ -143,6 +193,19 @@ class TestBalancedDigits:
     def test_upto_must_exceed_valuation(self):
         with pytest.raises(ValueError):
             balanced_digit_expansion(F(25), 5, 2)
+
+    @given(
+        start=st.integers(-300, 300),
+        digits=st.lists(st.integers(-6, 6), max_size=200),
+        p=wide_prime_st,
+    )
+    @settings(max_examples=100)
+    def test_value_matches_fraction_sum(self, start, digits, p):
+        digits = [d % p - p if 2 * (d % p) > p else d % p for d in digits]
+        want = sum(
+            (F(d) * F(p) ** (start + j) for j, d in enumerate(digits)), F(0)
+        )
+        assert BalancedDigits(start, tuple(digits)).value(p) == want
 
     @given(x=nonzero_rationals, p=prime_st, extra=st.integers(0, 6))
     def test_round_trip_and_digit_range(self, x, p, extra):
@@ -290,21 +353,23 @@ class TestPAdicApprox:
         assert c == PAdicApprox.from_rational(F(21, 5), 5, c.precision)
 
     @given(
-        x=nonzero_rationals,
-        y=nonzero_rationals,
-        p=prime_st,
-        n=st.integers(3, 10),
+        x=big_rationals,
+        y=big_rationals,
+        p=wide_prime_st,
+        n=st.one_of(st.sampled_from(CHAIN_EDGES[:-2]), st.integers(1, 1000)),
     )
-    @settings(max_examples=60)
+    @example(x=F(3**700 + 1, 2**90), y=F(-(2**2000) - 1, 3**5), p=3, n=1000)
+    @settings(max_examples=150, deadline=None)
     def test_ops_agree_with_exact(self, x, y, p, n):
         ax = PAdicApprox.from_rational(x, p, n)
         ay = PAdicApprox.from_rational(y, p, n)
-        ops = [(ax + ay, x + y), (ax - ay, x - y)]
+        assert fields(ax) == oracle_approx(x, p, n)
+        assert fields(ay) == oracle_approx(y, p, n)
+        ops = [(ax + ay, x + y), (ax - ay, x - y), (ax + y, x + y), (ax - y, x - y)]
         if not (ax.is_zero_at_precision() or ay.is_zero_at_precision()):
-            ops += [(ax * ay, x * y), (ax / ay, x / y)]
+            ops += [(ax * ay, x * y), (ax / ay, x / y), (ax / y, x / y), (x / ay, x / y)]
         for op, exact in ops:
-            want = PAdicApprox.from_rational(exact, p, op.precision)
-            assert op == want
+            assert fields(op) == oracle_approx(exact, p, op.precision)
 
     def test_sum_of_two_zero_at_precision(self):
         z = PAdicApprox.zero_at(5, 3)
@@ -391,7 +456,7 @@ class TestValueProtocol:
             assert valuation(zero, 5) == PLUS_INFINITY
 
 
-# Only padic knows the value backends; these modules go through its
+# Only padic knows the value backends; the protocol clients go through its
 # protocol (valuation, is_zero, to_approx, integer_lift).  An exact tuple
 # with a field element reaches jacobi_perron as an opaque integer lift,
 # whose field-specific operations live in numberfield.  jacobi_perron tells
@@ -400,21 +465,15 @@ class TestValueProtocol:
 BACKEND_NAMES = {"PAdicApprox", "AlgebraicNumber", "is_zero_at_precision"}
 
 
-def kernel_choices(tree):
-    """Names of the functions that hold an isinstance(..., Fraction) test
-    or an integer_lift call."""
+def functions_calling(tree, matches):
+    """Names of the functions that hold a call for which matches(call)."""
     found = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            types = node.args[1:] if name == "isinstance" else []
-            if name == "integer_lift" or any(
-                getattr(t, "id", None) == "Fraction" for a in types for t in ast.walk(a)
-            ):
-                found.add(where)
+        if isinstance(node, ast.Call) and matches(node):
+            found.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
@@ -422,12 +481,39 @@ def kernel_choices(tree):
     return found
 
 
+def chooses_kernel(call):
+    """An isinstance(..., Fraction) test or an integer_lift call."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    types = call.args[1:] if name == "isinstance" else []
+    return name == "integer_lift" or any(
+        getattr(t, "id", None) == "Fraction" for a in types for t in ast.walk(a)
+    )
+
+
+def inverts_modulo(call):
+    """A pow call with the exponent -1."""
+    exps = call.args[1:2] + [k.value for k in call.keywords if k.arg == "exp"]
+    return getattr(call.func, "id", None) == "pow" and any(
+        ast.unparse(e).replace(" ", "") == "-1" for e in exps
+    )
+
+
+PACKAGE = Path(padic_mcf.__file__).parent
+PROTOCOL_CLIENTS = ("jacobi_perron", "mcf", "cli", "exprparse", "worked_examples")
+
+
 @pytest.mark.parametrize(
-    "module", ["jacobi_perron", "mcf", "cli", "exprparse", "worked_examples"]
+    "module",
+    [*PROTOCOL_CLIENTS]
+    + sorted({f.stem for f in PACKAGE.glob("*.py")} - set(PROTOCOL_CLIENTS)),
 )
 def test_backends_stay_behind_the_padic_protocol(module):
-    path = Path(padic_mcf.__file__).parent / f"{module}.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    # every modular inverse goes through padic.inverse_mod_pk
+    inverters = functions_calling(tree, inverts_modulo)
+    assert inverters == ({"inverse_mod_pk"} if module == "padic" else set())
+    if module not in PROTOCOL_CLIENTS:
+        return
     named = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -438,4 +524,4 @@ def test_backends_stay_behind_the_padic_protocol(module):
             named.add(node.attr)
     assert not named & BACKEND_NAMES
     if module == "jacobi_perron":
-        assert kernel_choices(tree) == {"_exact_run"}
+        assert functions_calling(tree, chooses_kernel) == {"_exact_run"}

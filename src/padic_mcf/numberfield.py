@@ -49,9 +49,10 @@ MAX_ROOT_SCAN = 2**22
 
 #: Precision doublings one exact query may take before it raises
 #: InsufficientPrecision: AlgebraicNumber.valuation, and the re-lifts of one
-#: expansion run on an IntegerLift.  The one other budget is the depth-64
-#: separation guard of _zp_roots (LiftingObstruction); root lifts and
-#: embeddings compute their digit counts exactly and never retry.
+#: expansion run on an IntegerLift.  The other budgets are the depth-64
+#: separation guard of _zp_roots (LiftingObstruction) and MAX_ROOT_SCAN for
+#: the root scans of one padic_roots call; root lifts and embeddings
+#: compute their digit counts exactly and never retry.
 MAX_DOUBLINGS = 20
 
 # ---------------------------------------------------------------------------

@@ -90,12 +90,6 @@ def split_p(n: int, q: int) -> tuple[int, int]:
     return (2 * w + 1, d) if r == 0 else (2 * w, u)
 
 
-#: Moduli below this take one pow(a, -1, mod).  Timed on a 2-vCPU host,
-#: pow beat the Newton lift up to about 40 bits (1.8 against 2.5 us at
-#: 5**16) and lost above (4.5 against 3.0 us at 5**24).
-_DIRECT_INVERSE_BELOW = 2**40
-
-
 @lru_cache(maxsize=1024)
 def _power(p: int, e: int) -> int:
     """p**e, from a bounded table: the truncated backend reads the same few
@@ -112,9 +106,6 @@ def inverse_mod_pk(a: int, p: int, k: int) -> int:
     numbers of k digits (von zur Gathen & Gerhard, Modern Computer Algebra,
     ch. 9).  Every modular inverse of the package goes through here.
     """
-    mod = _power(p, k)
-    if mod < _DIRECT_INVERSE_BELOW:
-        return pow(a % mod, -1, mod)
     chain = []  # k, ceil(k/2), ceil(k/4), ... above 1
     while k > 1:
         chain.append(k)

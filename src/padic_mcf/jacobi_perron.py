@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import InsufficientPrecision, VerificationFailed
 from .mcf import MCF, check_convergence_conditions, evaluate_finite
-from .numberfield import MAX_DOUBLINGS, rational_linear_dependence
+from .numberfield import MAX_DOUBLINGS, clear_denominators, rational_linear_dependence
 from .padic import (
     browkin_s,
     in_browkin_range,
@@ -485,9 +485,8 @@ class _ProjectiveEuclid:
 def lift_to_integer_tuple(ratios):
     """Scale an m-tuple of rationals by the lcm of denominators, returning
     the (m+1)-tuple of integers whose ratios reproduce it."""
-    ratios = [Fraction(x) for x in ratios]
-    ell = math.lcm(*(x.denominator for x in ratios))
-    return tuple(x.numerator * (ell // x.denominator) for x in ratios) + (ell,)
+    ints, ell = clear_denominators([Fraction(x) for x in ratios])
+    return (*ints, ell)
 
 
 def verify_termination_dependence(result: ExpansionResult, inputs):

@@ -3,12 +3,12 @@
 A NumberField is defined by a monic irreducible polynomial over Q; its
 elements are coefficient vectors reduced modulo that polynomial.  Roots of
 the polynomial inside Q_p are located by Newton-polygon slope analysis
-(only integer slopes can carry Q_p roots) followed by Hensel lifting of
-simple residues, with a recursive disc subdivision for residues that are
-not simple modulo p.  An embedding fixes one such root, lifts it alone by
-Newton's method as digits are needed, and evaluates coefficient vectors at
-it.  An IntegerLift holds a tuple of field elements as integer coefficient
-vectors for the projective expansion kernel of jacobi_perron.
+(only integer slopes can carry Q_p roots), gcd splitting modulo p and Hensel
+lifting of simple residues, with a recursive disc subdivision for residues
+that are not simple modulo p.  An embedding fixes one such root, lifts it
+alone by Newton's method as digits are needed, and evaluates coefficient
+vectors at it.  An IntegerLift holds a tuple of field elements as integer
+coefficient vectors for the projective expansion kernel of jacobi_perron.
 """
 
 from __future__ import annotations
@@ -40,19 +40,11 @@ from .padic import (
 #: confirming a period or building its witness takes products and one.
 MAX_DEGREE = 64
 
-#: Budget of one padic_roots call for its root scans, each of which tries
-#: every residue mod p on a polynomial of degree d reduced mod p and costs
-#: p * (d + 1).  A Newton segment scans once, and every residue that is not
-#: simple once more.  One scan just below it took 0.37-0.41 s on a 2-vCPU
-#: host, at d = 3, p = 1048573 and d = 64, p = 64499.
-MAX_ROOT_SCAN = 2**22
-
 #: Precision doublings one exact query may take before it raises
 #: InsufficientPrecision: AlgebraicNumber.valuation, and the re-lifts of one
-#: expansion run on an IntegerLift.  The other budgets are the depth-64
-#: separation guard of _zp_roots (LiftingObstruction) and MAX_ROOT_SCAN for
-#: the root scans of one padic_roots call; root lifts and embeddings
-#: compute their digit counts exactly and never retry.
+#: expansion run on an IntegerLift.  The other budget is the depth-64
+#: separation guard of _zp_roots (LiftingObstruction); root lifts and
+#: embeddings compute their digit counts exactly and never retry.
 MAX_DOUBLINGS = 20
 
 # ---------------------------------------------------------------------------
@@ -247,6 +239,7 @@ class AlgebraicNumber:
         return self.coeffs[0]
 
     def to_approx(self, precision: int) -> PAdicApprox:
+        self.prime  # raises the ValueError of an element with no embedding
         return embed(self, self.emb, precision)
 
     def integer_lift(self, values) -> "IntegerLift":
@@ -400,13 +393,12 @@ def _newton_lift(f, y: int, p: int, k: int):
         y = (y - fy // p**d * inverse_mod_pk(u, p, e)) % p**e
 
 
-def _zp_roots(coeffs, p: int, k: int, budget: list, depth: int = 0):
+def _zp_roots(coeffs, p: int, k: int, depth: int = 0):
     """All roots in Z_p of a squarefree integer polynomial, mod p**k.
 
     Returns integers r with f(r) == 0 mod p**k, one per genuine Z_p root.
     Residues that are not simple modulo p are separated recursively; failure
-    to separate raises LiftingObstruction.  Every scan of the residues mod p
-    is charged to budget[0], shared by the whole padic_roots call.
+    to separate raises LiftingObstruction.
     """
     if depth > 64:
         raise LiftingObstruction("root separation did not stabilise")
@@ -414,38 +406,68 @@ def _zp_roots(coeffs, p: int, k: int, budget: list, depth: int = 0):
     work = [c // p**shift for c in coeffs]
     dwork = _pderiv(work)
     roots = []
-    for r in _roots_mod_p(work, p, budget):
+    for r in _roots_mod_p(work, p):
         if _peval(dwork, r) % p != 0:
             roots.append(_newton_lift(work, r, p, k))
         else:
             # shift into the residue disc r + p*Z_p and recurse
             sub = _compose_affine(work, r, p)
-            for z in _zp_roots(sub, p, max(k - 1, 1), budget, depth + 1):
+            for z in _zp_roots(sub, p, max(k - 1, 1), depth + 1):
                 roots.append((r + p * z) % p**k)
     return roots
 
 
-def _roots_mod_p(coeffs, p: int, budget: list) -> list[int]:
-    """The residues r mod p with f(r) == 0 mod p, by trying each one on f
-    reduced mod p; the scan costs p * (its degree mod p + 1) of budget[0]."""
-    reduced = _pstrip([c % p for c in coeffs])[::-1]
-    if len(reduced) == 1:  # a nonzero constant mod p
-        return []
-    cost = p * len(reduced)
-    if cost > budget[0]:
-        raise ValueError(
-            f"root scan: p * (degree + 1) summed over the scans of one "
-            f"padic_roots call exceeds MAX_ROOT_SCAN = {MAX_ROOT_SCAN}"
-        )
-    budget[0] -= cost
-    found = []
-    for r in range(p):
-        acc = 0
-        for c in reduced:
-            acc = (acc * r + c) % p
-        if acc == 0:
-            found.append(r)
-    return found
+def _fp_rem(a, b, p: int):
+    """a mod b over F_p, for little-endian integer lists with b[-1] prime to p."""
+    a, inv = list(a), inverse_mod_pk(b[-1], p, 1)
+    while len(a) >= len(b):
+        q = a.pop() * inv % p
+        for i in range(1, len(b)):
+            a[-i] -= q * b[-1 - i]
+    return _pstrip([x % p for x in a])
+
+
+def _fp_mulmod(a, b, h, p: int):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _fp_rem(out, h, p)
+
+
+def _fp_gcd(a, b, p: int):
+    while b:
+        a, b = b, _fp_rem(a, b, p)
+    return a
+
+
+def _roots_mod_p(coeffs, p: int) -> list[int]:
+    """The residues r mod p with f(r) == 0 mod p, ascending, for f != 0 mod p.
+
+    Cantor-Zassenhaus splitting of f mod p at the shifts c = 0, 1, 2, ...: a
+    root r != -c of a part h has (r + c)^((p-1)/2) == +-1, and those of each
+    sign are the roots of gcd(h, (x + c)^((p-1)/2) -+ 1 mod h), which has no
+    repeated factor or one of higher degree.  -c is tested alone, and each
+    part is split again at c + 1 until linear; r != r' part by c = -r.
+    """
+    found, c, parts = [], 0, [_pstrip([x % p for x in coeffs])]
+    while parts:
+        split = []
+        for h in parts:
+            if len(h) == 2:
+                found.append(-h[0] * inverse_mod_pk(h[1], p, 1) % p)
+                continue
+            if _peval(h, -c) % p == 0:
+                found.append(-c % p)
+            s = [1]
+            for bit in bin((p - 1) // 2)[2:]:
+                s = _fp_mulmod(s, s, h, p)
+                if bit == "1":
+                    s = _fp_mulmod(s, [c, 1], h, p)
+            gcds = (_fp_gcd(h, _fp_rem(_padd(s, (e,)), h, p), p) for e in (-1, 1))
+            split += [g for g in gcds if len(g) > 1]
+        parts, c = split, c + 1
+    return sorted(found)
 
 
 def _compose_affine(coeffs, r: int, p: int):
@@ -463,9 +485,7 @@ def _unit_root_poly(coeffs, w: int, p: int):
     of f of valuation w are p**w times the unit roots of h."""
     scaled = [Fraction(c) * Fraction(p) ** (w * i) for i, c in enumerate(coeffs)]
     shift = min(valuation(c, p) for c in scaled if c != 0)
-    h = [c / Fraction(p) ** shift for c in scaled]
-    ell = math.lcm(*(c.denominator for c in h))
-    return [c.numerator * (ell // c.denominator) for c in h], shift
+    return clear_denominators([c / Fraction(p) ** shift for c in scaled])[0], shift
 
 
 def padic_roots(field_or_coeffs, p: int, precision: int):
@@ -485,7 +505,6 @@ def padic_roots(field_or_coeffs, p: int, precision: int):
         if isinstance(field_or_coeffs, NumberField)
         else _pstrip([Fraction(c) for c in field_or_coeffs])
     )
-    budget = [MAX_ROOT_SCAN]  # shared by every root scan of this call
     roots = []
     for w, _count in newton_polygon_slopes(coeffs, p):
         if w.denominator != 1:
@@ -496,7 +515,7 @@ def padic_roots(field_or_coeffs, p: int, precision: int):
         # as h is p-integral, so v(f(p^w y)) >= k + shift: this k meets
         # both halves of the contract in one pass.
         k = max(precision - min(w, shift), 1)
-        for y in _zp_roots(h, p, k, budget):
+        for y in _zp_roots(h, p, k):
             if y % p != 0:  # roots divisible by p belong to other segments
                 roots.append(PAdicApprox(p, w, y, w + k))
     roots.sort(key=lambda r: (r.val, r.unit))
@@ -606,11 +625,10 @@ def embed(x: AlgebraicNumber, emb: PAdicEmbedding, precision: int) -> PAdicAppro
         raise FieldMismatch("element belongs to a different field")
     p = emb.prime
     # x = v / ell for an integer vector v, with ell = p**t * ell_unit
-    ell = math.lcm(*(c.denominator for c in x.coeffs))
+    vector, ell = clear_denominators(x.coeffs)
     t, ell_unit = split_p(ell, p)
     s = (x.field.degree - 1) * max(0, -emb.root.val)
     k = precision + s + t
-    vector = [c.numerator * (ell // c.denominator) for c in x.coeffs]
     unit = emb.residue(vector, k) * inverse_mod_pk(ell_unit, p, k)
     return PAdicApprox(p, -s - t, unit, precision)
 
@@ -636,13 +654,11 @@ class IntegerLift:
                 coeffs.append(x.coeffs)
             else:
                 coeffs.append((Fraction(x),))
-        self.field, self.emb = field, emb
-        ell = math.lcm(*(c.denominator for vec in coeffs for c in vec))
-        self.vectors = [
-            [c.numerator * (ell // c.denominator) for c in vec]
-            + [0] * (field.degree - len(vec))
-            for vec in coeffs
-        ]
+        self.field, self.emb, d = field, emb, field.degree
+        flat, ell = clear_denominators(
+            [c for vec in coeffs for c in vec + (Fraction(0),) * (d - len(vec))]
+        )
+        self.vectors = [flat[i : i + d] for i in range(0, len(flat), d)]
         self.scale = Fraction(1, ell)
 
     def values(self, vectors, scale=Fraction(1)) -> tuple:
@@ -661,6 +677,12 @@ class IntegerLift:
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q
 # ---------------------------------------------------------------------------
+
+
+def clear_denominators(values) -> tuple[list[int], int]:
+    """(v, ell): ell the lcm of the denominators of Fractions, v them times ell."""
+    ell = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (ell // x.denominator) for x in values], ell
 
 
 def _bareiss(a):
@@ -705,7 +727,7 @@ def rational_linear_dependence(values):
     column i replaced by column r, an integer, so the back-substitution
     divides exactly.
     """
-    field, cols, scales = None, [], []
+    field, scaled = None, []
     for v in values:
         if isinstance(v, AlgebraicNumber):
             if field is not None and v.field != field:
@@ -713,11 +735,10 @@ def rational_linear_dependence(values):
             field, vec = v.field, v.coeffs
         else:
             vec = (Fraction(v),)
-        ell = math.lcm(*(x.denominator for x in vec))
-        cols.append([x.numerator * (ell // x.denominator) for x in vec])
-        scales.append(ell)
-    if not cols:
+        scaled.append(clear_denominators(vec))
+    if not scaled:
         return None
+    cols, scales = zip(*scaled)
     a = [list(row) for row in itertools.zip_longest(*cols, fillvalue=0)]
     r, _ = _bareiss(a)
     if r == len(cols):

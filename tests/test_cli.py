@@ -255,13 +255,23 @@ class TestExpand:
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == "error: bad --minpoly: degree 1024 exceeds 64\n"
 
-    def test_root_scan_bound_is_an_error_line(self, capsys):
+    def test_large_primes_expand(self):
+        # roots mod p are split by gcds, so neither prime is too large
         code, out = run_cli(
-            "expand", "-p", "1000000007", "--minpoly", "x^3-3", "--elem", "0,1"
+            "expand", "-p", "1000000007", "--minpoly", "x^3-3", "--elem", "0,1",
+            "--max-steps", "3", "--format", "json",
         )
-        assert (code, out) == (1, "")
-        err = capsys.readouterr().err
-        assert "MAX_ROOT_SCAN" in err and err.count("\n") == 1
+        assert (code, json.loads(out)["steps"]) == (2, 3)
+        # the root of valuation -1 sits over the double residue 0 of the
+        # scaled polynomial, which is split one level further down
+        code, out = run_cli(
+            "expand", "-p", "1000003", "--minpoly", "x^3-1/1000003*x^2-2",
+            "--elem", "0,1", "--max-steps", "3", "--format", "json",
+        )
+        assert code == 2
+        assert json.loads(out)["quotients"]["a"][0] == [
+            "1/1000003", "-500004500013500013/1000006000009", "400002400004/1000003"
+        ]
 
     def test_precision_does_not_change_exact_runs(self):
         # an exact run refines its embedding on demand

@@ -17,11 +17,11 @@ from padic_mcf.errors import (
 )
 from padic_mcf.numberfield import (
     MAX_DEGREE,
-    MAX_ROOT_SCAN,
     IntegerLift,
     NumberField,
     PAdicEmbedding,
     _newton_lift,
+    _roots_mod_p,
     embed,
     newton_polygon_slopes,
     padic_roots,
@@ -54,9 +54,18 @@ RESIDUAL_FIELDS = (
     ((-1, F(-1, 7**4), 1), 7),
     (HENSEL_FAILS_AT_8, 5),
 )
+PRIMES_BELOW_1000 = [q for q in range(3, 1000) if sympy.isprime(q)]
 small_fractions = st.fractions(min_value=-99, max_value=99, max_denominator=20)
 # Eisenstein at 2, so irreducible: x^d + 2x + 2 for d = 2..8
 DEPENDENCE_FIELDS = {d: NumberField([2, 2] + [0] * (d - 2) + [1]) for d in range(2, 9)}
+
+
+def poly_times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
 
 
 def _sympy_poly(coeffs):
@@ -213,31 +222,55 @@ class TestPadicRoots:
             x = r.rational_view()
             assert valuation(x * x - 17 * x - 59, 5) >= 6
 
-    def test_root_scan_bound(self):
-        # the scan tries every residue mod p; at this prime it would take
-        # minutes, so the bound must raise before it starts
-        with pytest.raises(ValueError, match="MAX_ROOT_SCAN"):
-            padic_roots(NumberField([-3, 0, 0, 1]), 1000000007, 8)
-        assert 1000003 * 4 <= MAX_ROOT_SCAN < 1000000007 * 4
+    def test_cube_root_at_a_ten_digit_prime(self):
+        # p = 2 mod 3, so 3 has one cube root mod p; trying all p residues
+        # would take minutes
+        roots = padic_roots(NumberField([-3, 0, 0, 1]), 1000000007, 8)
+        assert len(roots) == 1
+        assert roots[0].unit**3 % 1000000007**8 == 3
 
-    def test_root_scan_budget_covers_the_whole_call(self, monkeypatch):
-        # x^2 - 17x - 59 over Q_5 scans twice, 5 * 3 residue evaluations
-        # each: once for its Newton segment, once in the double residue 1
-        k = NumberField([-59, -17, 1])
-        monkeypatch.setattr(numberfield, "MAX_ROOT_SCAN", 29)
-        with pytest.raises(ValueError, match="MAX_ROOT_SCAN"):
-            padic_roots(k, 5, 6)
-        monkeypatch.setattr(numberfield, "MAX_ROOT_SCAN", 30)
-        assert len(padic_roots(k, 5, 6)) == 2
+    def test_three_cube_roots_at_a_seven_digit_prime(self):
+        # p = 1 mod 3 and 3 is a cube mod p: three roots
+        assert len(padic_roots(NumberField([-3, 0, 0, 1]), 1000003, 8)) == 3
 
-    def test_root_scans_near_the_bound(self):
+    def test_double_residue_at_a_seven_digit_prime(self):
+        # x^3 - x^2/p - 2 has its root of valuation -1 on the segment of
+        # slope 1, and the unit roots of y^3 - y^2 - 2p^3 at the double
+        # residue 0 are split again one level down
         p = 1000003
-        # one scan of x^3 - 3 fits: three cube roots of 3 (p = 1 mod 3)
-        assert len(padic_roots(NumberField([-3, 0, 0, 1]), p, 8)) == 3
-        # x^3 - x^2/p - 2 scans its segment of slope 1 and then the double
-        # residue 0 of y^3 - y^2 - 2p^3: together they exceed the budget
-        with pytest.raises(ValueError, match="MAX_ROOT_SCAN"):
-            padic_roots(NumberField([-2, 0, F(-1, p), 1]), p, 8)
+        roots = padic_roots(NumberField([-2, 0, F(-1, p), 1]), p, 8)
+        assert [r.val for r in roots] == [-1]
+
+    @given(p=st.sampled_from(PRIMES_BELOW_1000), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_roots_mod_p_match_a_scan(self, p, data):
+        # f mod p is a unit times planted linear factors, repeats allowed,
+        # and irreducible quadratics x^2 - n t^2 (n a nonresidue), of degree
+        # 0 to 8; f itself has its coefficients moved by multiples of p and
+        # a top coefficient divisible by p
+        n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        f, degree = [data.draw(st.integers(1, p - 1))], data.draw(st.integers(0, 8))
+        while len(f) <= degree:
+            if len(f) < degree and data.draw(st.booleans()):
+                f = poly_times(f, [-n * data.draw(st.integers(1, p - 1)) ** 2, 0, 1])
+            else:
+                f = poly_times(f, [-data.draw(st.integers(0, p - 1)), 1])
+        f = [c + p * data.draw(st.integers(-3, 3)) for c in f + [0]]
+        scan = [r for r in range(p) if sum(c * r**i for i, c in enumerate(f)) % p == 0]
+        assert _roots_mod_p(f, p) == scan
+
+    @pytest.mark.parametrize("p", (1000000007, 2**61 - 1))
+    def test_residual_invariant_at_large_primes(self, p):
+        # x^3 - 3, a double residue 0 below a root of valuation -1, and two
+        # planted roots next to the irreducible x^2 + 1 (p = 3 mod 4)
+        planted = poly_times(poly_times([-(10**12), 1], [7, 1]), [1, 0, 1])
+        for coeffs in ((-3, 0, 0, 1), (-2, 0, F(-1, p), 1), planted):
+            roots = padic_roots(coeffs, p, 20)
+            assert roots
+            for r in roots:
+                assert r.precision >= 20
+                x = r.rational_view()
+                assert valuation(sum(c * x**i for i, c in enumerate(coeffs)), p) >= 20
 
     @pytest.mark.parametrize("n", (1, 2, 8, 32, 64))
     def test_residual_invariant(self, n):
@@ -460,6 +493,14 @@ class TestEmbeddedValues:
         assert repr(a) == "(x)@Q_5"
         assert repr(1 / a) == "(1/3*x^2)@Q_5"
         assert repr(k) == "NumberField(x^3-3)"
+
+    def test_unembedded_values_have_no_digits(self, k5):
+        x = k5.generator()
+        for query in (
+            lambda: browkin_s(x, 5), lambda: valuation(x, 5), lambda: x.to_approx(8)
+        ):
+            with pytest.raises(ValueError, match="has no p-adic embedding"):
+                query()
 
 
 class TestLinearDependence:

@@ -57,7 +57,7 @@ def _check_run_args(args):
         raise UsageError("--max-steps must be >= 1")
     if args.precision < 1:
         raise UsageError("--precision must be >= 1")
-    if args.backend == "numberfield" and getattr(args, "minpoly", None) is None:
+    if args.backend == "numberfield" and args.minpoly is None:
         raise UsageError("--backend numberfield needs --minpoly")
 
 
@@ -72,15 +72,13 @@ def _parse_fraction(s: str) -> Fraction:
         raise UsageError(f"cannot parse rational {s!r}: {exc}") from None
 
 
-def _add_common(sub):
+def _add_common(sub, backends):
     sub.add_argument("-p", "--prime", type=int, required=True)
     sub.add_argument("-m", "--dim", type=int, default=None)
     sub.add_argument("--max-steps", type=int, default=10_000)
     sub.add_argument("--precision", type=int, default=64)
     sub.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-    sub.add_argument(
-        "--backend", choices=("rational", "numberfield", "approx"), default=None
-    )
+    sub.add_argument("--backend", choices=backends, default=None)
     sub.add_argument("--verbose", action="store_true")
 
 
@@ -107,11 +105,11 @@ def build_parser() -> _ArgumentParser:
         help="field element as an expression in x, e.g. 1+1/x",
     )
     ex.add_argument("--detect-period", action="store_true")
-    _add_common(ex)
+    _add_common(ex, ("rational", "numberfield", "approx"))
 
     eu = subs.add_parser("euclid", help="generalized Euclidean form on an (m+1)-tuple")
     eu.add_argument("values", nargs="+", help="rational coordinates as num/den")
-    _add_common(eu)
+    _add_common(eu, ("rational", "approx"))  # euclid takes no --minpoly
 
     ev = subs.add_parser("evaluate", help="exact value of a finite MCF (JSON)")
     ev.add_argument("--file", help="path to the MCF JSON (default: stdin)")

@@ -15,7 +15,10 @@ periodicity by exact equality.  Truncated p-adic inputs never claim
 periodicity or termination: an undecidable zero test raises
 InsufficientPrecision instead of guessing.
 
-Both entry points run an exact tuple through one loop, `_exact_expand`, on
+Both entry points first read their inputs through `padic.as_value`, which
+checks that a p-adic value carries p and reads anything else as a
+Fraction; this module never looks at a value's prime itself.  They run an
+exact tuple through one loop, `_exact_expand`, on
 the kernel that `_exact_run` chooses for its Euclidean (m+1)-tuple.  Every
 digit of a rational run lies in Z[1/p], so rationals run on integer tuples
 with p-power scaling (`_IntegerEuclid`) instead of on Fractions.  An exact
@@ -35,6 +38,7 @@ from .errors import InsufficientPrecision, VerificationFailed
 from .mcf import MCF, check_convergence_conditions, evaluate_finite
 from .numberfield import MAX_DOUBLINGS, clear_denominators, rational_linear_dependence
 from .padic import (
+    as_value,
     browkin_s,
     in_browkin_range,
     integer_lift,
@@ -103,18 +107,6 @@ class ExpansionResult:
         }
 
 
-def _coerce_value(x, p: int):
-    """Inputs that carry a prime (p-adic values) must carry p; anything
-    else is read as a rational.  A field element with no embedding raises
-    ValueError from its `prime`."""
-    prime = getattr(x, "prime", None)
-    if prime is None:
-        return Fraction(x)
-    if prime != p:
-        raise ValueError("value carries a different prime")
-    return x
-
-
 def jp_step(state: JPState) -> StepResult:
     """One iteration: emit quotients, terminate or build the next state.
 
@@ -150,7 +142,7 @@ def jp_expand(
     require_odd_prime(p)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    alphas = tuple(_coerce_value(x, p) for x in inputs)
+    alphas = tuple(as_value(x, p) for x in inputs)
     if not alphas:
         raise ValueError("need at least one input value")
     run = _exact_run(alphas + (Fraction(1),), p)
@@ -252,7 +244,7 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
     require_odd_prime(p)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    xs = tuple(_coerce_value(x, p) for x in xs)
+    xs = tuple(as_value(x, p) for x in xs)
     if len(xs) < 2:
         raise ValueError("need an (m+1)-tuple with m >= 1")
     if is_zero(xs[-1]):

@@ -27,7 +27,7 @@ from .errors import (
     ZeroWeight,
 )
 from .numberfield import _bareiss
-from .padic import is_zero, require_odd_prime, valuation
+from .padic import as_value, is_zero, require_odd_prime, valuation
 
 
 class MCF:
@@ -432,49 +432,39 @@ class StrongConvergenceSeq:
 def strong_convergence_sequence(mcf: MCF, targets, p: int) -> StrongConvergenceSeq:
     """Strong-convergence quantities of an MCF against the given targets.
 
-    The columns A_n for n = -m .. last index are read from a plain
+    The columns A_n for n = -(m+1) .. last index are read from a plain
     convergent table: the seeds before the first push, then `column(0)`
     after each.  Targets are Fractions, embedded algebraic or truncated
-    values.  The linear recurrence V_n = sum_j a_n^(j) V_{n-j} is re-checked
-    for every index as a self-test.  A V_n whose norm the targets'
-    precision leaves undetermined raises PrecisionExhausted.
+    values at p.  The linear recurrence V_n = sum_j a_n^(j) V_{n-j} is
+    re-checked for every index as a self-test, from the seed
+    V_{-(m+1)} = -target on.  A V_n whose norm the targets' precision
+    leaves undetermined raises PrecisionExhausted.
     """
     require_odd_prime(p)
     m = mcf.m
     if len(targets) != m:
         raise ValueError("need one target per dimension")
+    targets = [as_value(t, p) for t in targets]
     table = ConvergentsTable(m)
-    cols = [table.column(-1 - n) for n in range(-m, 0)]
+    cols = [table.column(-1 - n) for n in range(-(m + 1), 0)]
     for row in mcf.rows:
         table.push(row)
         cols.append(table.column(0))
-    values = []
-    for col in cols:
-        row_v = []
-        for i in range(m):
-            if col[m] == 0:
-                row_v.append(col[i])  # exact: the target contributes nothing
-            else:
-                row_v.append(col[i] - targets[i] * col[m])
-        values.append(tuple(row_v))
+    # values[k] is V_{k-(m+1)}; a zero A^(m+1) leaves the column exact
+    values = [
+        tuple(col[i] if col[m] == 0 else col[i] - targets[i] * col[m] for i in range(m))
+        for col in cols
+    ]
     for n, row in enumerate(mcf.rows):
         for i in range(m):
-            acc = None
-            for j in range(1, m + 2):
-                idx = n - j
-                if idx >= -m:
-                    term = row[j - 1] * values[idx + m][i]
-                else:
-                    # idx = -(m+1): the seed column is e_{m+1}, so
-                    # V_{-(m+1)}^(i) = -target_i
-                    term = row[j - 1] * (Fraction(0) - targets[i])
-                acc = term if acc is None else acc + term
+            acc = sum(row[j - 1] * values[n + m + 1 - j][i] for j in range(1, m + 2))
             try:
-                agrees = is_zero(acc - values[n + m][i])
+                agrees = is_zero(acc - values[n + m + 1][i])
             except InsufficientPrecision:
                 agrees = True  # indistinguishable from zero is the best check
             if not agrees:
                 raise InternalMismatch(f"V recurrence failed at n={n}, i={i + 1}")
+    del values[0]  # the sequence starts at n = -m
     try:
         vals = tuple(tuple(valuation(x, p) for x in row_v) for row_v in values)
     except InsufficientPrecision as exc:

@@ -9,8 +9,9 @@ Throughout, p is an odd prime and exact rational arithmetic uses
 fractions.Fraction; `split_p`, the p-part of an integer in O(log v)
 divisions, also serves the integer kernel of jacobi_perron, and
 `inverse_mod_pk`, a Newton-lifted inverse modulo p**k, is the one modular
-inverse of the package.  Norm comparisons are always valuation comparisons;
-no floating point is involved anywhere.
+inverse of the package.  `as_value` is the one place that reads a value's
+prime.  Norm comparisons are always valuation comparisons; no floating
+point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -58,6 +59,22 @@ def require_odd_prime(p: int) -> int:
     return p
 
 
+def as_value(x, p: int):
+    """x as a value at p: one that carries a prime (a PAdicApprox, or a
+    field element through its embedding) must carry p, and anything else is
+    read as a Fraction.  Every operation of the protocol that takes p checks
+    its values here; a field element with no embedding raises ValueError
+    from its `prime`, even when it is zero."""
+    if isinstance(x, Fraction):
+        return x
+    prime = getattr(x, "prime", None)
+    if prime is None:
+        return Fraction(x)
+    if prime != p:
+        raise ValueError("value carries a different prime")
+    return x
+
+
 def valuation(x, p: int):
     """p-adic valuation of a value of any backend; PLUS_INFINITY exactly at 0.
 
@@ -66,7 +83,8 @@ def valuation(x, p: int):
     value answers through its embedding.
     """
     require_odd_prime(p)
-    if not isinstance(x, (int, Fraction)):
+    x = as_value(x, p)
+    if not isinstance(x, Fraction):
         if isinstance(x, PAdicApprox):
             return x.valuation
         return x.valuation()
@@ -133,7 +151,8 @@ def is_zero(x) -> bool:
 
 def to_approx(x, p: int, precision: int) -> "PAdicApprox":
     """x truncated modulo p**precision; a PAdicApprox passes through."""
-    if isinstance(x, (int, Fraction)):
+    x = as_value(x, p)
+    if isinstance(x, Fraction):
         return PAdicApprox.from_rational(x, p, precision)
     if isinstance(x, PAdicApprox):
         return x
@@ -152,15 +171,28 @@ def integer_lift(values):
     return None
 
 
-def _exact(x):
-    """An int or Fraction as it is; anything else read as a Fraction."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
-
-
 def _balanced_residue(r: int, p: int) -> int:
     """Map a residue mod p into the open interval (-p/2, p/2)."""
     r %= p
     return r - p if r > (p - 1) // 2 else r
+
+
+def _balanced_digits(r: int, p: int, n: int) -> list[int]:
+    """The n balanced digits of r modulo p**n, lowest first, for n >= 1.
+
+    The first h = n//2 digits sum to the balanced residue lo of r mod p**h,
+    and the others are the digits of (r - lo) / p**h, so splitting in halves
+    takes big-integer divisions on ever shorter numbers instead of n
+    divisions of the whole of r by p.
+    """
+    if n == 1:
+        return [_balanced_residue(r, p)]
+    h = n // 2
+    mod = _power(p, h)
+    hi, lo = divmod(r, mod)
+    if 2 * lo > mod:
+        hi, lo = hi + 1, lo - mod
+    return _balanced_digits(lo, p, h) + _balanced_digits(hi, p, n - h)
 
 
 @dataclass(frozen=True)
@@ -220,7 +252,8 @@ def browkin_s(x, p: int) -> Fraction:
     which fixes every digit through exponent 0.
     """
     require_odd_prime(p)
-    if isinstance(x, (int, Fraction)):
+    x = as_value(x, p)
+    if isinstance(x, Fraction):
         if x == 0:
             return Fraction(0)
         vn, un = split_p(x.numerator, p)
@@ -237,8 +270,6 @@ def browkin_s(x, p: int) -> Fraction:
         if x.is_zero():
             return Fraction(0)
         x = x.to_approx(1)
-    if x.prime != p:
-        raise ValueError("prime mismatch")
     if x.precision < 1:
         raise InsufficientPrecision(
             f"digit at exponent 0 unknown at precision O(p^{x.precision})"
@@ -270,7 +301,8 @@ class PAdicApprox:
     p**(precision - val) with p not dividing unit.  Instances are immutable
     values; arithmetic propagates precision conservatively and never reports
     digits beyond what the operands support.  Exact int/Fraction operands mix
-    freely and only shift precision through valuation bookkeeping.
+    freely and only shift precision through valuation bookkeeping; an
+    operand at another prime raises the ValueError of `as_value`.
     """
 
     __slots__ = ("prime", "val", "unit", "precision")
@@ -296,7 +328,7 @@ class PAdicApprox:
 
     @classmethod
     def from_rational(cls, x, p: int, precision: int) -> "PAdicApprox":
-        x = _exact(x)
+        x = x if isinstance(x, Fraction) else Fraction(x)
         if x == 0:
             return cls(p, precision, 0, precision)
         vn, un = split_p(x.numerator, p)
@@ -330,13 +362,8 @@ class PAdicApprox:
     def digits(self) -> BalancedDigits:
         if self.unit == 0:
             return BalancedDigits(self.precision, ())
-        r = self.unit
-        out = []
-        for _ in range(self.precision - self.val):
-            d = _balanced_residue(r, self.prime)
-            out.append(d)
-            r = (r - d) // self.prime
-        return BalancedDigits(self.val, tuple(out))
+        digits = _balanced_digits(self.unit, self.prime, self.precision - self.val)
+        return BalancedDigits(self.val, tuple(digits))
 
     def rational_view(self) -> Fraction:
         """The canonical rational carrying the same digits."""
@@ -377,10 +404,6 @@ class PAdicApprox:
     def _rel(self) -> int:
         return self.precision - self.val
 
-    def _check_prime(self, other: "PAdicApprox"):
-        if self.prime != other.prime:
-            raise ValueError("prime mismatch")
-
     def _lift_exact(self, q: Fraction) -> "PAdicApprox":
         """Lift a nonzero exact rational with enough relative precision that
         it never becomes the precision bottleneck in mul/div."""
@@ -388,12 +411,11 @@ class PAdicApprox:
         return PAdicApprox.from_rational(q, self.prime, v + max(self._rel(), 1))
 
     def __add__(self, other):
+        other = as_value(other, self.prime)
         if not isinstance(other, PAdicApprox):
-            q = _exact(other)
-            if q == 0:
+            if other == 0:
                 return self
-            other = PAdicApprox.from_rational(q, self.prime, self.precision)
-        self._check_prime(other)
+            other = PAdicApprox.from_rational(other, self.prime, self.precision)
         n = min(self.precision, other.precision)
         base = min(self.val, other.val)
         span = n - base
@@ -415,21 +437,18 @@ class PAdicApprox:
         return PAdicApprox(self.prime, self.val, (-self.unit) % mod, self.precision)
 
     def __sub__(self, other):
-        if isinstance(other, PAdicApprox):
-            return self + (-other)
-        return self + (-_exact(other))
+        return self + -as_value(other, self.prime)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        other = as_value(other, self.prime)
         if not isinstance(other, PAdicApprox):
-            q = _exact(other)
-            if q == 0:
+            if other == 0:
                 # exact zero: correct at every precision; keep this one's
                 return PAdicApprox.zero_at(self.prime, self.precision)
-            other = self._lift_exact(q)
-        self._check_prime(other)
+            other = self._lift_exact(other)
         n = min(self.precision + other.val, other.precision + self.val)
         if self.unit == 0 or other.unit == 0:
             return PAdicApprox.zero_at(self.prime, n)
@@ -443,12 +462,11 @@ class PAdicApprox:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        other = as_value(other, self.prime)
         if not isinstance(other, PAdicApprox):
-            q = _exact(other)
-            if q == 0:
+            if other == 0:
                 raise ZeroDivisionError("division by exact zero")
-            other = self._lift_exact(q)
-        self._check_prime(other)
+            other = self._lift_exact(other)
         if other.unit == 0:
             raise ZeroDivisionError(
                 f"divisor indistinguishable from zero at O(p^{other.precision})"
@@ -465,7 +483,7 @@ class PAdicApprox:
         return PAdicApprox(self.prime, v, u, v + r)
 
     def __rtruediv__(self, other):
-        q = _exact(other)
+        q = as_value(other, self.prime)
         if self.unit == 0:
             raise ZeroDivisionError(
                 f"divisor indistinguishable from zero at O(p^{self.precision})"

@@ -306,6 +306,19 @@ class TestEuclid:
         assert "a(1): -2/5, 6/5, 6/5, 4/5" in out
         assert "trace v(x^(m+1)): 1, 2, 3, 4, +inf" in out
 
+    def test_json_trace_valuations(self):
+        code, out = run_cli("euclid", "-p", "5", "--format", "json", "437", "70", "95")
+        assert code == 0
+        assert json.loads(out)["trace_valuations"] == ["1", "2", "3", "4", "+inf"]
+
+    def test_truncated_run_cannot_see_the_final_zero(self, capsys):
+        code, out = run_cli(
+            "euclid", "-p", "5", "--backend", "approx", "--precision", "20",
+            "437", "70", "95",
+        )
+        assert (code, out) == (1, "")
+        assert "InsufficientPrecision" in capsys.readouterr().err
+
     def test_single_coordinate_rejected(self, capsys):
         code, _ = run_cli("euclid", "-p", "5", "7")
         assert code == 1
@@ -321,9 +334,14 @@ class TestEuclid:
     "argv", [("expand", "23/5", "14/19"), ("euclid", "437", "70", "95")]
 )
 def test_numberfield_backend_needs_minpoly(capsys, argv):
+    # euclid takes no --minpoly, so it does not offer the backend at all
     code, out = run_cli(argv[0], "-p", "5", "--backend", "numberfield", *argv[1:])
     assert (code, out) == (1, "")
-    assert capsys.readouterr().err == "error: --backend numberfield needs --minpoly\n"
+    assert capsys.readouterr().err == {
+        "expand": "error: --backend numberfield needs --minpoly\n",
+        "euclid": "error: argument --backend: invalid choice: 'numberfield' "
+        "(choose from 'rational', 'approx')\n",
+    }[argv[0]]
 
 
 class TestEvaluateDigitsCheck:

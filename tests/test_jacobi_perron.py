@@ -430,6 +430,12 @@ class TestApproxBackend:
         assert res.period_candidate == (0, 1)
         assert res.mcf.rows == ((F(8, 5), F(1), F(1)),) * 4
 
+    def test_exact_last_difference_finishes_a_truncated_run(self):
+        # the exact 1 leaves an exact zero, so the truncated loop finishes
+        res = jp_expand((to_approx(F(1, 3), 5, 20), 1), 5)
+        assert res.status == "finite"
+        assert res.mcf.rows == ((F(2), F(1), F(1)),)
+
     def test_euclid_termination_is_undecidable(self):
         xs = tuple(
             PAdicApprox.from_rational(F(v), 5, 10) for v in (437, 70, 95)

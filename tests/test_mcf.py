@@ -398,3 +398,17 @@ class TestStrongConvergence:
         # through termination the exact-zero tail has no determinable norm
         with pytest.raises(PrecisionExhausted):
             strong_convergence_sequence(Q5_PAIR, targets, 5)
+
+    def test_targets_must_carry_the_prime(self):
+        from padic_mcf.jacobi_perron import jp_expand
+        from padic_mcf.numberfield import NumberField, PAdicEmbedding
+
+        emb = PAdicEmbedding.create(NumberField([-3, 0, 0, 1]), 5, 32)
+        theta = emb(emb.field.generator())
+        targets = (theta, theta * theta)
+        mcf = jp_expand(targets, 5, max_steps=6).mcf
+        sc = strong_convergence_sequence(mcf, targets, 5)
+        assert sc.valuations[-3:] == ((2, 3), (4, 3), (3, 5))
+        # the 5-adic valuations must not be reported under another prime
+        with pytest.raises(ValueError, match="value carries a different prime"):
+            strong_convergence_sequence(mcf, targets, 7)

@@ -495,12 +495,18 @@ class TestEmbeddedValues:
         assert repr(k) == "NumberField(x^3-3)"
 
     def test_unembedded_values_have_no_digits(self, k5):
-        x = k5.generator()
-        for query in (
-            lambda: browkin_s(x, 5), lambda: valuation(x, 5), lambda: x.to_approx(8)
-        ):
-            with pytest.raises(ValueError, match="has no p-adic embedding"):
-                query()
+        for x in (k5.generator(), k5.zero()):  # zero is no exception
+            for query in (
+                lambda: browkin_s(x, 5), lambda: valuation(x, 5), lambda: x.to_approx(8)
+            ):
+                with pytest.raises(ValueError, match="has no p-adic embedding"):
+                    query()
+
+    def test_valuation_past_the_first_doubling(self):
+        emb = PAdicEmbedding.create(NumberField([-3, 0, 0, 1]), 5, 32)
+        theta = emb(emb.field.generator())
+        # theta minus its first 40 digits: digits 40 and 41 of theta are 0
+        assert valuation(theta - theta.to_approx(40).rational_view(), 5) == 42
 
 
 class TestLinearDependence:

@@ -18,6 +18,7 @@ from padic_mcf.padic import (
     PLUS_INFINITY,
     BalancedDigits,
     PAdicApprox,
+    as_value,
     balanced_digit_expansion,
     browkin_s,
     in_browkin_range,
@@ -97,6 +98,16 @@ def oracle_approx(x: F, p: int, n: int) -> tuple:
 
 def fields(a: PAdicApprox) -> tuple:
     return a.val, a.unit, a.precision
+
+
+def digits_by_loop(a: PAdicApprox) -> tuple:
+    """Balanced digits of a's unit peeled off one division by p at a time."""
+    p, r, out = a.prime, a.unit, []
+    for _ in range(a.precision - a.val):
+        d = r % p - p if r % p > (p - 1) // 2 else r % p
+        out.append(d)
+        r = (r - d) // p
+    return tuple(out)
 
 
 # exponents where the halving chain of inverse_mod_pk changes shape
@@ -418,6 +429,27 @@ class TestPAdicApprox:
         small = PAdicApprox.from_rational(F(25), 5, 3)
         assert browkin_s(small, 5) == 0
 
+    @given(
+        p=wide_prime_st,
+        val=st.integers(-20, 20),
+        span=st.integers(1, 1000),
+        seed=st.integers(0, 2**8000),
+    )
+    @example(p=5, val=0, span=1, seed=2)
+    @settings(max_examples=150, deadline=None)
+    def test_digits_match_the_digit_loop(self, p, val, span, seed):
+        a = PAdicApprox(p, val, seed, val + span)
+        assert a.digits == BalancedDigits(a.val, digits_by_loop(a))
+
+    def test_repr(self):
+        assert repr(PAdicApprox.from_rational(F(23, 5), 5, 3)) == (
+            "-2*5^-1 + 1*5^1 + O(5^3)"
+        )
+        assert repr(PAdicApprox.from_rational(F(-7, 3), 5, 3)) == (
+            "1 + 1*5^1 + -2*5^2 + O(5^3)"
+        )
+        assert repr(PAdicApprox.zero_at(5, 3)) == "O(5^3)"
+
     @given(x=rationals, p=prime_st, n=st.integers(1, 8))
     @settings(max_examples=60)
     def test_digits_round_trip(self, x, p, n):
@@ -455,9 +487,34 @@ class TestValueProtocol:
             assert is_zero(zero)
             assert valuation(zero, 5) == PLUS_INFINITY
 
+    def test_values_at_another_prime_are_refused(self):
+        approx = PAdicApprox.from_rational(F(1, 3), 5, 8)
+        for x in (approx, generator(5)):
+            assert as_value(x, 5) is x
+            for query in (
+                lambda: valuation(x, 7),
+                lambda: to_approx(x, 7, 8),
+                lambda: browkin_s(x, 7),
+                lambda: padic_divide(x, 1, 7),
+            ):
+                with pytest.raises(ValueError, match="value carries a different prime"):
+                    query()
+        other = PAdicApprox.from_rational(F(1, 3), 7, 8)
+        for op in (
+            lambda: approx + other, lambda: approx - other, lambda: other - approx,
+            lambda: approx * other, lambda: approx / other,
+        ):
+            with pytest.raises(ValueError, match="value carries a different prime"):
+                op()
+
+    def test_anything_else_is_read_as_a_fraction(self):
+        for x in (3, "-7/5", F(2, 9)):
+            assert as_value(x, 5) == F(x) and type(as_value(x, 5)) is F
+
 
 # Only padic knows the value backends; the protocol clients go through its
-# protocol (valuation, is_zero, to_approx, integer_lift).  An exact tuple
+# protocol (as_value, valuation, is_zero, to_approx, integer_lift), and only
+# as_value reads a value's prime.  An exact tuple
 # with a field element reaches jacobi_perron as an opaque integer lift,
 # whose field-specific operations live in numberfield.  jacobi_perron tells
 # rational tuples from field tuples in one function, _exact_run, which
@@ -490,6 +547,13 @@ def chooses_kernel(call):
     )
 
 
+def reads_prime(call):
+    """A getattr call for the attribute "prime"."""
+    return getattr(call.func, "id", None) == "getattr" and any(
+        isinstance(a, ast.Constant) and a.value == "prime" for a in call.args[1:2]
+    )
+
+
 def inverts_modulo(call):
     """A pow call with the exponent -1."""
     exps = call.args[1:2] + [k.value for k in call.keywords if k.arg == "exp"]
@@ -512,6 +576,9 @@ def test_backends_stay_behind_the_padic_protocol(module):
     # every modular inverse goes through padic.inverse_mod_pk
     inverters = functions_calling(tree, inverts_modulo)
     assert inverters == ({"inverse_mod_pk"} if module == "padic" else set())
+    # and every value's prime is read by padic.as_value
+    readers = functions_calling(tree, reads_prime)
+    assert readers == ({"as_value"} if module == "padic" else set())
     if module not in PROTOCOL_CLIENTS:
         return
     named = set()

@@ -42,10 +42,19 @@ MAX_DEGREE = 64
 
 #: Precision doublings one exact query may take before it raises
 #: InsufficientPrecision: AlgebraicNumber.valuation, and the re-lifts of one
-#: expansion run on an IntegerLift.  The other budget is the depth-64
-#: separation guard of _zp_roots (LiftingObstruction); root lifts and
-#: embeddings compute their digit counts exactly and never retry.
+#: expansion run on an IntegerLift.  The other budget is the separation
+#: bound of _zp_roots, about half the p-adic valuation of the discriminant
+#: (LiftingObstruction); root lifts and embeddings compute their digit
+#: counts exactly and never retry.
 MAX_DOUBLINGS = 20
+
+#: The primes q at which NumberField reads the factor degrees of its
+#: polynomial mod q to prove it irreducible.  A random cubic or quartic is
+#: certified within the first few; one reducible mod every prime, such as
+#: x^4 + 1, scans them all and is then decided by sympy.
+CERTIFICATE_PRIMES = tuple(
+    q for q in range(3, 200, 2) if all(q % r for r in range(3, math.isqrt(q) + 1, 2))
+)
 
 # ---------------------------------------------------------------------------
 # dense polynomials over Q, little-endian coefficient tuples
@@ -95,8 +104,9 @@ class NumberField:
 
     Coefficients may be given with a non-unit leading coefficient; the
     polynomial is normalised to monic form.  Irreducibility over Q is
-    always verified at construction (exact factorisation via sympy), so
-    every NumberField is a field and every nonzero element is invertible.
+    always proved at construction (a mod-q degree certificate, or else
+    sympy's exact factorisation), so every NumberField is a field and every
+    nonzero element is invertible.
     The degree is at most MAX_DEGREE.
     """
 
@@ -142,13 +152,41 @@ class NumberField:
 
 
 def _is_irreducible(monic: tuple[Fraction, ...]) -> bool:
-    import sympy
+    """Irreducibility over Q, proved by the mod-q degree certificate where
+    one exists and otherwise decided by sympy's exact factorisation."""
+    if _irreducibility_certificate(clear_denominators(monic)[0]):
+        return True
+    import sympy  # only polynomials like x^4 + 1, reducible mod every q
 
     x = sympy.Symbol("x")
     expr = sum(
         sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(monic)
     )
     return sympy.Poly(expr, x, domain="QQ").is_irreducible
+
+
+def _irreducibility_certificate(f) -> bool:
+    """True when the factor degrees of the integer polynomial f modulo the
+    CERTIFICATE_PRIMES prove it irreducible over Q; False proves nothing.
+
+    At a prime q that leaves f's degree and f squarefree, a factorisation
+    f = g*h over Z (Gauss) reduces to one mod q, so deg g is a sum of some
+    of the degrees of f's irreducible factors mod q.  If no degree strictly
+    between 0 and deg f is such a sum at every q, there is no g (Cohen, A
+    Course in Computational Algebraic Number Theory, 3.4).
+    """
+    possible, df = set(range(1, len(f) - 1)), _pderiv(f)
+    for q in CERTIFICATE_PRIMES:
+        h = _pstrip([c % q for c in f])
+        if len(h) < len(f) or len(_fp_gcd(h, _pstrip([c % q for c in df]), q)) > 1:
+            continue
+        sums = {0}
+        for e in _fp_factor_degrees(h, q):
+            sums |= {s + e for s in sums}
+        possible &= sums
+        if not possible:
+            return True
+    return False
 
 
 def poly_str(coeffs) -> str:
@@ -393,15 +431,14 @@ def _newton_lift(f, y: int, p: int, k: int):
         y = (y - fy // p**d * inverse_mod_pk(u, p, e)) % p**e
 
 
-def _zp_roots(coeffs, p: int, k: int, depth: int = 0):
+def _zp_roots(coeffs, p: int, k: int, levels: int | None = None):
     """All roots in Z_p of a squarefree integer polynomial, mod p**k.
 
     Returns integers r with f(r) == 0 mod p**k, one per genuine Z_p root.
-    Residues that are not simple modulo p are separated recursively; failure
-    to separate raises LiftingObstruction.
+    Residues that are not simple modulo p are separated recursively, at
+    most `levels` deep: _separation_levels bounds it on the first descent,
+    and a recursion past that bound raises LiftingObstruction.
     """
-    if depth > 64:
-        raise LiftingObstruction("root separation did not stabilise")
     shift = min(split_p(c, p)[0] for c in coeffs if c != 0)
     work = [c // p**shift for c in coeffs]
     dwork = _pderiv(work)
@@ -409,22 +446,54 @@ def _zp_roots(coeffs, p: int, k: int, depth: int = 0):
     for r in _roots_mod_p(work, p):
         if _peval(dwork, r) % p != 0:
             roots.append(_newton_lift(work, r, p, k))
-        else:
-            # shift into the residue disc r + p*Z_p and recurse
-            sub = _compose_affine(work, r, p)
-            for z in _zp_roots(sub, p, max(k - 1, 1), depth + 1):
-                roots.append((r + p * z) % p**k)
+            continue
+        if levels is None:
+            levels = _separation_levels(work, p)
+        if levels == 0:
+            raise LiftingObstruction("root separation did not stabilise")
+        # shift into the residue disc r + p*Z_p and recurse
+        sub = _compose_affine(work, r, p)
+        for z in _zp_roots(sub, p, max(k - 1, 1), levels - 1):
+            roots.append((r + p * z) % p**k)
     return roots
 
 
-def _fp_rem(a, b, p: int):
-    """a mod b over F_p, for little-endian integer lists with b[-1] prime to p."""
-    a, inv = list(a), inverse_mod_pk(b[-1], p, 1)
+def _separation_levels(f, p: int) -> int:
+    """ceil(v_p(disc f) / 2) for an integer polynomial f with a coefficient
+    prime to p, and 0 when disc f = 0, where no bound exists.
+
+    _zp_roots subdivides a residue disc a j-th time only for two distinct
+    roots a, b of f, integral over Z_p, with v(a - b) > j - 1; and v(a - b)
+    <= v(disc f) / 2: write f = c * prod(y_i x - x_i), each (x_i, y_i)
+    integral with a unit entry; then c is a unit (Gauss) and disc f =
+    c^(2n-2) * prod_(i<j) (x_i y_j - x_j y_i)^2, a product of integral
+    factors, in which a and b, as (a, 1) and (b, 1), contribute (a - b)^2.
+    The discriminant is Res(f, f') / f_n up to sign, the resultant the
+    determinant of the Sylvester matrix.
+    """
+    n, df = len(f) - 1, _pderiv(f)
+    rows = [[0] * i + f[::-1] + [0] * (n - 2 - i) for i in range(n - 1)]
+    rows += [[0] * i + df[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    r, _ = _bareiss(rows)
+    if r < len(rows):
+        return 0
+    return (split_p(rows[-1][-1], p)[0] - split_p(f[-1], p)[0] + 1) // 2
+
+
+def _fp_divmod(a, b, p: int):
+    """(a // b, a mod b) over F_p, for little-endian integer lists with b[-1]
+    prime to p."""
+    a, inv, quot = list(a), inverse_mod_pk(b[-1], p, 1), []
     while len(a) >= len(b):
         q = a.pop() * inv % p
+        quot.append(q)
         for i in range(1, len(b)):
             a[-i] -= q * b[-1 - i]
-    return _pstrip([x % p for x in a])
+    return quot[::-1], _pstrip([x % p for x in a])
+
+
+def _fp_rem(a, b, p: int):
+    return _fp_divmod(a, b, p)[1]
 
 
 def _fp_mulmod(a, b, h, p: int):
@@ -439,6 +508,37 @@ def _fp_gcd(a, b, p: int):
     while b:
         a, b = b, _fp_rem(a, b, p)
     return a
+
+
+def _fp_powmod(base, e: int, h, p: int):
+    """base**e mod h over F_p, by square-and-multiply."""
+    s = [1]
+    for bit in bin(e)[2:]:
+        s = _fp_mulmod(s, s, h, p)
+        if bit == "1":
+            s = _fp_mulmod(s, base, h, p)
+    return s
+
+
+def _fp_factor_degrees(h, p: int) -> list[int]:
+    """The degrees of the irreducible factors of h, squarefree over F_p.
+
+    Distinct-degree factorisation: with the factors of degree < i divided
+    out, gcd(h, x^(p^i) - x) is the product of those of degree i.  What is
+    left once 2i exceeds deg h is one factor, or nothing.
+    """
+    degrees, i, xpi = [], 0, [0, 1]
+    while len(h) - 1 >= 2 * (i + 1):
+        i += 1
+        xpi = _fp_powmod(xpi, p, h, p)
+        g = _fp_gcd(h, _fp_rem(_padd(xpi, (0, -1)), h, p), p)
+        if len(g) > 1:
+            degrees += [i] * ((len(g) - 1) // i)
+            h = _fp_divmod(h, g, p)[0]
+            xpi = _fp_rem(xpi, h, p)
+    if len(h) > 1:
+        degrees.append(len(h) - 1)
+    return degrees
 
 
 def _roots_mod_p(coeffs, p: int) -> list[int]:
@@ -459,11 +559,7 @@ def _roots_mod_p(coeffs, p: int) -> list[int]:
                 continue
             if _peval(h, -c) % p == 0:
                 found.append(-c % p)
-            s = [1]
-            for bit in bin((p - 1) // 2)[2:]:
-                s = _fp_mulmod(s, s, h, p)
-                if bit == "1":
-                    s = _fp_mulmod(s, [c, 1], h, p)
+            s = _fp_powmod([c, 1], (p - 1) // 2, h, p)
             gcds = (_fp_gcd(h, _fp_rem(_padd(s, (e,)), h, p), p) for e in (-1, 1))
             split += [g for g in gcds if len(g) > 1]
         parts, c = split, c + 1

@@ -169,8 +169,6 @@ def test_c03_stop_example():
 
 @criterion(4, "periodic cubic pairs report period (0, 1) within a second")
 def test_c04_periodicity():
-    import sympy  # warm the irreducibility backend before timing
-
     start = time.perf_counter()
     emb5 = PAdicEmbedding.create(NumberField([F(-1), F(-1), F(-8, 5), F(1)]), 5, 64)
     alpha = emb5(emb5.field.generator())

@@ -273,6 +273,17 @@ class TestExpand:
             "1/1000003", "-500004500013500013/1000006000009", "400002400004/1000003"
         ]
 
+    def test_roots_separated_past_64_levels(self):
+        # the residue 1 of this cubic is double: its two roots near
+        # 1 +- 5^65*sqrt(2), not in Q_5, share 65 digits, within half the
+        # discriminant's valuation; the root the run needs, of valuation
+        # -1, is simple
+        code, out = run_cli(
+            "expand", "-p", "5", "--minpoly", "(5*x-1)*((x-1)^2-2*5^130)+5^130*5^130*x",
+            "--elem", "0,1", "--max-steps", "3", "--format", "json",
+        )
+        assert (code, json.loads(out)["steps"]) == (2, 3)
+
     def test_precision_does_not_change_exact_runs(self):
         # an exact run refines its embedding on demand
         argv = ("expand", "-p", "5", "-m", "2", "--minpoly", "x^3-8/5*x^2-x-1",

@@ -1,11 +1,16 @@
 """Number field arithmetic, p-adic root finding, embeddings, dependence."""
 
+import json
 import math
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import eisenstein_field
 
@@ -28,7 +33,7 @@ from padic_mcf.numberfield import (
     rational_linear_dependence,
     select_largest_root,
 )
-from padic_mcf.padic import PLUS_INFINITY, PAdicApprox, browkin_s, valuation
+from padic_mcf.padic import PLUS_INFINITY, PAdicApprox, browkin_s, split_p, valuation
 
 CUBIC_Q5 = [F(-1), F(-1), F(-8, 5), F(1)]  # x^3 - 8/5 x^2 - x - 1
 # (x-1)^3 - 5^11 (x-1) - 5^17 at p = 5: one root in Q_5, 1 + z with v(z) = 6,
@@ -178,6 +183,71 @@ class TestNumberField:
             assert a.inverse().coeffs == _from_sympy(pa.invert(f), k.degree)
 
 
+class TestIrreducibility:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_certificate_matches_sympy(self, data):
+        # random polynomials of degree 2-8, and products of two random
+        # factors: a certificate is a proof, so no reducible one gets it
+        def poly(low, high):
+            lead = data.draw(small_fractions.filter(bool))
+            degree = data.draw(st.integers(low, high))
+            return [data.draw(small_fractions) for _ in range(degree)] + [lead]
+
+        if data.draw(st.booleans()):
+            f = poly(2, 8)
+        else:
+            f = list(numberfield._pmul(poly(1, 4), poly(1, 4)))
+        irreducible = _sympy_poly(f).is_irreducible
+        if numberfield._irreducibility_certificate(numberfield.clear_denominators(f)[0]):
+            assert irreducible
+        assert numberfield._is_irreducible(tuple(f)) == irreducible
+
+    @given(
+        q=st.sampled_from((3, 5, 7, 11)),
+        coeffs=st.lists(st.integers(0, 10), min_size=2, max_size=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_factor_degrees_match_sympy(self, q, coeffs):
+        h = [c % q for c in coeffs] + [1]
+        factors = sympy.Poly(h[::-1], sympy.Symbol("x"), modulus=q).factor_list()[1]
+        assume(all(k == 1 for _, k in factors))  # squarefree mod q
+        want = sorted(g.degree() for g, _ in factors)
+        assert sorted(numberfield._fp_factor_degrees(h, q)) == want
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [1] + [0] * 15 + [1]),
+        ids=("x^4+1", "x^4-10x^2+1", "x^16+1"),
+    )
+    def test_no_certificate_falls_back_to_sympy(self, coeffs):
+        # irreducible over Q but reducible modulo every prime
+        assert not numberfield._irreducibility_certificate(coeffs)
+        assert NumberField(coeffs).degree == len(coeffs) - 1
+
+    def test_bench_style_fields_need_no_sympy(self):
+        rng = random.Random(17)
+        # a cubic and a quartic drawn as the bench draws them
+        fields = [
+            ([str(c) for c in eisenstein_field(rng, p, d)], p) for p, d in ((5, 3), (7, 4))
+        ]
+        script = (
+            "import json, sys\n"
+            "import padic_mcf.cli\n"
+            "from padic_mcf.numberfield import NumberField, PAdicEmbedding\n"
+            "for coeffs, p in json.loads(sys.argv[1]):\n"
+            "    PAdicEmbedding.create(NumberField(coeffs), p, 64)\n"
+            "print('sympy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(fields)],
+            capture_output=True,
+            text=True,
+            cwd=Path(numberfield.__file__).resolve().parents[1],
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 class TestNewtonPolygon:
     def test_sqrt2_at_7(self):
         assert newton_polygon_slopes([F(-2), F(0), F(1)], 7) == [(F(0), 2)]
@@ -285,6 +355,16 @@ class TestPadicRoots:
                 x = r.rational_view()
                 mp = sum(c * x**i for i, c in enumerate(k.minpoly))
                 assert valuation(mp, p) >= n
+
+    @given(p=st.sampled_from((3, 5, 7)), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_separation_levels_are_half_the_discriminant_valuation(self, p, data):
+        lead = data.draw(st.sampled_from((1, 2, p, 3 * p, p * p)))
+        f = data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=7)) + [lead]
+        assume(any(c % p for c in f))
+        disc = int(sympy.discriminant(sympy.Poly(f[::-1], sympy.Symbol("x"))))
+        want = 0 if disc == 0 else (split_p(disc, p)[0] + 1) // 2
+        assert numberfield._separation_levels(f, p) == want
 
     def test_newton_lift_needs_hensels_condition(self):
         # f = (x - 1)(x - 1 - 5^4).  At 1 + 5^2, t = v(f) = 4 = 2d: no lift,

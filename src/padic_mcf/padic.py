@@ -285,10 +285,15 @@ def padic_divide(sigma, tau, p: int):
     The quotient q = browkin_s(sigma/tau) is the unique element of Z[1/p]
     with Euclidean absolute value below p/2 satisfying the norm bound.  A
     divisor that is zero, or that cannot be told from zero, raises
-    ZeroDivisionError.
+    ZeroDivisionError; a truncated quotient with no known digit has no
+    known digit at exponent 0 either, and raises InsufficientPrecision.
     """
     require_odd_prime(p)
-    q = browkin_s(sigma / tau, p)
+    try:
+        ratio = sigma / tau
+    except PrecisionExhausted:
+        raise InsufficientPrecision("quotient digit at exponent 0 unknown") from None
+    q = browkin_s(ratio, p)
     eta = sigma - q * tau
     return q, eta
 

@@ -315,6 +315,14 @@ class TestPadicDivide:
         with pytest.raises(ZeroDivisionError):
             padic_divide(F(1), make_zero(), 5)
 
+    @pytest.mark.parametrize("tau_val", (4, 5))
+    def test_quotient_with_no_known_digit(self, tau_val):
+        # O(5^4) / 5^4 is O(5^0) and O(5^4) / 5^5 weaker still: the
+        # Euclidean step needs the digit at exponent 0, which neither knows
+        tau = PAdicApprox.from_rational(F(5**tau_val), 5, 10)
+        with pytest.raises(InsufficientPrecision):
+            padic_divide(PAdicApprox.zero_at(5, 4), tau, 5)
+
     @given(sigma=rationals, tau=nonzero_rationals, p=prime_st)
     def test_contract(self, sigma, tau, p):
         q, eta = padic_divide(sigma, tau, p)

@@ -7,7 +7,9 @@ with Kronecker deltas.  This module provides the rolling convergent table,
 the determinant identity read off its window (the product of the step
 matrices), p-adic convergence-condition checks, weight rescaling (which
 preserves all convergents), finite evaluation through two independent
-routes, and the strong-convergence quantities
+routes (the final convergent column of the table, and backward
+substitution run on integer vectors, independently of the table, with one
+reduction at the end), and the strong-convergence quantities
 V_n^(i) = A_n^(i) - target_i * A_n^(m+1), whose columns come from the
 same table.
 """
@@ -26,8 +28,13 @@ from .errors import (
     ZeroIntermediate,
     ZeroWeight,
 )
-from .numberfield import _bareiss
+from .numberfield import _bareiss, clear_denominators
 from .padic import as_value, is_zero, require_odd_prime, valuation
+
+
+def _fraction(x) -> Fraction:
+    """x as a Fraction; a Fraction is returned as it is, not rebuilt."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class MCF:
@@ -44,7 +51,7 @@ class MCF:
     def __init__(self, m: int, rows, finite: bool = True):
         if m < 1:
             raise ValueError("dimension must be >= 1")
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(_fraction, row)) for row in rows)
         if not rows:
             raise ValueError("need at least one row of partial quotients")
         for row in rows:
@@ -128,7 +135,7 @@ class MCF:
 
 
 def format_rational(x) -> str:
-    x = Fraction(x)
+    x = _fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -161,7 +168,7 @@ class ConvergentsTable:
 
     def push(self, row) -> None:
         """Advance by one index with the partial-quotient tuple row."""
-        row = tuple(Fraction(x) for x in row)
+        row = tuple(map(_fraction, row))
         if len(row) != self.m + 1:
             raise ValueError(f"need {self.m + 1} partial quotients")
         if row[self.m] == 0:
@@ -348,20 +355,25 @@ def evaluate_finite(mcf: MCF):
 
     Computed twice: backward substitution through the defining relations
     with alpha_r^(i) = a_r^(i), and the final convergent column; the two
-    must agree exactly.
+    must agree exactly.  The backward route runs on integer vectors and
+    never touches ConvergentsTable, which multiplies the step matrices in
+    the opposite order: with row n scaled to integers c over P, it carries
+    y with alpha_n^(i) = y_i/d and y_(m+1)/d = a_n^(m+1), steps
+    y <- (c_i*y_1 + P*y_(i+1) for i = 1..m, c_(m+1)*y_1), and reduces once
+    at the end, where d = y_(m+1) because a_0^(m+1) = 1.
     """
     if not mcf.finite:
         raise ValueError("only finite MCFs have a value")
     r = mcf.last_index
     m = mcf.m
-    alphas = list(mcf.rows[r][:m])
+    y, _ = clear_denominators(mcf.rows[r])
     for n in range(r - 1, -1, -1):
-        nxt = alphas + [mcf.rows[n + 1][m]]  # alpha_{n+1}^(m+1) = a_{n+1}^(m+1)
-        lead = nxt[0]
+        lead = y[0]
         if lead == 0:
             raise ZeroIntermediate(f"alpha_{n + 1}^(1) = 0 during backward evaluation")
-        alphas = [mcf.rows[n][i] + nxt[i + 1] / lead for i in range(m)]
-    backward = tuple(alphas)
+        c, ell = clear_denominators(mcf.rows[n])
+        y = [c[i] * lead + ell * y[i + 1] for i in range(m)] + [c[m] * lead]
+    backward = tuple(Fraction(y[i], y[m]) for i in range(m))
 
     table = ConvergentsTable(m)
     for row in mcf.rows:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_mcf.errors import (
+    InternalMismatch,
     ZeroDenominatorConvergent,
     ZeroIntermediate,
     ZeroWeight,
@@ -23,6 +24,7 @@ from padic_mcf.mcf import (
     dehomogenize,
     determinant_check,
     evaluate_finite,
+    format_rational,
     reconstruct_initial,
     rescale,
     strong_convergence_sequence,
@@ -62,6 +64,42 @@ def fraction_columns(rows, m):
     return cols
 
 
+def fraction_backward(mcf):
+    """Backward substitution on Fractions, alpha_n^(i) = a_n^(i) +
+    alpha_(n+1)^(i+1)/alpha_(n+1)^(1) from alpha_r^(i) = a_r^(i): the
+    reference for the integer backward route of evaluate_finite."""
+    m, r = mcf.m, mcf.last_index
+    alphas = list(mcf.rows[r][:m])
+    for n in range(r - 1, -1, -1):
+        nxt = alphas + [mcf.rows[n + 1][m]]  # alpha_{n+1}^(m+1) = a_{n+1}^(m+1)
+        lead = nxt[0]
+        if lead == 0:
+            raise ZeroIntermediate(f"alpha_{n + 1}^(1) = 0 during backward evaluation")
+        alphas = [mcf.rows[n][i] + nxt[i + 1] / lead for i in range(m)]
+    return tuple(alphas)
+
+
+_ENTRY = st.builds(F, st.integers(-40, 40), st.integers(1, 60))
+# general rows: m = 1..4, zeros, entries outside Z[1/p], and negative or
+# non-unit a_n^(m+1) (a_0^(m+1) is set to 1 by general_rows)
+_GENERAL = dict(
+    m=st.integers(1, 4),
+    rows=st.lists(
+        st.lists(st.one_of(st.just(F(0)), _ENTRY), min_size=5, max_size=5),
+        min_size=1,
+        max_size=12,
+    ),
+    lasts=st.lists(_ENTRY.filter(bool), min_size=12, max_size=12),
+)
+
+
+def general_rows(m, rows, lasts):
+    return [
+        tuple(row[:m]) + (F(1) if n == 0 else lasts[n],)
+        for n, row in enumerate(rows)
+    ]
+
+
 class TestMCFType:
     def test_requires_unit_leading_numerator(self):
         with pytest.raises(ValueError):
@@ -75,8 +113,30 @@ class TestMCFType:
         d = Q5_PAIR.to_json_dict()
         assert MCF.from_json_dict(json.loads(json.dumps(d))) == Q5_PAIR
 
+    def test_entries_of_any_exact_type(self):
+        rows = [(F(1, 2), F(-3), F(1)), (F(4, 6), F(0), F(-5, 3))]
+        as_int_str = [(F(1, 2), -3, "1"), ("4/6", 0, "-5/3")]
+        mcf = MCF(2, as_int_str)
+        assert mcf == MCF(2, rows)
+        assert all(type(x) is F for row in mcf.rows for x in row)
 
-_ENTRY = st.builds(F, st.integers(-40, 40), st.integers(1, 60))
+    def test_fraction_entries_are_kept(self):
+        x = F(3, 7)
+        mcf = MCF(1, [(x, F(1))])
+        assert mcf.rows[0][0] is x
+
+
+class TestFormatRational:
+    def test_reduces_strings(self):
+        assert format_rational("4/6") == "2/3"
+
+    def test_integers(self):
+        assert format_rational(F(-6)) == "-6"
+        assert format_rational(-6) == "-6"
+        assert format_rational(10**30) == str(10**30)
+
+    def test_fraction(self):
+        assert format_rational(F(-10, 4)) == "-5/2"
 
 
 class TestConvergentsTable:
@@ -99,22 +159,11 @@ class TestConvergentsTable:
             q = t.try_convergents()
         assert q == (F(23, 5), F(14, 19))
 
-    @given(
-        m=st.integers(1, 4),
-        rows=st.lists(
-            st.lists(st.one_of(st.just(F(0)), _ENTRY), min_size=5, max_size=5),
-            min_size=1,
-            max_size=12,
-        ),
-        lasts=st.lists(_ENTRY.filter(bool), min_size=12, max_size=12),
-    )
+    @given(**_GENERAL)
     @settings(max_examples=60, deadline=None)
     def test_general_rows_match_fraction_recurrence(self, m, rows, lasts):
         # entries outside Z[1/p], zeros and negative a_n^(m+1) included
-        rows = [
-            tuple(row[:m]) + (F(1) if n == 0 else lasts[n],)
-            for n, row in enumerate(rows)
-        ]
+        rows = general_rows(m, rows, lasts)
         cols = fraction_columns(rows, m)
         t = ConvergentsTable(m)
         for back in range(m + 1):
@@ -130,6 +179,17 @@ class TestConvergentsTable:
             assert t.denominator() == den
             want = None if den == 0 else tuple(x / den for x in cols[now][:m])
             assert t.try_convergents() == want
+
+    def test_push_accepts_any_exact_type(self):
+        by_fraction, by_int_str = ConvergentsTable(2), ConvergentsTable(2)
+        for row, same in [
+            ((F(3, 7), F(-1), F(1)), ("3/7", -1, 1)),
+            ((F(2, 3), F(0), F(-4, 6)), (F(2, 3), "0", "-2/3")),
+        ]:
+            by_fraction.push(row)
+            by_int_str.push(same)
+            assert by_int_str._window == by_fraction._window
+            assert by_int_str.column(0) == by_fraction.column(0)
 
     def test_zero_denominator_flagged_at_query_time(self):
         t = ConvergentsTable(1)
@@ -298,6 +358,37 @@ class TestEvaluateFinite:
     def test_non_finite_rejected(self):
         mcf = MCF(1, [(F(5), F(1))], finite=False)
         with pytest.raises(ValueError):
+            evaluate_finite(mcf)
+
+    @given(**_GENERAL)
+    @settings(max_examples=200, deadline=None)
+    def test_integer_route_matches_fraction_backward(self, m, rows, lasts):
+        mcf = MCF(m, general_rows(m, rows, lasts))
+        try:
+            want = fraction_backward(mcf)
+        except ZeroIntermediate as exc:
+            with pytest.raises(ZeroIntermediate) as got:
+                evaluate_finite(mcf)
+            assert str(got.value) == str(exc)
+        else:
+            assert evaluate_finite(mcf) == want
+
+    def test_zero_intermediate_names_the_index(self):
+        # alpha_1^(1) = 3 + (-3)/1 cancels to 0
+        mcf = MCF(1, [(F(2), F(1)), (F(3), F(3)), (F(1), F(-3))])
+        with pytest.raises(ZeroIntermediate, match=r"^alpha_1\^\(1\) = 0 during"):
+            evaluate_finite(mcf)
+
+    def test_routes_are_cross_checked(self, monkeypatch):
+        mcf = MCF.unit_from_sequences([[1, F(4, 5), F(12, 5)], [0, 1, 0]])
+        real = ConvergentsTable.convergents
+
+        def perturbed(table):
+            first, *rest = real(table)
+            return (first + 1, *rest)
+
+        monkeypatch.setattr(ConvergentsTable, "convergents", perturbed)
+        with pytest.raises(InternalMismatch):
             evaluate_finite(mcf)
 
 

@@ -135,9 +135,6 @@ class TestFormatRational:
         assert format_rational(-6) == "-6"
         assert format_rational(10**30) == str(10**30)
 
-    def test_fraction(self):
-        assert format_rational(F(-10, 4)) == "-5/2"
-
 
 class TestConvergentsTable:
     def test_kronecker_seeds(self):

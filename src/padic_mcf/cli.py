@@ -230,17 +230,15 @@ def cmd_euclid(args, out) -> int:
         raise UsageError(f"-m {args.dim} does not match {len(values)} coordinates")
     if args.backend == "approx":
         values = [to_approx(x, args.prime, args.precision) for x in values]
-    result, trace = euclid_expand(values, args.prime, max_steps=args.max_steps)
+    result, _ = euclid_expand(values, args.prime, max_steps=args.max_steps)
+    vals = [format_valuation(v) for v in result.trace_valuations]
     if args.fmt == "json":
         d = result.to_json_dict()
-        d["trace_valuations"] = [
-            format_valuation(valuation(t[-1], args.prime)) for t in trace
-        ]
+        d["trace_valuations"] = vals
         print(_dump_json(d), file=out)
     else:
         _print_expansion(result, args, out)
-        vals = ", ".join(format_valuation(valuation(t[-1], args.prime)) for t in trace)
-        print(f"trace v(x^(m+1)): {vals}", file=out)
+        print(f"trace v(x^(m+1)): {', '.join(vals)}", file=out)
     return 0 if result.is_finite else 2
 
 

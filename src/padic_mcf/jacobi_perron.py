@@ -25,13 +25,16 @@ with p-power scaling (`_IntegerEuclid`) instead of on Fractions.  An exact
 tuple with a number-field element runs projectively on integer
 coefficient vectors, reading digits from their residues modulo a power of
 p (`_ProjectiveEuclid`); it confirms a period by exact equality in the
-field.  Truncated inputs run the jp_step loop and `_value_euclid`.
+field.  Both kernels read each step's digits off unit residues through
+`padic.residue_digit`, with one modular inverse per step, and report the
+valuation of their last coordinate for the trace of `euclid_expand`.
+Truncated inputs run the jp_step loop and `_value_euclid`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InsufficientPrecision, VerificationFailed
@@ -46,7 +49,9 @@ from .padic import (
     is_zero,
     padic_divide,
     require_odd_prime,
+    residue_digit,
     split_p,
+    valuation,
 )
 
 DEFAULT_MAX_STEPS = 10_000
@@ -81,7 +86,8 @@ class ExpansionResult:
     the stored MCF holds the preperiod plus one full period, witness gives
     the two step indices whose complete-quotient tuples coincided, and
     witness_state is the repeated state itself.  period_candidate is
-    advisory only (truncated backends).
+    advisory only (truncated backends).  trace_valuations (euclid_expand
+    only, not in the JSON form) are those of the last coordinates of its trace.
     """
 
     mcf: MCF
@@ -92,6 +98,7 @@ class ExpansionResult:
     witness: tuple | None = None
     witness_state: JPState | None = None
     period_candidate: tuple | None = None
+    trace_valuations: tuple | None = None
 
     @property
     def is_finite(self) -> bool:
@@ -177,11 +184,12 @@ def _exact_run(xs, p: int):
     return None if lift is None else _ProjectiveEuclid(lift, p)
 
 
-def _exact_expand(run, max_steps: int, detect_period: bool = False, trace=None):
+def _exact_expand(run, max_steps: int, detect_period=False, trace=None, vals=None):
     """The expansion computed by an exact kernel, up to max_steps rows.
 
     With a trace list, each next tuple is appended to it and, as in
-    _value_euclid, starts with the previous tuple's last entry itself.
+    _value_euclid, starts with the previous tuple's last entry itself, and
+    the kernel's valuation of that last entry goes to vals.
     Equal complete quotients give equal fingerprints, so each tuple is
     compared exactly only with the earlier tuples that share its
     fingerprint; a kernel whose runs always terminate has none."""
@@ -213,6 +221,7 @@ def _exact_expand(run, max_steps: int, detect_period: bool = False, trace=None):
         rows.append(run.step() + (Fraction(1),))
         if trace is not None:
             trace.append((trace[-1][-1],) + run.rest())
+            vals.append(run.valuation)
         if run.finished:
             return ExpansionResult(MCF(run.m, rows, finite=True), "finite", n + 1)
 
@@ -238,8 +247,9 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
     the last coordinate vanishes.  Returns the expansion result plus the
     full trace of tuples; the produced MCF is identical to jp_expand on the
     coordinate ratios.  An exact tuple runs on the kernel and loop of
-    jp_expand, and its trace holds the same Fractions or field elements as
-    that of _value_euclid, which runs truncated tuples.
+    jp_expand, which also gives the valuations of the trace's last
+    coordinates, and its trace holds the same Fractions or field elements
+    as that of _value_euclid, which runs truncated tuples.
     """
     require_odd_prime(p)
     if max_steps < 1:
@@ -252,7 +262,9 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
     trace = [xs]
     run = _exact_run(xs, p)
     if run is not None:
-        return _exact_expand(run, max_steps, trace=trace), trace
+        vals = [run.valuation]
+        result = _exact_expand(run, max_steps, trace=trace, vals=vals)
+        return replace(result, trace_valuations=tuple(vals)), trace
     rows = []
     for quotients, nxt in _value_euclid(xs, p):
         rows.append(quotients + (Fraction(1),))
@@ -261,7 +273,9 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
             break
     finite = is_zero(trace[-1][-1])
     status = "finite" if finite else "truncated"
-    return ExpansionResult(MCF(len(xs) - 1, rows, finite), status, len(rows)), trace
+    vals = tuple(valuation(t[-1], p) for t in trace)
+    mcf = MCF(len(xs) - 1, rows, finite)
+    return ExpansionResult(mcf, status, len(rows), trace_valuations=vals), trace
 
 
 def _value_euclid(xs, p: int):
@@ -278,19 +292,22 @@ def _value_euclid(xs, p: int):
             return
 
 
-def _digit(part, w: int, u: int, p: int) -> Fraction:
-    """The Browkin digit of u_i * p**v_i / (u * p**w), for part = (v_i, u_i)
-    and u prime to p; None is an exact zero.
+def _digits(parts, w: int, u: int, p: int) -> tuple:
+    """The Browkin digit of u_i * p**v_i / (u * p**w) for each part
+    (v_i, u_i), with u and every u_i prime to p; None is an exact zero.
 
     With k = 1 + w - v_i >= 1 the digit is R / p**(k-1), R the symmetric
-    residue of u_i / u mod p**k; for k < 1 it is 0.  It depends only on
-    u_i and u mod p**k, so browkin_s, the one implementation of the digit
-    map, is applied to those residues.
+    residue of u_i / u mod p**k, which padic.residue_digit, the one digit
+    map, reads off u_i * u**-1; for k < 1 it is 0.  u is inverted once,
+    mod p**K for the largest k, which fixes u**-1 mod every p**k.
     """
-    if part is None or part[0] > w:
-        return Fraction(0)
-    mod = p ** (1 + w - part[0])  # p**k
-    return browkin_s(Fraction(part[1] % mod, u % mod * (mod // p)), p)
+    low = min((part[0] for part in parts if part is not None), default=w + 1)
+    inv = inverse_mod_pk(u, p, 1 + w - low) if low <= w else 0
+    return tuple(
+        Fraction(0) if part is None or part[0] > w
+        else residue_digit(part[1] * inv, p, 1 + w - part[0])
+        for part in parts
+    )
 
 
 class _IntegerEuclid:
@@ -303,22 +320,29 @@ class _IntegerEuclid:
     value of a part being u * p**(v + e) / scale; None is an exact zero.
 
     With x^(m+1) = u * p**w, a coordinate x^(i) = u_i * p**v_i has the
-    digit a^(i) = _digit((v_i, u_i), w, u, p), R / p**(k-1) when
-    k = 1 + w - v_i >= 1.  Divided by p**w, the next tuple is integral: its
-    first entry is u and (x^(i) - a^(i) x^(m+1)) / p**w =
-    (u_i - R u) / p**(k-1), which p divides.  The part prime to p of every
-    coordinate is carried through exact integer steps, so no gcd is taken
-    on it.
+    digit a^(i) = R / p**(k-1) of _digits when k = 1 + w - v_i >= 1.
+    Divided by p**w, the next tuple is integral: its first entry is u and
+    (x^(i) - a^(i) x^(m+1)) / p**w = (u_i - R u) / p**(k-1), which p
+    divides.  The part prime to p of every coordinate is carried through
+    exact integer steps, so no gcd is taken on it, and the valuation of
+    the last coordinate is v + e - v_p(scale), with v_p(scale) split once.
     """
 
     def __init__(self, xs, p: int):
         *ints, self.scale = lift_to_integer_tuple(xs)
         self.p, self.m, self.e = p, len(ints) - 1, 0
+        self.scale_v = split_p(self.scale, p)[0]
         self.parts = [split_p(x, p) if x else None for x in ints]
 
     @property
     def finished(self) -> bool:
         return self.parts[-1] is None
+
+    @property
+    def valuation(self):
+        """The valuation of the current last coordinate; +inf once finished."""
+        last = self.parts[-1]
+        return math.inf if last is None else last[0] + self.e - self.scale_v
 
     def fingerprint(self) -> None:
         """None: a rational run always terminates."""
@@ -327,12 +351,10 @@ class _IntegerEuclid:
     def step(self) -> tuple:
         """The quotients of the current tuple; moves on to the next tuple."""
         p = self.p
-        w, u = self.parts[-1]
-        quotients = []
+        *parts, (w, u) = self.parts
+        quotients = _digits(parts, w, u, p)
         nxt = [(0, u)]
-        for part in self.parts[:-1]:
-            a = _digit(part, w, u, p)
-            quotients.append(a)
+        for part, a in zip(parts, quotients):
             if not a:
                 nxt.append(None if part is None else (part[0] - w, part[1]))
                 continue
@@ -340,7 +362,7 @@ class _IntegerEuclid:
             nxt.append(split_p(y, p) if y else None)
         self.parts = nxt
         self.e += w
-        return tuple(quotients)
+        return quotients
 
     def rest(self) -> tuple:
         """The current tuple after its first entry, as Fractions."""
@@ -367,7 +389,7 @@ class _ProjectiveEuclid:
     being the vectors times `scale`, and as residues E_i, known modulo
     p**precision, with p**offset * E_i = c * emb(x^(i)) for one p-adic c
     common to every coordinate.  E_i / E_(m+1) is the embedded ratio
-    x^(i) / x^(m+1), so each digit is read off the residues by _digit, as
+    x^(i) / x^(m+1), so the digits are read off the residues by _digits, as
     in _IntegerEuclid.
 
     With a^(i) = R_i / p**(k_i-1), P = p**s and s = max(k_i-1), a step maps
@@ -395,6 +417,10 @@ class _ProjectiveEuclid:
     @property
     def finished(self) -> bool:
         return not any(self.vectors[-1])
+
+    @property
+    def valuation(self):  # of the last coordinate, read in the field
+        return valuation(self.lift.values(self.vectors[-1:], self.scale)[0], self.p)
 
     def _read(self, keyed: bool):
         """(w, u, parts) with E_(m+1) = u * p**w and parts[i] = (v_i, u_i),
@@ -446,7 +472,7 @@ class _ProjectiveEuclid:
         w, u, parts = self._read_state or self._read(keyed=False)
         self._read_state = None
         p = self.p
-        quotients = tuple(_digit(part, w, u, p) for part in parts)
+        quotients = _digits(parts, w, u, p)
         big = max(a.denominator for a in quotients)  # P
         coefs = [a.numerator * (big // a.denominator) for a in quotients]  # P * a^(i)
         *xs, last = self.vectors

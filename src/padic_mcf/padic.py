@@ -243,6 +243,16 @@ def in_browkin_range(x, p: int) -> bool:
     return d == 1 and 2 * abs(x) < p
 
 
+def residue_digit(r: int, p: int, k: int) -> Fraction:
+    """The Browkin digit of u / p**(k-1), k >= 1, for a unit u = r mod p**k:
+    R / p**(k-1), R the residue of r mod p**k in (-p**k/2, p**k/2), whose
+    values for odd p are those of k balanced digits.  It is the package's
+    one digit map."""
+    mod = _power(p, k)
+    r %= mod
+    return Fraction(r - mod if r > mod // 2 else r, mod // p)
+
+
 def browkin_s(x, p: int) -> Fraction:
     """Browkin digit truncation: the sum of balanced digits at exponents <= 0.
 
@@ -261,11 +271,7 @@ def browkin_s(x, p: int) -> Fraction:
         k = 1 - vn + vd  # the number of digits at exponents v .. 0
         if k < 1:
             return Fraction(0)
-        # For odd p, the residues of the unit mod p**k in (-p**k/2, p**k/2)
-        # are exactly the values of k balanced digits.
-        mod = _power(p, k)
-        r = un % mod * inverse_mod_pk(ud, p, k) % mod
-        return Fraction(r - mod if 2 * r > mod else r, mod // p)
+        return residue_digit(un % _power(p, k) * inverse_mod_pk(ud, p, k), p, k)
     if not isinstance(x, PAdicApprox):
         if x.is_zero():
             return Fraction(0)

@@ -322,6 +322,22 @@ class TestEuclid:
         assert code == 0
         assert json.loads(out)["trace_valuations"] == ["1", "2", "3", "4", "+inf"]
 
+    @pytest.mark.parametrize(
+        "backend, valuations",
+        [((), ["1", "2", "3"]), (("--backend", "approx", "--precision", "40"), ["1", "2", "3", "4"])],
+    )
+    def test_truncated_trace_valuations(self, backend, valuations):
+        steps = str(len(valuations) - 1)
+        argv = ("euclid", "-p", "5", "--max-steps", steps, *backend, "437", "70", "95")
+        code, out = run_cli(*argv)
+        assert code == 2
+        assert "status: truncated" in out
+        assert f"trace v(x^(m+1)): {', '.join(valuations)}\n" in out
+        code, out = run_cli(*argv, "--format", "json")
+        d = json.loads(out)
+        assert (code, d["status"], d["steps"]) == (2, "truncated", len(valuations) - 1)
+        assert d["trace_valuations"] == valuations
+
     def test_truncated_run_cannot_see_the_final_zero(self, capsys):
         code, out = run_cli(
             "euclid", "-p", "5", "--backend", "approx", "--precision", "20",

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import eisenstein_field
 from test_mcf import fraction_columns
@@ -14,6 +14,7 @@ from padic_mcf import jacobi_perron
 from padic_mcf.errors import FieldMismatch, InsufficientPrecision
 from padic_mcf.jacobi_perron import (
     JPState,
+    _digits,
     _quotient_period_candidate,
     _value_euclid,
     euclid_expand,
@@ -38,8 +39,13 @@ from padic_mcf.numberfield import (
     PAdicEmbedding,
 )
 from padic_mcf.padic import (
+    PLUS_INFINITY,
     PAdicApprox,
     balanced_digit_expansion,
+    browkin_s,
+    in_browkin_range,
+    inverse_mod_pk,
+    residue_digit,
     to_approx,
     valuation,
 )
@@ -368,6 +374,111 @@ class TestIntegerKernel:
         assert eu.is_finite and eu.steps == len(trace) - 1
 
 
+ODD_PRIMES = (3, 5, 7, 11, 13, 257, 65537, 2**31 - 1, 10**9 + 7, 2**61 - 1)
+big_units = st.integers(-(2**4000), 2**4000)
+
+
+def as_unit(a, p):
+    return a if a % p else a + 1
+
+
+def fraction_digit(ui, u, p, k):
+    """The digit of u_i / (u * p**(k-1)) as the kernels read it before they
+    read residues: browkin_s of a Fraction of u_i and u mod p**k."""
+    mod = p**k
+    return browkin_s(F(ui % mod, u % mod * (mod // p)), p)
+
+
+class TestDigitMap:
+    """padic.residue_digit, and the one inverse per step of _digits, against
+    browkin_s of a Fraction and the balanced digit expansion."""
+
+    @given(p=st.sampled_from(ODD_PRIMES), k=st.integers(1, 40), ui=big_units, u=big_units)
+    @example(p=3, k=1, ui=1, u=1)  # R = (p**k - 1) / 2, the top of the range
+    @example(p=5, k=3, ui=-62, u=1)  # R = -(p**k - 1) / 2, the bottom
+    @settings(max_examples=150, deadline=None)
+    def test_residue_digit(self, p, k, ui, u):
+        ui, u = as_unit(ui, p), as_unit(u, p)
+        a = residue_digit(ui * inverse_mod_pk(u, p, k), p, k)
+        x = F(ui, u * p ** (k - 1))
+        assert a == fraction_digit(ui, u, p, k) == oracle_digit(x, p)
+        # the two properties that fix the digit: range, and a = x mod p
+        assert in_browkin_range(a, p) and valuation(x - a, p) >= 1
+
+    @given(
+        p=st.sampled_from(ODD_PRIMES),
+        w=st.integers(0, 39),
+        vs=st.lists(st.one_of(st.none(), st.integers(0, 45)), min_size=1, max_size=5),
+        units=st.lists(big_units, min_size=6, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_inverse_per_step(self, p, w, vs, units):
+        u, *uis = (as_unit(a, p) for a in units)
+        parts = [None if v is None else (v, ui) for v, ui in zip(vs, uis)]
+        digits = _digits(parts, w, u, p)
+        assert len(digits) == len(parts)
+        for part, a in zip(parts, digits):
+            if part is None or part[0] > w:
+                assert a == 0
+                continue
+            k = 1 + w - part[0]  # the inverse mod p**k, taken afresh
+            fresh = residue_digit(part[1] * inverse_mod_pk(u, p, k), p, k)
+            assert a == fresh == fraction_digit(part[1], u, p, k)
+
+
+def last_valuations(trace, p):
+    return tuple(valuation(t[-1], p) for t in trace)
+
+
+class TestTraceValuations:
+    """euclid_expand reports the valuation of the last coordinate of each
+    tuple of its trace, read off the kernel on exact tuples."""
+
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        m=st.integers(1, 4),
+        nums=st.lists(st.one_of(st.just(0), bits_300), min_size=5, max_size=5),
+        dens=st.lists(bits_300.filter(bool), min_size=5, max_size=5),
+        shifts=st.lists(st.integers(-30, 30), min_size=5, max_size=5),
+        max_steps=st.one_of(st.none(), st.integers(1, 40)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rational(self, p, m, nums, dens, shifts, max_steps):
+        xs = tuple(F(n, d) * F(p) ** k for n, d, k in zip(nums, dens, shifts))[: m + 1]
+        if xs[-1] == 0:
+            xs = xs[:-1] + (F(-1, 2 * p),)
+        res, trace = euclid_expand(xs, p, max_steps=max_steps or 10_000)
+        assert trace == fraction_euclid_trace(xs, p)[: res.steps + 1]
+        assert res.trace_valuations == last_valuations(trace, p)
+        assert (res.trace_valuations[-1] == PLUS_INFINITY) == res.is_finite
+
+    @given(
+        rs=st.lists(st.fractions(max_denominator=10**6), min_size=2, max_size=2),
+        m=st.integers(1, 2),
+        precision=st.integers(150, 300),
+        max_steps=st.integers(1, 10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_truncated(self, emb_cuberoot2, rs, m, precision, max_steps):
+        # Q-linearly independent, so the run never ends in an exact zero
+        theta = emb_cuberoot2(emb_cuberoot2.field.generator())
+        exact = (theta * theta + rs[1], theta + rs[0], F(1))[-(m + 1):]
+        xs = tuple(to_approx(x, 5, precision) for x in exact)
+        res, trace = euclid_expand(xs, 5, max_steps=max_steps)
+        assert (res.status, res.steps) == ("truncated", max_steps)
+        assert res.trace_valuations == last_valuations(trace, 5)
+
+    def test_jp_expand_has_none(self, emb_cuberoot2):
+        theta = emb_cuberoot2(emb_cuberoot2.field.generator())
+        for inputs in [(F(23, 5), F(14, 19)), (theta, theta * theta)]:
+            res = jp_expand(inputs, 5, max_steps=20)
+            assert res.trace_valuations is None
+            assert "trace_valuations" not in res.to_json_dict()
+        eu, _ = euclid_expand((437, 70, 95), 5)
+        assert eu.trace_valuations == (1, 2, 3, 4, PLUS_INFINITY)
+        assert "trace_valuations" not in eu.to_json_dict()
+
+
 class TestTerminationDependence:
     def test_rational_inputs(self):
         for inputs in ((F(31, 26), F(21, 26)), (F(23, 5), F(14, 19))):
@@ -581,6 +692,7 @@ class TestProjectiveKernel:
             if len(reference) > eu.steps:
                 break
         assert trace == reference
+        assert eu.trace_valuations == last_valuations(trace, p)
         assert eu.mcf.rows[: res.steps] == res.mcf.rows[: eu.steps]
 
     @pytest.mark.parametrize("detect_period", [False, True])

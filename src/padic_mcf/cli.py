@@ -230,7 +230,7 @@ def cmd_euclid(args, out) -> int:
         raise UsageError(f"-m {args.dim} does not match {len(values)} coordinates")
     if args.backend == "approx":
         values = [to_approx(x, args.prime, args.precision) for x in values]
-    result, _ = euclid_expand(values, args.prime, max_steps=args.max_steps)
+    result = euclid_expand(values, args.prime, max_steps=args.max_steps)
     vals = [format_valuation(v) for v in result.trace_valuations]
     if args.fmt == "json":
         d = result.to_json_dict()

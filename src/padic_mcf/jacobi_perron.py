@@ -27,7 +27,7 @@ coefficient vectors, reading digits from their residues modulo a power of
 p (`_ProjectiveEuclid`); it confirms a period by exact equality in the
 field.  Both kernels read each step's digits off unit residues through
 `padic.residue_digit`, with one modular inverse per step, and report the
-valuation of their last coordinate for the trace of `euclid_expand`.
+valuation of their last coordinate, which `euclid_expand` returns per step.
 Truncated inputs run the jp_step loop and `_value_euclid`.
 """
 
@@ -87,7 +87,7 @@ class ExpansionResult:
     the two step indices whose complete-quotient tuples coincided, and
     witness_state is the repeated state itself.  period_candidate is
     advisory only (truncated backends).  trace_valuations (euclid_expand
-    only, not in the JSON form) are those of the last coordinates of its trace.
+    only, not in the JSON form) holds v_p(x_n^(m+1)) for n = 0..steps.
     """
 
     mcf: MCF
@@ -184,15 +184,14 @@ def _exact_run(xs, p: int):
     return None if lift is None else _ProjectiveEuclid(lift, p)
 
 
-def _exact_expand(run, max_steps: int, detect_period=False, trace=None, vals=None):
+def _exact_expand(run, max_steps: int, detect_period=False, vals=None):
     """The expansion computed by an exact kernel, up to max_steps rows.
 
-    With a trace list, each next tuple is appended to it and, as in
-    _value_euclid, starts with the previous tuple's last entry itself, and
-    the kernel's valuation of that last entry goes to vals.
-    Equal complete quotients give equal fingerprints, so each tuple is
-    compared exactly only with the earlier tuples that share its
-    fingerprint; a kernel whose runs always terminate has none."""
+    With a vals list, the kernel's valuation of the last coordinate of each
+    next tuple is appended to it.  Equal complete quotients give equal
+    fingerprints, so each tuple is compared exactly only with the earlier
+    tuples that share its fingerprint; a kernel whose runs always
+    terminate has none."""
     seen = {} if detect_period else None  # fingerprint -> [(n, vectors)]
     rows = []
     while True:
@@ -219,8 +218,7 @@ def _exact_expand(run, max_steps: int, detect_period=False, trace=None, vals=Non
         if n >= max_steps:
             return ExpansionResult(MCF(run.m, rows, finite=False), "truncated", n)
         rows.append(run.step() + (Fraction(1),))
-        if trace is not None:
-            trace.append((trace[-1][-1],) + run.rest())
+        if vals is not None:
             vals.append(run.valuation)
         if run.finished:
             return ExpansionResult(MCF(run.m, rows, finite=True), "finite", n + 1)
@@ -244,12 +242,13 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
 
     Iterates x_{n+1}^(1) = x_n^(m+1), x_{n+1}^(i) = x_n^(i-1) -
     a_n^(i-1) x_n^(m+1) with a_n^(i) = s(x_n^(i) / x_n^(m+1)), stopping when
-    the last coordinate vanishes.  Returns the expansion result plus the
-    full trace of tuples; the produced MCF is identical to jp_expand on the
-    coordinate ratios.  An exact tuple runs on the kernel and loop of
-    jp_expand, which also gives the valuations of the trace's last
-    coordinates, and its trace holds the same Fractions or field elements
-    as that of _value_euclid, which runs truncated tuples.
+    the last coordinate vanishes.  Returns the expansion result, whose MCF
+    is identical to jp_expand on the coordinate ratios and whose
+    trace_valuations are v_p(x_n^(m+1)) for n = 0..steps.  The tuples
+    x_n themselves follow from the inputs and the rows by the recurrence
+    above.  An exact tuple runs on the kernel and loop of jp_expand, which
+    reads the valuations off the kernel; a truncated tuple runs
+    _value_euclid.
     """
     require_odd_prime(p)
     if max_steps < 1:
@@ -259,23 +258,22 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
         raise ValueError("need an (m+1)-tuple with m >= 1")
     if is_zero(xs[-1]):
         raise ZeroDivisionError("last coordinate must be nonzero")
-    trace = [xs]
     run = _exact_run(xs, p)
     if run is not None:
         vals = [run.valuation]
-        result = _exact_expand(run, max_steps, trace=trace, vals=vals)
-        return replace(result, trace_valuations=tuple(vals)), trace
-    rows = []
+        result = _exact_expand(run, max_steps, vals=vals)
+        return replace(result, trace_valuations=tuple(vals))
+    rows, lasts = [], [xs[-1]]
     for quotients, nxt in _value_euclid(xs, p):
         rows.append(quotients + (Fraction(1),))
-        trace.append(nxt)
+        lasts.append(nxt[-1])
         if is_zero(nxt[-1]) or len(rows) >= max_steps:
             break
-    finite = is_zero(trace[-1][-1])
+    finite = is_zero(lasts[-1])
     status = "finite" if finite else "truncated"
-    vals = tuple(valuation(t[-1], p) for t in trace)
+    vals = tuple(valuation(x, p) for x in lasts)
     mcf = MCF(len(xs) - 1, rows, finite)
-    return ExpansionResult(mcf, status, len(rows), trace_valuations=vals), trace
+    return ExpansionResult(mcf, status, len(rows), trace_valuations=vals)
 
 
 def _value_euclid(xs, p: int):
@@ -314,8 +312,8 @@ class _IntegerEuclid:
     """The Euclidean form on a tuple of Fractions, run on integers without
     fractions.
 
-    The tuple, scaled to integers x^(i) over `scale` by
-    lift_to_integer_tuple, has a nonzero last entry.  It is kept as an
+    The tuple, scaled to integers x^(i) over a common denominator `scale`
+    by lift_to_integer_tuple, has a nonzero last entry.  It is kept as an
     exponent e >= 0 and parts (v, u) with v >= 0 and u prime to p, the
     value of a part being u * p**(v + e) / scale; None is an exact zero.
 
@@ -329,9 +327,9 @@ class _IntegerEuclid:
     """
 
     def __init__(self, xs, p: int):
-        *ints, self.scale = lift_to_integer_tuple(xs)
+        *ints, scale = lift_to_integer_tuple(xs)
         self.p, self.m, self.e = p, len(ints) - 1, 0
-        self.scale_v = split_p(self.scale, p)[0]
+        self.scale_v = split_p(scale, p)[0]
         self.parts = [split_p(x, p) if x else None for x in ints]
 
     @property
@@ -363,16 +361,6 @@ class _IntegerEuclid:
         self.parts = nxt
         self.e += w
         return quotients
-
-    def rest(self) -> tuple:
-        """The current tuple after its first entry, as Fractions."""
-        p, e = self.p, self.e
-        return tuple(
-            Fraction(0)
-            if part is None
-            else Fraction(part[1] * p ** (part[0] + e), self.scale)
-            for part in self.parts[1:]
-        )
 
 
 #: Digits of the unit of each ratio x^(i) / x^(m+1) that a period
@@ -494,10 +482,6 @@ class _ProjectiveEuclid:
         self.offset += drop
         self.scale *= Fraction(g, big)
         return quotients
-
-    def rest(self) -> tuple:
-        """The current tuple after its first entry, as field elements."""
-        return self.lift.values(self.vectors[1:], self.scale)
 
 
 def lift_to_integer_tuple(ratios):

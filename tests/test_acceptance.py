@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction as F
 
+from conftest import euclid_tuples
+
 from padic_mcf.jacobi_perron import (
     euclid_expand,
     jp_expand,
@@ -194,8 +196,12 @@ def test_c05_termination_suite():
         inputs = random_tuple(rng, m)
         res = jp_expand(inputs, p, max_steps=10_000)
         assert res.is_finite, (p, inputs)
-        _, trace = euclid_expand(lift_to_integer_tuple(inputs), p, max_steps=10_000)
-        vals = [valuation(t[-1], p) for t in trace[:-1]]
+        xs = lift_to_integer_tuple(inputs)
+        eu = euclid_expand(xs, p, max_steps=10_000)
+        # the tuples rebuilt in Fractions from the inputs and the rows alone
+        trace = euclid_tuples(map(F, xs), eu.mcf.rows)
+        vals = tuple(valuation(t[-1], p) for t in trace)
+        assert vals == eu.trace_valuations and vals[-1] == PLUS_INFINITY, (p, inputs)
         assert all(b > a for a, b in zip(vals, vals[1:])), (p, inputs)
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"termination suite took {elapsed:.1f}s"
@@ -253,7 +259,7 @@ def test_c08_equivalence():
         m = rng.choice((2, 3))
         ratios = random_tuple(rng, m, bound=10**4)
         jp = jp_expand(ratios, p)
-        eu, _ = euclid_expand(lift_to_integer_tuple(ratios), p)
+        eu = euclid_expand(lift_to_integer_tuple(ratios), p)
         assert eu.mcf.rows == jp.mcf.rows, (p, ratios)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import eisenstein_field
+from conftest import eisenstein_field, euclid_tuples
 from test_mcf import fraction_columns
 
 from padic_mcf import jacobi_perron
@@ -188,8 +188,8 @@ class TestJPExpand:
         assert res.status == "truncated" and res.steps == 2
         # the same 4-step run through both entry points, cut at every length
         for max_steps in range(1, 6):
-            eu, trace = euclid_expand((437, 70, 95), 5, max_steps=max_steps)
-            assert len(trace) == eu.steps + 1
+            eu = euclid_expand((437, 70, 95), 5, max_steps=max_steps)
+            assert len(eu.trace_valuations) == eu.steps + 1
             for res in (jp_expand((F(23, 5), F(14, 19)), 5, max_steps=max_steps), eu):
                 finite = max_steps >= 4
                 assert res.status == ("finite" if finite else "truncated")
@@ -254,13 +254,13 @@ class TestEuclid:
 
     def test_equivalence_on_lifted_tuple(self):
         jp = jp_expand((F(23, 5), F(14, 19)), 5)
-        eu, trace = euclid_expand((437, 70, 95), 5)
+        eu = euclid_expand((437, 70, 95), 5)
         assert eu.mcf.rows == jp.mcf.rows
         assert eu.is_finite
-        assert trace[-1][-1] == 0
+        assert eu.trace_valuations[-1] == PLUS_INFINITY
 
     def test_one_dimensional_case(self):
-        eu, _ = euclid_expand((F(23, 5), 1), 5)
+        eu = euclid_expand((F(23, 5), 1), 5)
         jp = jp_expand((F(23, 5),), 5)
         assert eu.mcf.rows == jp.mcf.rows
 
@@ -270,9 +270,11 @@ class TestEuclid:
             p = rng.choice((3, 5, 7, 11))
             m = rng.choice((1, 2, 3))
             xs = lift_to_integer_tuple(random_inputs(rng, m, bound=10**4))
-            res, trace = euclid_expand(xs, p)
+            res = euclid_expand(xs, p)
             assert res.is_finite
-            vals = [valuation(t[-1], p) for t in trace[:-1]]
+            trace = euclid_tuples(map(F, xs), res.mcf.rows)
+            vals = last_valuations(trace, p)
+            assert vals == res.trace_valuations and vals[-1] == PLUS_INFINITY
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_zero_last_coordinate_rejected(self):
@@ -287,7 +289,7 @@ class TestEuclid:
             ratios = random_inputs(rng, m, bound=10**4)
             xs = lift_to_integer_tuple(ratios)
             jp = jp_expand(ratios, p)
-            eu, _ = euclid_expand(xs, p)
+            eu = euclid_expand(xs, p)
             assert eu.mcf.rows == jp.mcf.rows
 
 
@@ -322,15 +324,30 @@ def fraction_route(inputs, p):
 
 
 def fraction_euclid_trace(xs, p):
-    """The Euclidean form on Fractions with oracle digits, every tuple
-    through the terminal zero."""
-    trace = [xs]
+    """The Euclidean form on Fractions with oracle digits: every tuple
+    through the terminal zero, and the digit rows it emits."""
+    trace, rows = [xs], []
     while xs[-1] != 0:
         last = xs[-1]
         digits = [oracle_digit(x / last, p) for x in xs[:-1]]
+        rows.append((*digits, F(1)))
         xs = (last,) + tuple(x - a * last for x, a in zip(xs, digits))
         trace.append(xs)
-    return trace
+    return trace, tuple(rows)
+
+
+def last_valuations(trace, p):
+    return tuple(valuation(t[-1], p) for t in trace)
+
+
+def value_euclid_reference(xs, p, steps):
+    """The first `steps` rows of _value_euclid on xs, and the valuations
+    of the last coordinates of xs and of the tuples after those rows."""
+    rows, trace = [], [xs]
+    for quotients, nxt in itertools.islice(_value_euclid(xs, p), steps):
+        rows.append(quotients + (F(1),))
+        trace.append(nxt)
+    return tuple(rows), last_valuations(trace, p)
 
 
 bits_300 = st.integers(-(2**300), 2**300)
@@ -364,13 +381,17 @@ class TestIntegerKernel:
         ]
 
         lifted = lift_to_integer_tuple(inputs)
-        eu, trace = euclid_expand(lifted, p)
+        eu = euclid_expand(lifted, p)
         assert eu.mcf.rows == res.mcf.rows
-        assert trace == fraction_euclid_trace(tuple(map(F, lifted)), p)
+        trace, oracle_rows = fraction_euclid_trace(tuple(map(F, lifted)), p)
+        assert eu.mcf.rows == oracle_rows
+        assert eu.trace_valuations == last_valuations(trace, p)
         # coordinates outside Z: the kernel runs on the tuple scaled to Z
         fractional = inputs + (F(-1, 2 * p),)
-        eu, trace = euclid_expand(fractional, p)
-        assert trace == fraction_euclid_trace(fractional, p)
+        eu = euclid_expand(fractional, p)
+        trace, oracle_rows = fraction_euclid_trace(fractional, p)
+        assert eu.mcf.rows == oracle_rows
+        assert eu.trace_valuations == last_valuations(trace, p)
         assert eu.is_finite and eu.steps == len(trace) - 1
 
 
@@ -426,8 +447,12 @@ class TestDigitMap:
             assert a == fresh == fraction_digit(part[1], u, p, k)
 
 
-def last_valuations(trace, p):
-    return tuple(valuation(t[-1], p) for t in trace)
+def assert_scaling_shifts_valuations(xs, c, p, max_steps):
+    res = euclid_expand(xs, p, max_steps=max_steps)
+    scaled = euclid_expand(tuple(c * x for x in xs), p, max_steps=max_steps)
+    assert (scaled.mcf.rows, scaled.status) == (res.mcf.rows, res.status)
+    shift = valuation(c, p)  # +inf, the valuation of 0, stays +inf
+    assert scaled.trace_valuations == tuple(v + shift for v in res.trace_valuations)
 
 
 class TestTraceValuations:
@@ -447,9 +472,11 @@ class TestTraceValuations:
         xs = tuple(F(n, d) * F(p) ** k for n, d, k in zip(nums, dens, shifts))[: m + 1]
         if xs[-1] == 0:
             xs = xs[:-1] + (F(-1, 2 * p),)
-        res, trace = euclid_expand(xs, p, max_steps=max_steps or 10_000)
-        assert trace == fraction_euclid_trace(xs, p)[: res.steps + 1]
-        assert res.trace_valuations == last_valuations(trace, p)
+        res = euclid_expand(xs, p, max_steps=max_steps or 10_000)
+        trace, rows = fraction_euclid_trace(xs, p)
+        assert res.steps == min(len(rows), max_steps or 10_000)
+        assert res.mcf.rows == rows[: res.steps]
+        assert res.trace_valuations == last_valuations(trace[: res.steps + 1], p)
         assert (res.trace_valuations[-1] == PLUS_INFINITY) == res.is_finite
 
     @given(
@@ -464,9 +491,36 @@ class TestTraceValuations:
         theta = emb_cuberoot2(emb_cuberoot2.field.generator())
         exact = (theta * theta + rs[1], theta + rs[0], F(1))[-(m + 1):]
         xs = tuple(to_approx(x, 5, precision) for x in exact)
-        res, trace = euclid_expand(xs, 5, max_steps=max_steps)
+        res = euclid_expand(xs, 5, max_steps=max_steps)
         assert (res.status, res.steps) == ("truncated", max_steps)
-        assert res.trace_valuations == last_valuations(trace, 5)
+        rows, vals = value_euclid_reference(xs, 5, max_steps)
+        assert (res.mcf.rows, res.trace_valuations) == (rows, vals)
+
+    # scaling every coordinate by c changes no ratio x^(i) / x^(m+1), so no
+    # digit, and adds v_p(c) to every valuation
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        m=st.integers(1, 4),
+        nums=st.lists(st.one_of(st.just(0), bits_300), min_size=5, max_size=5),
+        dens=st.lists(bits_300.filter(bool), min_size=5, max_size=5),
+        shifts=st.lists(st.integers(-30, 30), min_size=5, max_size=5),
+        c=st.fractions(max_denominator=2**100).filter(bool),
+        c_shift=st.integers(-30, 30),
+        max_steps=st.one_of(st.none(), st.integers(1, 40)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scaling_rational(self, p, m, nums, dens, shifts, c, c_shift, max_steps):
+        xs = tuple(F(n, d) * F(p) ** k for n, d, k in zip(nums, dens, shifts))[: m + 1]
+        if xs[-1] == 0:
+            xs = xs[:-1] + (F(-1, 2 * p),)
+        assert_scaling_shifts_valuations(xs, c * F(p) ** c_shift, p, max_steps or 10_000)
+
+    @given(c=st.fractions(max_denominator=10**12).filter(bool), c_shift=st.integers(-20, 20))
+    @settings(max_examples=20, deadline=None)
+    def test_scaling_field(self, emb_cuberoot2, c, c_shift):
+        theta = emb_cuberoot2(emb_cuberoot2.field.generator())
+        xs = (theta + 1, F(2, 15), theta * theta)
+        assert_scaling_shifts_valuations(xs, c * F(5) ** c_shift, 5, 12)
 
     def test_jp_expand_has_none(self, emb_cuberoot2):
         theta = emb_cuberoot2(emb_cuberoot2.field.generator())
@@ -474,7 +528,7 @@ class TestTraceValuations:
             res = jp_expand(inputs, 5, max_steps=20)
             assert res.trace_valuations is None
             assert "trace_valuations" not in res.to_json_dict()
-        eu, _ = euclid_expand((437, 70, 95), 5)
+        eu = euclid_expand((437, 70, 95), 5)
         assert eu.trace_valuations == (1, 2, 3, 4, PLUS_INFINITY)
         assert "trace_valuations" not in eu.to_json_dict()
 
@@ -685,14 +739,11 @@ class TestProjectiveKernel:
 
         scale = theta + small_rational(rng)
         xs = tuple(scale * x for x in inputs) + (scale,)
-        eu, trace = euclid_expand(xs, p, max_steps=max_steps)
-        reference = [xs]
-        for _, nxt in _value_euclid(xs, p):
-            reference.append(nxt)
-            if len(reference) > eu.steps:
-                break
-        assert trace == reference
-        assert eu.trace_valuations == last_valuations(trace, p)
+        eu = euclid_expand(xs, p, max_steps=max_steps)
+        rows, vals = value_euclid_reference(xs, p, eu.steps)
+        assert (eu.mcf.rows, eu.trace_valuations) == (rows, vals)
+        assert eu.is_finite == (vals[-1] == PLUS_INFINITY)
+        assert eu.is_finite or eu.steps == max_steps
         assert eu.mcf.rows[: res.steps] == res.mcf.rows[: eu.steps]
 
     @pytest.mark.parametrize("detect_period", [False, True])
@@ -789,11 +840,7 @@ def assert_cuts_the_full_run(inputs, p, cap):
     full = jp_expand(inputs, p, max_steps=cap)
     n = full.steps
     xs = tuple(inputs) + (F(1),)
-    reference = [xs]
-    for _, nxt in _value_euclid(xs, p):
-        reference.append(nxt)
-        if len(reference) > n:
-            break
+    rows, vals = value_euclid_reference(xs, p, n)
     results = {}
     for max_steps in range(1, n + 1 + full.is_finite):
         res = results[max_steps] = jp_expand(inputs, p, max_steps=max_steps)
@@ -801,9 +848,10 @@ def assert_cuts_the_full_run(inputs, p, cap):
         fits = full.is_finite and n <= max_steps
         assert res.status == ("finite" if fits else "truncated")
         assert res.steps == len(res.mcf.rows)
-        eu, trace = euclid_expand(xs, p, max_steps=max_steps)
+        eu = euclid_expand(xs, p, max_steps=max_steps)
         assert (eu.mcf.rows, eu.status, eu.steps) == (res.mcf.rows, res.status, res.steps)
-        assert trace == reference[: eu.steps + 1]
+        assert eu.mcf.rows == rows[: eu.steps]
+        assert eu.trace_valuations == vals[: eu.steps + 1]
     return results
 
 
@@ -874,7 +922,7 @@ def assert_truncated_rows_are_exact_rows(inputs, p, precision, cap):
 
     for run, steps in (
         (lambda: jp_expand(approx, p, max_steps=cap), jp_rows),
-        (lambda: euclid_expand(approx + (F(1),), p, max_steps=cap)[0], euclid_rows),
+        (lambda: euclid_expand(approx + (F(1),), p, max_steps=cap), euclid_rows),
     ):
         try:
             res = run()

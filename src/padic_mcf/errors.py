@@ -13,6 +13,7 @@ class FieldMismatch(ValueError):
 
 class InsufficientPrecision(ArithmeticError):
     """A digit or an exact decision is needed beyond the known precision."""
+    certified_rows = None  # rows a truncated jp_expand emitted before raising
 
 
 class PrecisionExhausted(ArithmeticError):

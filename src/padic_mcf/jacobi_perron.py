@@ -18,17 +18,19 @@ InsufficientPrecision instead of guessing.
 Both entry points first read their inputs through `padic.as_value`, which
 checks that a p-adic value carries p and reads anything else as a
 Fraction; this module never looks at a value's prime itself.  They run an
-exact tuple through one loop, `_exact_expand`, on
-the kernel that `_exact_run` chooses for its Euclidean (m+1)-tuple.  Every
-digit of a rational run lies in Z[1/p], so rationals run on integer tuples
-with p-power scaling (`_IntegerEuclid`) instead of on Fractions.  An exact
-tuple with a number-field element runs projectively on integer
-coefficient vectors, reading digits from their residues modulo a power of
-p (`_ProjectiveEuclid`); it confirms a period by exact equality in the
-field.  Both kernels read each step's digits off unit residues through
+exact tuple through one loop, `_exact_expand`, on the kernel that
+`_exact_run` chooses for its Euclidean (m+1)-tuple.  Every digit of a
+rational run lies in Z[1/p], so rationals run on integer tuples with
+p-power scaling (`_IntegerEuclid`) instead of on Fractions.  An exact tuple
+with a number-field element runs projectively on integer coefficient
+vectors, reading digits from their residues modulo a power of p
+(`_ProjectiveEuclid`); it confirms a period by exact equality in the field.
+Both kernels read each step's digits off unit residues through
 `padic.residue_digit`, with one modular inverse per step, and report the
 valuation of their last coordinate, which `euclid_expand` returns per step.
-Truncated inputs run the jp_step loop and `_value_euclid`.
+A truncated jp_expand runs jp_step while a coordinate is exact, then a
+loop on `padic.truncated_triples` by the approx_* rules of PAdicApprox
+arithmetic (`_truncated_expand`); a truncated euclid runs `_value_euclid`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ from .errors import InsufficientPrecision, VerificationFailed
 from .mcf import MCF, check_convergence_conditions, evaluate_finite
 from .numberfield import MAX_DOUBLINGS, clear_denominators, rational_linear_dependence
 from .padic import (
+    approx_digit,
+    approx_inverse,
+    approx_mul,
     as_value,
     browkin_s,
     in_browkin_range,
@@ -51,6 +56,7 @@ from .padic import (
     require_odd_prime,
     residue_digit,
     split_p,
+    truncated_triples,
     valuation,
 )
 
@@ -155,23 +161,37 @@ def jp_expand(
     run = _exact_run(alphas + (Fraction(1),), p)
     if run is not None:
         return _exact_expand(run, max_steps, detect_period)
-    state = JPState(p, alphas, 0)
     rows = []
-    while True:
+    try:
+        finite = _truncated_expand(JPState(p, alphas, 0), max_steps, rows)
+    except InsufficientPrecision as exc:
+        exc.certified_rows = len(rows)
+        raise
+    mcf = MCF(len(alphas), rows, finite=finite)
+    if finite:
+        return ExpansionResult(mcf, "finite", len(rows))
+    candidate = _quotient_period_candidate(rows)
+    return ExpansionResult(mcf, "truncated", len(rows), period_candidate=candidate)
+
+
+def _truncated_expand(state: JPState, max_steps: int, rows: list) -> bool:
+    """Append a truncated run's rows to rows, up to max_steps; True if it
+    finishes.  jp_step runs while a coordinate is exact, at most m steps:
+    only an exact last one leaves one (the first), and truncated ones move
+    right.  Then jp_step's operations run on triples; that never finishes."""
+    p = state.prime
+    while (ts := truncated_triples(state.alphas)) is None:
         res = jp_step(state)
         rows.append(res.quotients + (Fraction(1),))
-        if res.next_state is None:
-            return ExpansionResult(
-                MCF(state.m, rows, finite=True), "finite", len(rows)
-            )
+        if res.next_state is None or len(rows) >= max_steps:
+            return res.next_state is None
         state = res.next_state
-        if len(rows) >= max_steps:
-            return ExpansionResult(
-                MCF(state.m, rows, finite=False),
-                "truncated",
-                len(rows),
-                period_candidate=_quotient_period_candidate(rows),
-            )
+    while len(rows) < max_steps:
+        quotients, rests = zip(*(approx_digit(p, t) for t in ts))
+        lead = approx_inverse(p, rests[-1])
+        ts = (lead,) + tuple(approx_mul(p, lead, t) for t in rests[:-1])
+        rows.append(quotients + (Fraction(1),))
+    return False
 
 
 def _exact_run(xs, p: int):

@@ -3,7 +3,8 @@
 Valuations, balanced digit expansions (digits in the open interval
 (-p/2, p/2)), the Browkin digit-truncation map that plays the role of the
 floor function, division with p-adically small remainder, and truncated
-p-adic numbers with explicit precision tracking.
+p-adic numbers with explicit precision tracking, whose rules act on plain
+(val, unit, precision) triples.
 
 Throughout, p is an odd prime and exact rational arithmetic uses
 fractions.Fraction; `split_p`, the p-part of an integer in O(log v)
@@ -141,10 +142,7 @@ def is_zero(x) -> bool:
     if isinstance(x, (int, Fraction)):
         return x == 0
     if isinstance(x, PAdicApprox):
-        if x.is_zero_at_precision():
-            raise InsufficientPrecision(
-                f"cannot distinguish 0 from O(p^{x.precision})"
-            )
+        _known(x.triple)
         return False
     return x.is_zero()
 
@@ -159,6 +157,14 @@ def to_approx(x, p: int, precision: int) -> "PAdicApprox":
     return x.to_approx(precision)
 
 
+def truncated_triples(values):
+    """The triples (val, unit, precision) of a tuple of truncated values, on
+    which the approx_* rules run; None unless every value is a PAdicApprox."""
+    if all(isinstance(x, PAdicApprox) for x in values):
+        return tuple(x.triple for x in values)
+    return None
+
+
 def integer_lift(values):
     """The exact tuple `values` as integer coefficient vectors over the
     number field of its field elements (a numberfield.IntegerLift); None
@@ -171,12 +177,6 @@ def integer_lift(values):
     return None
 
 
-def _balanced_residue(r: int, p: int) -> int:
-    """Map a residue mod p into the open interval (-p/2, p/2)."""
-    r %= p
-    return r - p if r > (p - 1) // 2 else r
-
-
 def _balanced_digits(r: int, p: int, n: int) -> list[int]:
     """The n balanced digits of r modulo p**n, lowest first, for n >= 1.
 
@@ -185,8 +185,9 @@ def _balanced_digits(r: int, p: int, n: int) -> list[int]:
     takes big-integer divisions on ever shorter numbers instead of n
     divisions of the whole of r by p.
     """
-    if n == 1:
-        return [_balanced_residue(r, p)]
+    if n == 1:  # the residue of r mod p in (-p/2, p/2)
+        r %= p
+        return [r - p if 2 * r > p else r]
     h = n // 2
     mod = _power(p, h)
     hi, lo = divmod(r, mod)
@@ -237,10 +238,7 @@ def balanced_digit_expansion(x, p: int, upto: int) -> BalancedDigits:
 def in_browkin_range(x, p: int) -> bool:
     """Whether x lies in Z[1/p] intersected with the open interval (-p/2, p/2)."""
     x = Fraction(x)
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-    return d == 1 and 2 * abs(x) < p
+    return split_p(x.denominator, p)[1] == 1 and 2 * abs(x) < p
 
 
 def residue_digit(r: int, p: int, k: int) -> Fraction:
@@ -258,31 +256,18 @@ def browkin_s(x, p: int) -> Fraction:
 
     Maps a value of any backend onto Z[1/p] intersected with (-p/2, p/2);
     returns 0 when the valuation is positive.  A PAdicApprox needs
-    precision >= 1; an exact algebraic value is embedded at precision 1,
-    which fixes every digit through exponent 0.
+    precision >= 1; a rational is read, and an exact algebraic value
+    embedded, at precision 1, which fixes every digit through exponent 0.
     """
     require_odd_prime(p)
     x = as_value(x, p)
     if isinstance(x, Fraction):
-        if x == 0:
-            return Fraction(0)
-        vn, un = split_p(x.numerator, p)
-        vd, ud = split_p(x.denominator, p)
-        k = 1 - vn + vd  # the number of digits at exponents v .. 0
-        if k < 1:
-            return Fraction(0)
-        return residue_digit(un % _power(p, k) * inverse_mod_pk(ud, p, k), p, k)
-    if not isinstance(x, PAdicApprox):
+        x = PAdicApprox.from_rational(x, p, 1)
+    elif not isinstance(x, PAdicApprox):
         if x.is_zero():
             return Fraction(0)
         x = x.to_approx(1)
-    if x.precision < 1:
-        raise InsufficientPrecision(
-            f"digit at exponent 0 unknown at precision O(p^{x.precision})"
-        )
-    if x.is_zero_at_precision() or x.val > 0:
-        return Fraction(0)
-    return x.with_precision(1).digits.value(p)
+    return approx_digit(p, x.triple)[0]
 
 
 def padic_divide(sigma, tau, p: int):
@@ -304,35 +289,94 @@ def padic_divide(sigma, tau, p: int):
     return q, eta
 
 
+# A truncated value p**v * u + O(p**n) is the triple (v, u, n).  The rules
+# below are the one copy of truncated arithmetic: PAdicApprox's operators
+# wrap them, and truncated expansions run on them directly.
+def _normal(p: int, v: int, u: int, n: int) -> tuple:
+    """p**v * u mod p**n as a triple: (n, 0, n) if that is 0, else with the
+    unit prime to p and below p**(n - v)."""
+    u = u % _power(p, n - v) if n > v else 0
+    if not u:
+        return n, 0, n
+    w, u = split_p(u, p)
+    return v + w, u, n
+
+
+def _known(t: tuple) -> tuple:
+    """t, once the value it holds is told from 0 at its precision."""
+    if t[1] == 0:
+        raise InsufficientPrecision(f"cannot distinguish 0 from O(p^{t[2]})")
+    return t
+
+
+def approx_add(p: int, a: tuple, b: tuple) -> tuple:
+    """a + b, known modulo the lower precision."""
+    (va, ua, na), (vb, ub, nb) = a, b
+    base = min(va, vb)
+    s = ua * p ** (va - base) + ub * p ** (vb - base)
+    return _normal(p, base, s, min(na, nb))
+
+
+def approx_mul(p: int, a: tuple, b: tuple) -> tuple:
+    """a * b, known modulo p**min(na + vb, nb + va): the lower relative
+    precision, which is at least 1 when neither factor is 0."""
+    (va, ua, na), (vb, ub, nb) = a, b
+    return _normal(p, va + vb, ua * ub, min(na + vb, nb + va))
+
+
+def approx_div(p: int, a: tuple, b: tuple) -> tuple:
+    """a / b, with the lower relative precision."""
+    (va, ua, na), (vb, ub, nb) = a, b
+    if ub == 0:
+        raise ZeroDivisionError(f"divisor indistinguishable from zero at O(p^{nb})")
+    if ua == 0:
+        if na <= vb:  # weaker than O(p^0): the result would say nothing
+            raise PrecisionExhausted("quotient carries no known digits")
+        return na - vb, 0, na - vb
+    r = min(na - va, nb - vb)
+    return _normal(p, va - vb, ua * inverse_mod_pk(ub, p, r), va - vb + r)
+
+
+def approx_inverse(p: int, t: tuple) -> tuple:
+    """1 / x for a truncated x, after is_zero(x): the exact 1 is lifted to
+    the relative precision of x, as PAdicApprox's 1 / x lifts it."""
+    v, _, n = _known(t)
+    return approx_div(p, (0, 1, n - v), t)
+
+
+def approx_digit(p: int, t: tuple) -> tuple:
+    """(s(x), x - s(x)) for a truncated x, s the Browkin truncation: for
+    x = p**v * u with k = 1 - v >= 1, s(x) = residue_digit(u, p, k) =
+    R / p**(k-1) = R * p**v, and x - s(x) is (v, u - R, n)."""
+    v, u, n = t
+    if n < 1:
+        raise InsufficientPrecision(f"digit at exponent 0 unknown at precision O(p^{n})")
+    if u == 0 or v > 0:
+        return Fraction(0), t
+    a = residue_digit(u, p, 1 - v)
+    return a, _normal(p, v, u - a.numerator, n)
+
+
 class PAdicApprox:
     """A truncated p-adic number p**val * unit, known modulo p**precision.
 
     Invariants: either unit == 0 and val == precision (the value is
     indistinguishable from zero at this precision), or 0 < unit <
     p**(precision - val) with p not dividing unit.  Instances are immutable
-    values; arithmetic propagates precision conservatively and never reports
-    digits beyond what the operands support.  Exact int/Fraction operands mix
-    freely and only shift precision through valuation bookkeeping; an
-    operand at another prime raises the ValueError of `as_value`.
+    values; arithmetic propagates precision conservatively, by the approx_*
+    rules, and never reports digits beyond what the operands support.
+    Exact int/Fraction operands mix freely and only shift precision through
+    valuation bookkeeping; an operand at another prime raises the
+    ValueError of `as_value`.
     """
 
     __slots__ = ("prime", "val", "unit", "precision")
 
     def __init__(self, prime: int, val: int, unit: int, precision: int):
         require_odd_prime(prime)
-        if precision > val:
-            unit %= _power(prime, precision - val)
-        else:
-            unit = 0
-        if unit:
-            v, unit = split_p(unit, prime)
-            val += v
-        if unit == 0 or val >= precision:
-            unit, val = 0, precision
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "precision", precision)
+        triple = _normal(prime, val, unit, precision)
+        for name, x in zip(self.__slots__, (prime, *triple)):
+            object.__setattr__(self, name, x)
 
     def __setattr__(self, *a):  # immutable value
         raise AttributeError("PAdicApprox is immutable")
@@ -344,12 +388,9 @@ class PAdicApprox:
             return cls(p, precision, 0, precision)
         vn, un = split_p(x.numerator, p)
         vd, ud = split_p(x.denominator, p)
-        v = vn - vd
-        if v >= precision:
-            return cls(p, precision, 0, precision)
-        k = precision - v
-        u = un if ud == 1 else un * inverse_mod_pk(ud, p, k)
-        return cls(p, v, u, precision)
+        k = precision - vn + vd
+        u = 0 if k < 1 else un if ud == 1 else un * inverse_mod_pk(ud, p, k)
+        return cls(p, vn - vd, u, precision)
 
     @classmethod
     def zero_at(cls, p: int, precision: int) -> "PAdicApprox":
@@ -357,6 +398,10 @@ class PAdicApprox:
         return cls(p, precision, 0, precision)
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def triple(self) -> tuple:
+        return self.val, self.unit, self.precision
 
     def is_zero_at_precision(self) -> bool:
         return self.unit == 0
@@ -389,14 +434,12 @@ class PAdicApprox:
         return PAdicApprox(self.prime, self.val, self.unit, precision)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PAdicApprox)
-            and (self.prime, self.val, self.unit, self.precision)
-            == (other.prime, other.val, other.unit, other.precision)
+        return isinstance(other, PAdicApprox) and (self.prime, *self.triple) == (
+            other.prime, *other.triple
         )
 
     def __hash__(self):
-        return hash((self.prime, self.val, self.unit, self.precision))
+        return hash((self.prime, *self.triple))
 
     def __repr__(self):
         if self.unit == 0:
@@ -410,16 +453,18 @@ class PAdicApprox:
         terms.append(f"O({self.prime}^{self.precision})")
         return " + ".join(terms)
 
-    # -- arithmetic ------------------------------------------------------
+    # -- arithmetic, by the approx_* rules -------------------------------
 
-    def _rel(self) -> int:
-        return self.precision - self.val
+    def _operand(self, other) -> tuple:
+        """The triple of other; a nonzero exact other is lifted with enough
+        relative precision that it never becomes the bottleneck of mul/div."""
+        if isinstance(other, PAdicApprox):
+            return other.triple
+        v, rel = valuation(other, self.prime), max(self.precision - self.val, 1)
+        return PAdicApprox.from_rational(other, self.prime, v + rel).triple
 
-    def _lift_exact(self, q: Fraction) -> "PAdicApprox":
-        """Lift a nonzero exact rational with enough relative precision that
-        it never becomes the precision bottleneck in mul/div."""
-        v = valuation(q, self.prime)
-        return PAdicApprox.from_rational(q, self.prime, v + max(self._rel(), 1))
+    def _apply(self, rule, a: tuple, b: tuple) -> "PAdicApprox":
+        return PAdicApprox(self.prime, *rule(self.prime, a, b))
 
     def __add__(self, other):
         other = as_value(other, self.prime)
@@ -427,25 +472,12 @@ class PAdicApprox:
             if other == 0:
                 return self
             other = PAdicApprox.from_rational(other, self.prime, self.precision)
-        n = min(self.precision, other.precision)
-        base = min(self.val, other.val)
-        span = n - base
-        if span <= 0:
-            # both contributions vanish modulo p**n
-            return PAdicApprox.zero_at(self.prime, n)
-        s = (
-            self.unit * self.prime ** (self.val - base)
-            + other.unit * self.prime ** (other.val - base)
-        ) % self.prime**span
-        return PAdicApprox(self.prime, base, s, n)
+        return self._apply(approx_add, self.triple, other.triple)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.unit == 0:
-            return self
-        mod = self.prime ** (self.precision - self.val)
-        return PAdicApprox(self.prime, self.val, (-self.unit) % mod, self.precision)
+        return PAdicApprox(self.prime, self.val, -self.unit, self.precision)
 
     def __sub__(self, other):
         return self + -as_value(other, self.prime)
@@ -455,43 +487,18 @@ class PAdicApprox:
 
     def __mul__(self, other):
         other = as_value(other, self.prime)
-        if not isinstance(other, PAdicApprox):
-            if other == 0:
-                # exact zero: correct at every precision; keep this one's
-                return PAdicApprox.zero_at(self.prime, self.precision)
-            other = self._lift_exact(other)
-        n = min(self.precision + other.val, other.precision + self.val)
-        if self.unit == 0 or other.unit == 0:
-            return PAdicApprox.zero_at(self.prime, n)
-        v = self.val + other.val
-        span = n - v
-        if span <= 0:
-            raise PrecisionExhausted("product carries no known digits")
-        u = self.unit * other.unit % self.prime**span
-        return PAdicApprox(self.prime, v, u, n)
+        if not isinstance(other, PAdicApprox) and other == 0:
+            # exact zero: correct at every precision; keep this one's
+            return PAdicApprox.zero_at(self.prime, self.precision)
+        return self._apply(approx_mul, self.triple, self._operand(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = as_value(other, self.prime)
-        if not isinstance(other, PAdicApprox):
-            if other == 0:
-                raise ZeroDivisionError("division by exact zero")
-            other = self._lift_exact(other)
-        if other.unit == 0:
-            raise ZeroDivisionError(
-                f"divisor indistinguishable from zero at O(p^{other.precision})"
-            )
-        if self.unit == 0:
-            n = self.precision - other.val
-            if n <= 0:
-                # weaker than O(p^0): the result would say nothing at all
-                raise PrecisionExhausted("quotient carries no known digits")
-            return PAdicApprox.zero_at(self.prime, n)
-        r = min(self._rel(), other._rel())
-        v = self.val - other.val
-        u = self.unit * inverse_mod_pk(other.unit, self.prime, r)
-        return PAdicApprox(self.prime, v, u, v + r)
+        if not isinstance(other, PAdicApprox) and other == 0:
+            raise ZeroDivisionError("division by exact zero")
+        return self._apply(approx_div, self.triple, self._operand(other))
 
     def __rtruediv__(self, other):
         q = as_value(other, self.prime)
@@ -500,5 +507,5 @@ class PAdicApprox:
                 f"divisor indistinguishable from zero at O(p^{self.precision})"
             )
         if q == 0:
-            return PAdicApprox.zero_at(self.prime, max(self._rel() - self.val, 1))
-        return self._lift_exact(q) / self
+            return PAdicApprox.zero_at(self.prime, max(self.precision - 2 * self.val, 1))
+        return self._apply(approx_div, self._operand(q), self.triple)

@@ -11,7 +11,8 @@ from conftest import eisenstein_field, euclid_tuples
 from test_mcf import fraction_columns
 
 from padic_mcf import jacobi_perron
-from padic_mcf.errors import FieldMismatch, InsufficientPrecision
+from padic_mcf.cli import main
+from padic_mcf.errors import FieldMismatch, InsufficientPrecision, PrecisionExhausted
 from padic_mcf.jacobi_perron import (
     JPState,
     _digits,
@@ -964,4 +965,113 @@ class TestTruncatedAgainstExact:
         rng.shuffle(inputs)
         assert_truncated_rows_are_exact_rows(
             tuple(inputs), p, precision, rng.randint(1, precision)
+        )
+
+
+# ---------------------------------------------------------------------------
+# truncated runs on triples, against the jp_step loop
+# ---------------------------------------------------------------------------
+
+
+def jp_step_outcome(inputs, p, max_steps):
+    """A truncated run of the JPState/jp_step loop, the oracle of the triple
+    loop: (rows, status, period candidate), or the rows emitted before an
+    InsufficientPrecision or PrecisionExhausted with its type and message."""
+    state, rows = JPState(p, tuple(inputs), 0), []
+    try:
+        while True:
+            res = jp_step(state)
+            rows.append(res.quotients + (F(1),))
+            if res.next_state is None:
+                return rows, "finite", None
+            if len(rows) >= max_steps:
+                return rows, "truncated", _quotient_period_candidate(rows)
+            state = res.next_state
+    except (InsufficientPrecision, PrecisionExhausted) as exc:
+        return rows, type(exc), str(exc)
+
+
+def assert_matches_jp_step_outcome(inputs, p, max_steps):
+    """jp_expand gives the oracle's outcome.  After a raise, certified_rows
+    counts the rows emitted before it: a run capped there emits them."""
+    want = jp_step_outcome(inputs, p, max_steps)
+    try:
+        res = jp_expand(inputs, p, max_steps=max_steps)
+        got = list(res.mcf.rows), res.status, res.period_candidate
+    except (InsufficientPrecision, PrecisionExhausted) as exc:
+        n = exc.certified_rows
+        rows = list(jp_expand(inputs, p, max_steps=n).mcf.rows) if n else []
+        got = rows, type(exc), str(exc)
+    assert got == want
+    return want
+
+
+def approx(p, precision, *xs):
+    return tuple(to_approx(x, p, precision) for x in xs)
+
+
+BIG = F(3**200 + 1, 2**300 + 1)  # its exact runs take over 100 steps
+
+
+class TestTripleLoop:
+    """Truncated jp_expand runs jp_step while a coordinate is exact and then
+    a loop on padic's triples; it must match the jp_step loop throughout."""
+
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        kind=st.sampled_from(("cubic", "quartic", "rational")),
+        precision=st.integers(30, 400),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_jp_step_loop(self, p, kind, precision, rng):
+        if kind == "rational":
+            inputs = random_inputs(rng, rng.randint(1, 3), bound=10 ** rng.randint(2, 60))
+        else:  # (theta, ..., theta^(d-1)), as the bench draws them
+            field = NumberField(eisenstein_field(rng, p, 3 if kind == "cubic" else 4))
+            inputs = [PAdicEmbedding.create(field, p, 16)(field.generator())]
+            while len(inputs) < field.degree - 1:
+                inputs.append(inputs[-1] * inputs[0])
+        values = list(approx(p, precision, *inputs))
+        if rng.random() < 0.5:  # exact rationals beside at least one truncated value
+            for i in rng.sample(range(len(values)), rng.randint(1, len(values)) - 1):
+                values[i] = small_rational(rng) * F(p) ** rng.randint(-2, 2)
+        assert_matches_jp_step_outcome(tuple(values), p, rng.randint(1, precision))
+
+    @pytest.mark.parametrize(
+        "p, inputs, max_steps, outcome",
+        [
+            # the digit at exponent 0 of a coordinate at precision < 1
+            (3, approx(3, 5, F(32, 9), F(-1863, 64), F(144, 61)), 20,
+             "digit at exponent 0 unknown at precision O(p^-1)"),
+            (5, approx(5, 0, F(1, 5), F(2)), 20,
+             "digit at exponent 0 unknown at precision O(p^0)"),
+            # a last difference that is 0 at its precision
+            (5, approx(5, 1, F(7, 4)), 20, "cannot distinguish 0 from O(p^1)"),
+            (5, approx(5, 10, F(23, 5), F(14, 19)), 20, "cannot distinguish 0 from O(p^6)"),
+            # mixed tuples: an exact last coordinate finishes the run or is
+            # inverted exactly, and the run goes on on triples
+            (5, (*approx(5, 20, F(1, 3)), F(1)), 20, "finite"),
+            (5, (*approx(5, 60, BIG), F(2, 7) + F(25, 3)), 4, "truncated"),
+            (7, (F(3, 7) + F(49, 5), *approx(7, 60, BIG), F(97, 7) + F(49, 5)), 4,
+             "truncated"),
+        ],
+    )
+    def test_outcomes(self, p, inputs, max_steps, outcome):
+        _, status, detail = assert_matches_jp_step_outcome(inputs, p, max_steps)
+        assert outcome in (status, detail)
+
+    def test_errors_carry_certified_rows(self, capsys):
+        inputs = approx(3, 5, F(32, 9), F(-1863, 64), F(144, 61))
+        with pytest.raises(InsufficientPrecision) as info:
+            jp_expand(inputs, 3)
+        assert info.value.certified_rows == 2
+        assert jp_expand(inputs, 3, max_steps=2).status == "truncated"
+        assert InsufficientPrecision("elsewhere").certified_rows is None
+        # the command line reports the error as it did before
+        argv = ["expand", "-p", "3", "--backend", "approx", "--precision", "5", "--",
+                "32/9", "-1863/64", "144/61"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: InsufficientPrecision: digit at exponent 0 unknown at precision O(p^-1)\n"
         )

@@ -18,6 +18,11 @@ from padic_mcf.padic import (
     PLUS_INFINITY,
     BalancedDigits,
     PAdicApprox,
+    approx_add,
+    approx_digit,
+    approx_div,
+    approx_inverse,
+    approx_mul,
     as_value,
     balanced_digit_expansion,
     browkin_s,
@@ -463,6 +468,76 @@ class TestPAdicApprox:
     def test_digits_round_trip(self, x, p, n):
         a = PAdicApprox.from_rational(x, p, n)
         assert valuation(x - a.rational_view(), p) >= n
+
+
+def triple_value(t, p: int) -> F:
+    """The rational p**v * u that the triple t = (v, u, n) holds."""
+    return t[1] * F(p) ** t[0]
+
+
+def in_class(x: F, t, p: int) -> bool:
+    """Whether x is congruent to the value of t modulo p**n."""
+    return oracle_valuation(x - triple_value(t, p), p) >= t[2]
+
+
+def is_browkin_digit(q: F, p: int) -> bool:
+    """Whether q lies in Z[1/p] and in the open interval (-p/2, p/2)."""
+    d = q.denominator
+    return d == p ** -oracle_valuation(F(1, d), p) and 2 * abs(q) < p
+
+
+class TestTripleRules:
+    """The approx_* rules against exact arithmetic on two representatives
+    of each operand, x and x + p**n * r with r p-integral.  Every choice
+    must lie in the class of the result modulo the precision the rule
+    reports: so the rule is right, and its precision is no higher than the
+    operands support.  The operand triples come from oracle_approx."""
+
+    @given(
+        x=rationals,
+        y=rationals,
+        shift=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+        p=wide_prime_st,
+        na=st.integers(-3, 40),
+        nb=st.integers(-3, 40),
+        r=st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6)),
+    )
+    @example(x=F(3), y=F(1), shift=(0, 0), p=3, na=1, nb=1, r=(1, 1))  # 0 / a unit
+    @example(x=F(3), y=F(3), shift=(0, 0), p=3, na=1, nb=5, r=(1, 1))  # no known digit
+    @settings(max_examples=150, deadline=None)
+    def test_every_representative_lies_in_the_result(self, x, y, shift, p, na, nb, r):
+        x, y = x * F(p) ** shift[0], y * F(p) ** shift[1]
+        a, b = oracle_approx(x, p, na), oracle_approx(y, p, nb)
+        xs = (x, x + F(p) ** na * F(r[0], p * abs(r[1]) + 1))
+        ys = (y, y + F(p) ** nb * F(r[1], p * abs(r[0]) + 1))
+        results = [(approx_add(p, a, b), xs, ys, lambda u, w: u + w),
+                   (approx_mul(p, a, b), xs, ys, lambda u, w: u * w)]
+        if b[1] == 0:
+            with pytest.raises(ZeroDivisionError):
+                approx_div(p, a, b)
+        elif a[1] == 0 and na <= b[0]:
+            with pytest.raises(PrecisionExhausted):
+                approx_div(p, a, b)
+        else:
+            results.append((approx_div(p, a, b), xs, ys, lambda u, w: u / w))
+        if a[1] == 0:
+            with pytest.raises(InsufficientPrecision, match="cannot distinguish 0"):
+                approx_inverse(p, a)
+        else:  # 1 lifted as PAdicApprox lifts it, which sets the precision
+            assert approx_inverse(p, a) == (1 / PAdicApprox(p, *a)).triple
+            results.append((approx_inverse(p, a), xs, (1,), lambda u, _: 1 / u))
+        if na < 1:
+            with pytest.raises(InsufficientPrecision, match="digit at exponent 0"):
+                approx_digit(p, a)
+        else:
+            digit, rest = approx_digit(p, a)
+            # the one element of Z[1/p] in (-p/2, p/2) within |.| < 1 of x
+            assert is_browkin_digit(digit, p)
+            assert all(oracle_valuation(u - digit, p) >= 1 for u in xs)
+            results.append((rest, xs, (digit,), lambda u, w: u - w))
+        for t, us, ws, op in results:
+            assert t == oracle_approx(triple_value(t, p), p, t[2])  # normal form
+            assert all(in_class(op(u, w), t, p) for u in us for w in ws)
 
 
 class TestValueProtocol:

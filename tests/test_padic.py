@@ -596,12 +596,13 @@ class TestValueProtocol:
 
 
 # Only padic knows the value backends; the protocol clients go through its
-# protocol (as_value, valuation, is_zero, to_approx, integer_lift), and only
-# as_value reads a value's prime.  An exact tuple
-# with a field element reaches jacobi_perron as an opaque integer lift,
-# whose field-specific operations live in numberfield.  jacobi_perron tells
-# rational tuples from field tuples in one function, _exact_run, which
-# chooses the exact kernel of both jp_expand and euclid_expand.
+# protocol (as_value, valuation, is_zero, to_approx, truncated_triples,
+# integer_lift), and only as_value reads a value's prime.  A truncated tuple
+# reaches jacobi_perron as plain triples, and an exact tuple with a field
+# element as an opaque integer lift, whose field-specific operations live in
+# numberfield.  jacobi_perron tells rational tuples from field tuples in one
+# function, _exact_run, which chooses the exact kernel of both jp_expand and
+# euclid_expand.
 BACKEND_NAMES = {"PAdicApprox", "AlgebraicNumber", "is_zero_at_precision"}
 
 

@@ -7,9 +7,9 @@ with Kronecker deltas.  This module provides the rolling convergent table,
 the determinant identity read off its window (the product of the step
 matrices), p-adic convergence-condition checks, weight rescaling (which
 preserves all convergents), finite evaluation through two independent
-routes (the final convergent column of the table, and backward
-substitution run on integer vectors, independently of the table, with one
-reduction at the end), and the strong-convergence quantities
+routes on the same integer-scaled rows (the forward recurrence on an
+unreduced integer window, and backward substitution on integer vectors,
+each reduced once at the end), and the strong-convergence quantities
 V_n^(i) = A_n^(i) - target_i * A_n^(m+1), whose columns come from the
 same table.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     InsufficientPrecision,
@@ -333,13 +334,9 @@ def dehomogenize(mcf: MCF) -> MCF:
 
     Convergents are preserved; the norm conditions need not be.
     """
-    w = []
-    for n, row in enumerate(mcf.rows):
-        if n == 0:
-            w.append(Fraction(1))
-        else:
-            prev = w[n - (mcf.m + 1)] if n - (mcf.m + 1) >= 0 else Fraction(1)
-            w.append(row[mcf.m] * prev)
+    w = [Fraction(1)]
+    for n in range(1, len(mcf.rows)):
+        w.append(mcf.rows[n][mcf.m] * (w[n - mcf.m - 1] if n > mcf.m else 1))
     out = rescale(mcf, w)
     assert out.is_unit()
     return out
@@ -353,38 +350,59 @@ def dehomogenize(mcf: MCF) -> MCF:
 def evaluate_finite(mcf: MCF):
     """Exact value (alpha_0^(1), ..., alpha_0^(m)) of a finite MCF.
 
-    Computed twice: backward substitution through the defining relations
-    with alpha_r^(i) = a_r^(i), and the final convergent column; the two
-    must agree exactly.  The backward route runs on integer vectors and
-    never touches ConvergentsTable, which multiplies the step matrices in
-    the opposite order: with row n scaled to integers c over P, it carries
-    y with alpha_n^(i) = y_i/d and y_(m+1)/d = a_n^(m+1), steps
-    y <- (c_i*y_1 + P*y_(i+1) for i = 1..m, c_(m+1)*y_1), and reduces once
-    at the end, where d = y_(m+1) because a_0^(m+1) = 1.
+    Computed twice, from one pass of clear_denominators that scales row n to
+    integers c over ell: forward through the recurrence (`_forward_value`),
+    and backward through the defining relations with alpha_r^(i) = a_r^(i).
+    The two must agree exactly.  The routes multiply the step matrices in
+    opposite orders, so they check each other; neither uses
+    ConvergentsTable.  The backward route carries y with alpha_n^(i) = y_i/d
+    and y_(m+1)/d = a_n^(m+1), steps y <- (c_i*y_1 + ell*y_(i+1) for
+    i = 1..m, c_(m+1)*y_1), and reduces once at the end, where d = y_(m+1)
+    because a_0^(m+1) = 1.
     """
     if not mcf.finite:
         raise ValueError("only finite MCFs have a value")
-    r = mcf.last_index
     m = mcf.m
-    y, _ = clear_denominators(mcf.rows[r])
-    for n in range(r - 1, -1, -1):
+    scaled = [clear_denominators(row) for row in mcf.rows]
+    y = scaled[-1][0]
+    for n in range(len(scaled) - 2, -1, -1):
         lead = y[0]
         if lead == 0:
             raise ZeroIntermediate(f"alpha_{n + 1}^(1) = 0 during backward evaluation")
-        c, ell = clear_denominators(mcf.rows[n])
+        c, ell = scaled[n]
         y = [c[i] * lead + ell * y[i + 1] for i in range(m)] + [c[m] * lead]
     backward = tuple(Fraction(y[i], y[m]) for i in range(m))
-
-    table = ConvergentsTable(m)
-    for row in mcf.rows:
-        table.push(row)
-    forward = table.convergents()
-
+    forward = _forward_value(m, scaled)
     if backward != forward:
         raise InternalMismatch(
             f"backward value {backward} != final convergent {forward}"
         )
     return backward
+
+
+def _forward_value(m: int, scaled):
+    """The final convergent (A_r^(1), ..., A_r^(m)) / A_r^(m+1) from the
+    rows scaled to integers (c, ell), on an unreduced integer window.
+
+    The window holds the columns A_n, ..., A_(n-m) times one implicit
+    denominator D_n, seeded with the Kronecker deltas and D = 1.  Since
+    A_(n+1) = sum_j (c_j/ell) A_(n+1-j), the new column is sum_j c_j*col_j
+    over D_(n+1) = ell*D_n, and the kept columns are multiplied by ell.
+    Nothing is reduced: D_r cancels in the quotient.  Unlike
+    ConvergentsTable's push, a step takes no lcm, gcd or Fraction.  On
+    jp_expand rows (p-power denominators) the final column is within 0.5%
+    of its reduced form in bits; on general rows (m = 1..3, 20-300 rows,
+    entries up to 40 over denominators up to 60) it is 17-44% longer, as
+    long as the backward route's unreduced vector.
+    """
+    window = [[int(i == j) for i in range(m + 1)] for j in range(m + 1)]
+    for c, ell in scaled:
+        new = [sum(map(mul, c, row)) for row in zip(*window)]
+        window = [new] + [[ell * x for x in col] for col in window[:m]]
+    top = window[0]
+    if top[m] == 0:
+        raise ZeroDenominatorConvergent(f"A_{len(scaled) - 1}^({m + 1}) = 0")
+    return tuple(Fraction(top[i], top[m]) for i in range(m))
 
 
 def reconstruct_initial(table: ConvergentsTable, alphas):

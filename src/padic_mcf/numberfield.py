@@ -315,6 +315,8 @@ class AlgebraicNumber:
         return f"({poly_str(self.coeffs)}){at}"
 
     def __add__(self, other):
+        if isinstance(other, PAdicApprox):  # its reflected operator embeds self
+            return NotImplemented
         other = self._coerce(other)
         return AlgebraicNumber(
             self.field,
@@ -328,12 +330,14 @@ class AlgebraicNumber:
         return AlgebraicNumber(self.field, tuple(-a for a in self.coeffs), self.emb)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, PAdicApprox):
+            return NotImplemented
         other = self._coerce(other)
         f, d = self.field.minpoly, self.field.degree
         prod = list(_pmul(self.coeffs, other.coeffs))
@@ -362,8 +366,9 @@ class AlgebraicNumber:
         return AlgebraicNumber(self.field, tuple(-x / c[-1] for x in c[:-1]), self.emb)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
+        if isinstance(other, PAdicApprox):
+            return NotImplemented
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()

@@ -365,8 +365,9 @@ class PAdicApprox:
     p**(precision - val) with p not dividing unit.  Instances are immutable
     values; arithmetic propagates precision conservatively, by the approx_*
     rules, and never reports digits beyond what the operands support.
-    Exact int/Fraction operands mix freely and only shift precision through
-    valuation bookkeeping; an operand at another prime raises the
+    Exact operands (int, Fraction, or a field element under an embedding at
+    the same prime, on either side) mix freely and only shift precision
+    through valuation bookkeeping; an operand at another prime raises the
     ValueError of `as_value`.
     """
 
@@ -456,12 +457,13 @@ class PAdicApprox:
     # -- arithmetic, by the approx_* rules -------------------------------
 
     def _operand(self, other) -> tuple:
-        """The triple of other; a nonzero exact other is lifted with enough
+        """The triple of other; a nonzero exact other (a Fraction, or a field
+        element through its embedding) is lifted by to_approx with enough
         relative precision that it never becomes the bottleneck of mul/div."""
         if isinstance(other, PAdicApprox):
             return other.triple
         v, rel = valuation(other, self.prime), max(self.precision - self.val, 1)
-        return PAdicApprox.from_rational(other, self.prime, v + rel).triple
+        return to_approx(other, self.prime, v + rel).triple
 
     def _apply(self, rule, a: tuple, b: tuple) -> "PAdicApprox":
         return PAdicApprox(self.prime, *rule(self.prime, a, b))
@@ -471,7 +473,7 @@ class PAdicApprox:
         if not isinstance(other, PAdicApprox):
             if other == 0:
                 return self
-            other = PAdicApprox.from_rational(other, self.prime, self.precision)
+            other = to_approx(other, self.prime, self.precision)
         return self._apply(approx_add, self.triple, other.triple)
 
     __radd__ = __add__

@@ -1061,6 +1061,17 @@ class TestTripleLoop:
         _, status, detail = assert_matches_jp_step_outcome(inputs, p, max_steps)
         assert outcome in (status, detail)
 
+    def test_field_element_beside_truncated_values(self, emb_cuberoot2):
+        # theta * approx and approx * theta embed theta by to_approx, so a
+        # tuple that mixes them runs; each run ends when a remainder is 0
+        # at its precision, after the rows the jp_step loop emits
+        theta = emb_cuberoot2(emb_cuberoot2.field.generator())
+        for precision in (20, 200):
+            a = to_approx(F(1, 3), 5, precision)
+            for inputs in [(a, theta), (theta, a), (a, theta * theta, theta + F(1, 5))]:
+                rows, status, _ = assert_matches_jp_step_outcome(inputs, 5, 10)
+                assert rows and status is InsufficientPrecision
+
     def test_errors_carry_certified_rows(self, capsys):
         inputs = approx(3, 5, F(32, 9), F(-1863, 64), F(144, 61))
         with pytest.raises(InsufficientPrecision) as info:

@@ -10,15 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padic_mcf import mcf as mcf_module
 from padic_mcf.errors import (
     InternalMismatch,
     ZeroDenominatorConvergent,
     ZeroIntermediate,
     ZeroWeight,
 )
+from padic_mcf.jacobi_perron import jp_expand
 from padic_mcf.mcf import (
     MCF,
     ConvergentsTable,
+    _forward_value,
     check_convergence_conditions,
     convergents_of,
     dehomogenize,
@@ -29,6 +32,7 @@ from padic_mcf.mcf import (
     rescale,
     strong_convergence_sequence,
 )
+from padic_mcf.numberfield import clear_denominators
 from padic_mcf.padic import PLUS_INFINITY, valuation
 
 Q5_PAIR = MCF.unit_from_sequences(
@@ -378,15 +382,88 @@ class TestEvaluateFinite:
 
     def test_routes_are_cross_checked(self, monkeypatch):
         mcf = MCF.unit_from_sequences([[1, F(4, 5), F(12, 5)], [0, 1, 0]])
-        real = ConvergentsTable.convergents
+        real = mcf_module._forward_value
 
-        def perturbed(table):
-            first, *rest = real(table)
+        def perturbed(m, scaled):
+            first, *rest = real(m, scaled)
             return (first + 1, *rest)
 
-        monkeypatch.setattr(ConvergentsTable, "convergents", perturbed)
-        with pytest.raises(InternalMismatch):
+        monkeypatch.setattr(mcf_module, "_forward_value", perturbed)
+        with pytest.raises(InternalMismatch, match="!= final convergent"):
             evaluate_finite(mcf)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (ZeroIntermediate, ZeroDenominatorConvergent) as exc:
+        return type(exc), str(exc)
+
+
+def table_value(m, rows):
+    """The final convergent of ConvergentsTable after every row is pushed."""
+    table = ConvergentsTable(m)
+    for row in rows:
+        table.push(row)
+    return table.convergents()
+
+
+def table_evaluation(mcf):
+    """evaluate_finite by the Fraction backward route, then the table: the
+    reference for both routes, errors and their order included."""
+    backward = fraction_backward(mcf)
+    assert table_value(mcf.m, mcf.rows) == backward
+    return backward
+
+
+# small integer entries make cancellations, hence both zero errors, likely
+_NONZERO = st.builds(
+    F, st.sampled_from((-2, -1, 1, 2)) | st.integers(-40, 40).filter(bool), st.integers(1, 60)
+)
+_WINDOW_ENTRY = st.one_of(st.just(F(0)), _NONZERO)
+
+
+class TestForwardWindow:
+    """The unreduced integer window of evaluate_finite's forward route
+    against ConvergentsTable, which reduces every column."""
+
+    @given(
+        m=st.integers(1, 4),
+        rows=st.lists(
+            st.lists(_WINDOW_ENTRY, min_size=5, max_size=5), min_size=1, max_size=80
+        ),
+        lasts=st.lists(_NONZERO, min_size=80, max_size=80),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_general_rows(self, m, rows, lasts):
+        rows = general_rows(m, rows, lasts)
+        scaled = [clear_denominators(row) for row in rows]
+        assert outcome(_forward_value, m, scaled) == outcome(table_value, m, rows)
+        mcf = MCF(m, rows)
+        assert outcome(evaluate_finite, mcf) == outcome(table_evaluation, mcf)
+
+    @given(
+        m=st.integers(1, 4),
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_expansion_rows(self, m, p, rng):
+        bound = 10 ** rng.randint(2, 40)
+        inputs = [F(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(m)]
+        mcf = jp_expand(inputs, p).mcf
+        scaled = [clear_denominators(row) for row in mcf.rows]
+        assert _forward_value(m, scaled) == table_value(m, mcf.rows)
+        assert evaluate_finite(mcf) == table_evaluation(mcf)
+
+    def test_zero_denominator_message(self):
+        rows = [(F(5), F(1)), (F(0), F(3))]  # A_1^(2) = 0
+        scaled = [clear_denominators(row) for row in rows]
+        assert outcome(_forward_value, 1, scaled) == (
+            ZeroDenominatorConvergent, "A_1^(2) = 0"
+        )
+        assert outcome(table_value, 1, rows) == outcome(_forward_value, 1, scaled)
 
 
 class TestReconstructInitial:

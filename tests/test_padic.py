@@ -3,6 +3,7 @@ truncated arithmetic."""
 
 import ast
 import itertools
+import operator
 from fractions import Fraction as F
 from functools import lru_cache
 from pathlib import Path
@@ -589,6 +590,19 @@ class TestValueProtocol:
         ):
             with pytest.raises(ValueError, match="value carries a different prime"):
                 op()
+
+    @pytest.mark.parametrize("x", [F(1, 3), F(7, 25), F(-10, 9), F(125, 2)])
+    def test_field_elements_mix_with_truncated_values(self, x):
+        # a field element on either side is lifted by to_approx, as a
+        # Fraction is: the result is the one of its embedding at ample precision
+        emb = PAdicEmbedding.create(NumberField([-2, 0, 0, 1]), 5, 32)
+        theta = emb(emb.field.generator())  # the cube root of 2 in Q_5
+        a = to_approx(x, 5, 20)
+        for y in (theta, 5 * theta * theta + F(1, 5)):
+            lifted = to_approx(y, 5, 80)
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                assert op(a, y) == op(a, lifted)
+                assert op(y, a) == op(lifted, a)
 
     def test_anything_else_is_read_as_a_fraction(self):
         for x in (3, "-7/5", F(2, 9)):

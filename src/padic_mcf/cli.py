@@ -49,10 +49,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_run_args(args):
-    """Validate the flags shared by the expansion commands."""
+def _check_prime(args):
     if not is_odd_prime(args.prime):
         raise UsageError(f"-p must be an odd prime, got {args.prime}")
+
+
+def _check_run_args(args):
+    """Validate the flags shared by the expansion commands."""
+    _check_prime(args)
     if args.max_steps < 1:
         raise UsageError("--max-steps must be >= 1")
     if args.precision < 1:
@@ -278,8 +282,7 @@ def cmd_evaluate(args, out) -> int:
 
 
 def cmd_digits(args, out) -> int:
-    if not is_odd_prime(args.prime):
-        raise UsageError(f"-p must be an odd prime, got {args.prime}")
+    _check_prime(args)
     x = _parse_fraction(args.value)
     if x != 0 and args.upto <= valuation(x, args.prime):
         raise UsageError("--upto must exceed the valuation of the value")
@@ -302,8 +305,7 @@ def cmd_digits(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
-    if not is_odd_prime(args.prime):
-        raise UsageError(f"-p must be an odd prime, got {args.prime}")
+    _check_prime(args)
     mcf = _read_mcf(args)
     report = check_convergence_conditions(
         mcf, args.prime, unit_numerators=args.unit_numerators

@@ -268,7 +268,8 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
     x_n themselves follow from the inputs and the rows by the recurrence
     above.  An exact tuple runs on the kernel and loop of jp_expand, which
     reads the valuations off the kernel; a truncated tuple runs
-    _value_euclid.
+    _value_euclid, and its InsufficientPrecision carries certified_rows as
+    jp_expand's does: the rows whose zero test was decided.
     """
     require_odd_prime(p)
     if max_steps < 1:
@@ -284,12 +285,16 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
         result = _exact_expand(run, max_steps, vals=vals)
         return replace(result, trace_valuations=tuple(vals))
     rows, lasts = [], [xs[-1]]
-    for quotients, nxt in _value_euclid(xs, p):
-        rows.append(quotients + (Fraction(1),))
-        lasts.append(nxt[-1])
-        if is_zero(nxt[-1]) or len(rows) >= max_steps:
-            break
-    finite = is_zero(lasts[-1])
+    try:
+        for quotients, nxt in _value_euclid(xs, p):
+            finite = is_zero(nxt[-1])  # a row counts once this is decided
+            rows.append(quotients + (Fraction(1),))
+            lasts.append(nxt[-1])
+            if finite or len(rows) >= max_steps:
+                break
+    except InsufficientPrecision as exc:
+        exc.certified_rows = len(rows)
+        raise
     status = "finite" if finite else "truncated"
     vals = tuple(valuation(x, p) for x in lasts)
     mcf = MCF(len(xs) - 1, rows, finite)

@@ -371,6 +371,17 @@ def test_numberfield_backend_needs_minpoly(capsys, argv):
     }[argv[0]]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("expand", "1/2"), ("euclid", "437", "70", "95"), ("digits", "1/2"), ("check",)],
+)
+def test_every_prime_flag_is_checked_alike(capsys, argv):
+    # check reads its MCF only after the prime has passed
+    code, out = run_cli(argv[0], "-p", "4", *argv[1:])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: -p must be an odd prime, got 4\n"
+
+
 class TestEvaluateDigitsCheck:
     MCF_JSON = json.dumps(
         {

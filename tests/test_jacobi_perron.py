@@ -609,6 +609,47 @@ class TestApproxBackend:
         with pytest.raises(InsufficientPrecision):
             euclid_expand(xs, 5)
 
+    def test_euclid_errors_carry_certified_rows(self, capsys):
+        exact = (F(7, 3), F(11, 13), F(1))
+        xs = tuple(to_approx(x, 5, 12) for x in exact)
+        with pytest.raises(InsufficientPrecision) as info:
+            euclid_expand(xs, 5)
+        assert info.value.certified_rows == 4  # row 5's zero test is undecided
+        assert euclid_expand(xs, 5, max_steps=4).mcf.rows == (
+            euclid_expand(exact, 5).mcf.rows[:4]
+        )
+        # the command line reports the error as it did before
+        argv = ["euclid", "-p", "5", "--backend", "approx", "--precision", "12",
+                "7/3", "11/13", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: InsufficientPrecision: cannot distinguish 0 from O(p^10)\n"
+        )
+
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        m=st.integers(1, 3),
+        precision=st.integers(2, 40),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_euclid_certified_rows_are_exact_rows(self, p, m, precision, rng):
+        # a truncated run cannot tell its last zero, so it always raises;
+        # the rows it certified are the exact run's, and a run capped there
+        # emits them without raising
+        bound = 10 ** rng.randint(2, 30)
+        exact = [F(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(m)]
+        exact.append(F(rng.choice([k for k in range(1, 60) if k % p])))
+        xs = tuple(to_approx(x, p, precision) for x in exact)
+        with pytest.raises(InsufficientPrecision) as info:
+            euclid_expand(xs, p)
+        n = info.value.certified_rows
+        assert n is not None
+        want = euclid_expand(exact, p).mcf.rows[:n]
+        assert len(want) == n
+        if n:
+            assert euclid_expand(xs, p, max_steps=n).mcf.rows == want
+
 
 def triple_loop_period_candidate(rows):
     """Every (period, preperiod) pair tried in turn, each checked in full:

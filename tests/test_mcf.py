@@ -2,7 +2,6 @@
 finite evaluation, strong convergence."""
 
 import json
-import math
 import random
 from fractions import Fraction as F
 
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_mcf import mcf as mcf_module
 from padic_mcf.errors import (
     InternalMismatch,
     ZeroDenominatorConvergent,
@@ -21,7 +19,6 @@ from padic_mcf.jacobi_perron import jp_expand
 from padic_mcf.mcf import (
     MCF,
     ConvergentsTable,
-    _forward_value,
     check_convergence_conditions,
     convergents_of,
     dehomogenize,
@@ -32,7 +29,6 @@ from padic_mcf.mcf import (
     rescale,
     strong_convergence_sequence,
 )
-from padic_mcf.numberfield import clear_denominators
 from padic_mcf.padic import PLUS_INFINITY, valuation
 
 Q5_PAIR = MCF.unit_from_sequences(
@@ -56,7 +52,7 @@ def random_mcf(rng, m, length):
 def fraction_columns(rows, m):
     """A_n for n = -(m+1) .. len(rows)-1, oldest first, by the plain
     Fraction recurrence A_n^(i) = sum_j a_n^(j) A_{n-j}^(i): the reference
-    for the integer columns of ConvergentsTable."""
+    for the unreduced integer window of ConvergentsTable."""
     cols = [tuple(F(int(i == j)) for i in range(m + 1)) for j in range(m, -1, -1)]
     for row in rows:
         cols.append(
@@ -174,12 +170,13 @@ class TestConvergentsTable:
             now = n + m + 1  # index of A_n in cols
             for back in range(m + 1):
                 assert t.column(back) == cols[now - back]
-            # held over the least common denominator, so integers stay small
-            assert t._window[0][1] == math.lcm(*(x.denominator for x in cols[now]))
             den = cols[now][m]
             assert t.denominator() == den
             want = None if den == 0 else tuple(x / den for x in cols[now][:m])
             assert t.try_convergents() == want
+        # the closed form holds on any rows, so a wrong power of the
+        # window's denominator shows here
+        assert all(ok for _, ok in determinant_check(MCF(m, rows)))
 
     def test_push_accepts_any_exact_type(self):
         by_fraction, by_int_str = ConvergentsTable(2), ConvergentsTable(2)
@@ -191,6 +188,13 @@ class TestConvergentsTable:
             by_int_str.push(same)
             assert by_int_str._window == by_fraction._window
             assert by_int_str.column(0) == by_fraction.column(0)
+
+    def test_column_index_out_of_range(self):
+        t = ConvergentsTable(2)
+        t.push((F(3, 7), F(-1), F(1)))
+        for back in (-1, -3, 3):  # column(-1) would be A_(n-m)
+            with pytest.raises(IndexError, match=rf"^back must be in 0\.\.2, got {back}$"):
+                t.column(back)
 
     def test_zero_denominator_flagged_at_query_time(self):
         t = ConvergentsTable(1)
@@ -382,13 +386,13 @@ class TestEvaluateFinite:
 
     def test_routes_are_cross_checked(self, monkeypatch):
         mcf = MCF.unit_from_sequences([[1, F(4, 5), F(12, 5)], [0, 1, 0]])
-        real = mcf_module._forward_value
+        real = ConvergentsTable.convergents
 
-        def perturbed(m, scaled):
-            first, *rest = real(m, scaled)
+        def perturbed(table):
+            first, *rest = real(table)
             return (first + 1, *rest)
 
-        monkeypatch.setattr(mcf_module, "_forward_value", perturbed)
+        monkeypatch.setattr(ConvergentsTable, "convergents", perturbed)
         with pytest.raises(InternalMismatch, match="!= final convergent"):
             evaluate_finite(mcf)
 
@@ -409,11 +413,20 @@ def table_value(m, rows):
     return table.convergents()
 
 
-def table_evaluation(mcf):
-    """evaluate_finite by the Fraction backward route, then the table: the
-    reference for both routes, errors and their order included."""
+def fraction_value(m, rows):
+    """The final convergent by the plain Fraction recurrence."""
+    last = fraction_columns(rows, m)[-1]
+    if last[m] == 0:
+        raise ZeroDenominatorConvergent(f"A_{len(rows) - 1}^({m + 1}) = 0")
+    return tuple(x / last[m] for x in last[:m])
+
+
+def fraction_evaluation(mcf):
+    """evaluate_finite by the Fraction backward route, then the Fraction
+    recurrence: the reference for both routes, errors and their order
+    included."""
     backward = fraction_backward(mcf)
-    assert table_value(mcf.m, mcf.rows) == backward
+    assert fraction_value(mcf.m, mcf.rows) == backward
     return backward
 
 
@@ -425,8 +438,8 @@ _WINDOW_ENTRY = st.one_of(st.just(F(0)), _NONZERO)
 
 
 class TestForwardWindow:
-    """The unreduced integer window of evaluate_finite's forward route
-    against ConvergentsTable, which reduces every column."""
+    """The unreduced integer window of ConvergentsTable, which is also
+    evaluate_finite's forward route, against the plain Fraction recurrence."""
 
     @given(
         m=st.integers(1, 4),
@@ -438,10 +451,9 @@ class TestForwardWindow:
     @settings(max_examples=60, deadline=None)
     def test_general_rows(self, m, rows, lasts):
         rows = general_rows(m, rows, lasts)
-        scaled = [clear_denominators(row) for row in rows]
-        assert outcome(_forward_value, m, scaled) == outcome(table_value, m, rows)
+        assert outcome(table_value, m, rows) == outcome(fraction_value, m, rows)
         mcf = MCF(m, rows)
-        assert outcome(evaluate_finite, mcf) == outcome(table_evaluation, mcf)
+        assert outcome(evaluate_finite, mcf) == outcome(fraction_evaluation, mcf)
 
     @given(
         m=st.integers(1, 4),
@@ -453,17 +465,15 @@ class TestForwardWindow:
         bound = 10 ** rng.randint(2, 40)
         inputs = [F(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(m)]
         mcf = jp_expand(inputs, p).mcf
-        scaled = [clear_denominators(row) for row in mcf.rows]
-        assert _forward_value(m, scaled) == table_value(m, mcf.rows)
-        assert evaluate_finite(mcf) == table_evaluation(mcf)
+        assert table_value(m, mcf.rows) == fraction_value(m, mcf.rows)
+        assert evaluate_finite(mcf) == fraction_evaluation(mcf)
 
     def test_zero_denominator_message(self):
         rows = [(F(5), F(1)), (F(0), F(3))]  # A_1^(2) = 0
-        scaled = [clear_denominators(row) for row in rows]
-        assert outcome(_forward_value, 1, scaled) == (
+        assert outcome(table_value, 1, rows) == (
             ZeroDenominatorConvergent, "A_1^(2) = 0"
         )
-        assert outcome(table_value, 1, rows) == outcome(_forward_value, 1, scaled)
+        assert outcome(fraction_value, 1, rows) == outcome(table_value, 1, rows)
 
 
 class TestReconstructInitial:

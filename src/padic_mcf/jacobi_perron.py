@@ -26,8 +26,12 @@ with a number-field element runs projectively on integer coefficient
 vectors, reading digits from their residues modulo a power of p
 (`_ProjectiveEuclid`); it confirms a period by exact equality in the field.
 Both kernels read each step's digits off unit residues through
-`padic.residue_digit`, with one modular inverse per step, and report the
-valuation of their last coordinate, which `euclid_expand` returns per step.
+`padic.residue_digit`, with one modular inverse per step, and form the next
+tuple from the integer residue R and the k of each digit R / p**(k-1).
+Each run owns a table from (R, k) to that digit, so it builds one Fraction
+per distinct digit, at most rows * m of them, and its rows share them.  The
+kernels report the valuation of their last coordinate, which
+`euclid_expand` returns per step.
 A truncated jp_expand runs jp_step while a coordinate is exact, then a
 loop on `padic.truncated_triples` by the approx_* rules of PAdicApprox
 arithmetic (`_truncated_expand`); a truncated euclid runs `_value_euclid`.
@@ -61,6 +65,10 @@ from .padic import (
 )
 
 DEFAULT_MAX_STEPS = 10_000
+#: The unit last entry of every emitted row, and the zero digit; Fractions
+#: are immutable, so rows share them.
+_UNIT = (Fraction(1),)
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -182,7 +190,7 @@ def _truncated_expand(state: JPState, max_steps: int, rows: list) -> bool:
     p = state.prime
     while (ts := truncated_triples(state.alphas)) is None:
         res = jp_step(state)
-        rows.append(res.quotients + (Fraction(1),))
+        rows.append(res.quotients + _UNIT)
         if res.next_state is None or len(rows) >= max_steps:
             return res.next_state is None
         state = res.next_state
@@ -190,7 +198,7 @@ def _truncated_expand(state: JPState, max_steps: int, rows: list) -> bool:
         quotients, rests = zip(*(approx_digit(p, t) for t in ts))
         lead = approx_inverse(p, rests[-1])
         ts = (lead,) + tuple(approx_mul(p, lead, t) for t in rests[:-1])
-        rows.append(quotients + (Fraction(1),))
+        rows.append(quotients + _UNIT)
     return False
 
 
@@ -237,7 +245,7 @@ def _exact_expand(run, max_steps: int, detect_period=False, vals=None):
             seen.setdefault(key, []).append((n, run.vectors))
         if n >= max_steps:
             return ExpansionResult(MCF(run.m, rows, finite=False), "truncated", n)
-        rows.append(run.step() + (Fraction(1),))
+        rows.append(run.step() + _UNIT)
         if vals is not None:
             vals.append(run.valuation)
         if run.finished:
@@ -277,8 +285,12 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
     xs = tuple(as_value(x, p) for x in xs)
     if len(xs) < 2:
         raise ValueError("need an (m+1)-tuple with m >= 1")
-    if is_zero(xs[-1]):
-        raise ZeroDivisionError("last coordinate must be nonzero")
+    try:
+        if is_zero(xs[-1]):
+            raise ZeroDivisionError("last coordinate must be nonzero")
+    except InsufficientPrecision as exc:
+        exc.certified_rows = 0  # no row's zero test was decided
+        raise
     run = _exact_run(xs, p)
     if run is not None:
         vals = [run.valuation]
@@ -288,7 +300,7 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
     try:
         for quotients, nxt in _value_euclid(xs, p):
             finite = is_zero(nxt[-1])  # a row counts once this is decided
-            rows.append(quotients + (Fraction(1),))
+            rows.append(quotients + _UNIT)
             lasts.append(nxt[-1])
             if finite or len(rows) >= max_steps:
                 break
@@ -315,22 +327,36 @@ def _value_euclid(xs, p: int):
             return
 
 
-def _digits(parts, w: int, u: int, p: int) -> tuple:
-    """The Browkin digit of u_i * p**v_i / (u * p**w) for each part
-    (v_i, u_i), with u and every u_i prime to p; None is an exact zero.
+def _digits(parts, w: int, u: int, p: int, table: dict) -> tuple:
+    """(digits, residues): the Browkin digit of u_i * p**v_i / (u * p**w)
+    for each part (v_i, u_i), with u and every u_i prime to p and a part
+    None for an exact zero; and next to each digit its (R, k), or None
+    where the digit is 0.
 
     With k = 1 + w - v_i >= 1 the digit is R / p**(k-1), R the symmetric
     residue of u_i / u mod p**k, which padic.residue_digit, the one digit
     map, reads off u_i * u**-1; for k < 1 it is 0.  u is inverted once,
-    mod p**K for the largest k, which fixes u**-1 mod every p**k.
+    mod p**K for the largest k, which fixes u**-1 mod every p**k.  The
+    kernels step on R and k.  table is the run's map from (R, k) to the
+    digit, so a run builds one Fraction per distinct digit, at most
+    rows * m of them.
     """
     low = min((part[0] for part in parts if part is not None), default=w + 1)
     inv = inverse_mod_pk(u, p, 1 + w - low) if low <= w else 0
-    return tuple(
-        Fraction(0) if part is None or part[0] > w
-        else residue_digit(part[1] * inv, p, 1 + w - part[0])
-        for part in parts
-    )
+    digits, residues = [], []
+    for part in parts:
+        if part is None or part[0] > w:
+            digits.append(_ZERO)
+            residues.append(None)
+            continue
+        k = 1 + w - part[0]
+        key = residue_digit(part[1] * inv, p, k), k
+        a = table.get(key)
+        if a is None:
+            a = table[key] = Fraction(key[0], p ** (k - 1))
+        digits.append(a)
+        residues.append(key)
+    return tuple(digits), residues
 
 
 class _IntegerEuclid:
@@ -346,9 +372,11 @@ class _IntegerEuclid:
     digit a^(i) = R / p**(k-1) of _digits when k = 1 + w - v_i >= 1.
     Divided by p**w, the next tuple is integral: its first entry is u and
     (x^(i) - a^(i) x^(m+1)) / p**w = (u_i - R u) / p**(k-1), which p
-    divides.  The part prime to p of every coordinate is carried through
-    exact integer steps, so no gcd is taken on it, and the valuation of
-    the last coordinate is v + e - v_p(scale), with v_p(scale) split once.
+    divides and which is formed from the integers R and k.  The part prime
+    to p of every coordinate is carried through exact integer steps, so no
+    gcd is taken on it, and the valuation of the last coordinate is
+    v + e - v_p(scale), with v_p(scale) split once.  `digits` is the run's
+    table of _digits.
     """
 
     def __init__(self, xs, p: int):
@@ -356,6 +384,7 @@ class _IntegerEuclid:
         self.p, self.m, self.e = p, len(ints) - 1, 0
         self.scale_v = split_p(scale, p)[0]
         self.parts = [split_p(x, p) if x else None for x in ints]
+        self.digits = {}
 
     @property
     def finished(self) -> bool:
@@ -375,13 +404,14 @@ class _IntegerEuclid:
         """The quotients of the current tuple; moves on to the next tuple."""
         p = self.p
         *parts, (w, u) = self.parts
-        quotients = _digits(parts, w, u, p)
+        quotients, residues = _digits(parts, w, u, p, self.digits)
         nxt = [(0, u)]
-        for part, a in zip(parts, quotients):
-            if not a:
+        for part, key in zip(parts, residues):
+            if key is None:
                 nxt.append(None if part is None else (part[0] - w, part[1]))
                 continue
-            y = (part[1] - a.numerator * u) // a.denominator  # R, p**(k-1)
+            r, k = key
+            y = (part[1] - r * u) // p ** (k - 1)
             nxt.append(split_p(y, p) if y else None)
         self.parts = nxt
         self.e += w
@@ -399,30 +429,32 @@ class _ProjectiveEuclid:
     """The Euclidean form on an IntegerLift, kept projectively.
 
     The tuple is held as integer coefficient vectors x^(i), the true tuple
-    being the vectors times `scale`, and as residues E_i, known modulo
-    p**precision, with p**offset * E_i = c * emb(x^(i)) for one p-adic c
-    common to every coordinate.  E_i / E_(m+1) is the embedded ratio
-    x^(i) / x^(m+1), so the digits are read off the residues by _digits, as
-    in _IntegerEuclid.
+    being the vectors times a rational scale of which only the valuation
+    `scale_v` is kept, and as residues E_i, known modulo p**precision, with
+    p**offset * E_i = c * emb(x^(i)) for one p-adic c common to every
+    coordinate.  E_i / E_(m+1) is the embedded ratio x^(i) / x^(m+1), so
+    the digits are read off the residues by _digits, as in _IntegerEuclid.
 
     With a^(i) = R_i / p**(k_i-1), P = p**s and s = max(k_i-1), a step maps
     the tuple to P * (x^(m+1), x^(i) - a^(i) x^(m+1)), which is integral,
-    alike on the vectors and on E.  Every new E_i is divisible by p**(s+w),
-    w the valuation of E_(m+1), and is divided by it, which costs as many
-    digits of precision.  The vectors are then divided by their content g:
-    its p-part only moves the offset, and its unit part joins c, since a
-    unit common to every E_i changes no ratio.  Zero tests are on the
-    vectors.  When a digit or a fingerprint needs more digits than E
-    carries, E is computed again from the vectors with at least twice the
-    precision of the last such re-lift; a run takes at most MAX_DOUBLINGS
-    re-lifts.
+    alike on the vectors and on E, and is formed from the integers R_i and
+    k_i; `digits` is the run's table of _digits.  Every new E_i is
+    divisible by p**(s+w), w the valuation of E_(m+1), and is divided by
+    it, which costs as many digits of precision.  The vectors are then
+    divided by their content g: its p-part only moves the offset, and its
+    unit part joins c, since a unit common to every E_i changes no ratio.
+    Zero tests are on the vectors.  When a digit or a fingerprint needs
+    more digits than E carries, E is computed again from the vectors with
+    at least twice the precision of the last such re-lift; a run takes at
+    most MAX_DOUBLINGS re-lifts.
     """
 
     def __init__(self, lift, p: int):
         self.lift, self.p = lift, p
-        self.vectors, self.scale = lift.vectors, lift.scale
+        self.vectors, self.scale_v = lift.vectors, valuation(lift.scale, p)
         self.m = len(self.vectors) - 1
         self.offset, self.relifts = 0, 0
+        self.digits = {}
         self.precision = self._lifted = _START_PRECISION
         self.residues = lift.residues(self.vectors, self.precision)
         self._read_state = None  # _read(keyed=True) of the current tuple
@@ -433,7 +465,7 @@ class _ProjectiveEuclid:
 
     @property
     def valuation(self):  # of the last coordinate, read in the field
-        return valuation(self.lift.values(self.vectors[-1:], self.scale)[0], self.p)
+        return valuation(self.lift.values(self.vectors[-1:])[0], self.p) + self.scale_v
 
     def _read(self, keyed: bool):
         """(w, u, parts) with E_(m+1) = u * p**w and parts[i] = (v_i, u_i),
@@ -485,27 +517,31 @@ class _ProjectiveEuclid:
         w, u, parts = self._read_state or self._read(keyed=False)
         self._read_state = None
         p = self.p
-        quotients = _digits(parts, w, u, p)
-        big = max(a.denominator for a in quotients)  # P
-        coefs = [a.numerator * (big // a.denominator) for a in quotients]  # P * a^(i)
+        quotients, residues = _digits(parts, w, u, p, self.digits)
+        s = max((key[1] - 1 for key in residues if key is not None), default=0)
+        big = p**s  # P
+        coefs = [  # P * a^(i)
+            0 if key is None else key[0] * p ** (s + 1 - key[1]) for key in residues
+        ]
         *xs, last = self.vectors
         *es, e_last = self.residues
         vectors = [[big * c for c in last]] + [
             [big * c - a * l for c, l in zip(x, last)] for x, a in zip(xs, coefs)
         ]
-        drop = split_p(big, p)[0] + w  # s + w
+        drop = s + w
         self.precision -= drop
         shift, mod = p**drop, p**self.precision
         self.residues = [u % mod] + [
             (big * e - a * e_last) // shift % mod for e, a in zip(es, coefs)
         ]
         g = math.gcd(*(c for v in vectors for c in v))
+        g_v = 0
         if g > 1:
             vectors = [[c // g for c in v] for v in vectors]
-            drop -= split_p(g, p)[0]
+            g_v = split_p(g, p)[0]
         self.vectors = vectors
-        self.offset += drop
-        self.scale *= Fraction(g, big)
+        self.offset += drop - g_v
+        self.scale_v += g_v - s  # the scale times g / P
         return quotients
 
 

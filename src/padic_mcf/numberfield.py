@@ -762,10 +762,10 @@ class IntegerLift:
         self.vectors = [flat[i : i + d] for i in range(0, len(flat), d)]
         self.scale = Fraction(1, ell)
 
-    def values(self, vectors, scale=Fraction(1)) -> tuple:
-        """The embedded field elements `vectors` times `scale`."""
+    def values(self, vectors) -> tuple:
+        """The embedded field elements with coefficient vectors `vectors`."""
         return tuple(
-            AlgebraicNumber(self.field, tuple(c * scale for c in v), self.emb)
+            AlgebraicNumber(self.field, tuple(map(Fraction, v)), self.emb)
             for v in vectors
         )
 

@@ -241,14 +241,16 @@ def in_browkin_range(x, p: int) -> bool:
     return split_p(x.denominator, p)[1] == 1 and 2 * abs(x) < p
 
 
-def residue_digit(r: int, p: int, k: int) -> Fraction:
-    """The Browkin digit of u / p**(k-1), k >= 1, for a unit u = r mod p**k:
-    R / p**(k-1), R the residue of r mod p**k in (-p**k/2, p**k/2), whose
-    values for odd p are those of k balanced digits.  It is the package's
-    one digit map."""
+def residue_digit(r: int, p: int, k: int) -> int:
+    """R, the residue of r mod p**k in (-p**k/2, p**k/2), for k >= 1, whose
+    values for odd p are those of k balanced digits: for a unit u = r mod
+    p**k, the Browkin digit of u / p**(k-1) is R / p**(k-1), in lowest
+    terms since R is prime to p.  It is the package's one digit map; its
+    callers form the digit from R, the exact kernels of jacobi_perron once
+    per distinct (R, k) of a run."""
     mod = _power(p, k)
     r %= mod
-    return Fraction(r - mod if r > mod // 2 else r, mod // p)
+    return r - mod if r > mod // 2 else r
 
 
 def browkin_s(x, p: int) -> Fraction:
@@ -346,15 +348,15 @@ def approx_inverse(p: int, t: tuple) -> tuple:
 
 def approx_digit(p: int, t: tuple) -> tuple:
     """(s(x), x - s(x)) for a truncated x, s the Browkin truncation: for
-    x = p**v * u with k = 1 - v >= 1, s(x) = residue_digit(u, p, k) =
-    R / p**(k-1) = R * p**v, and x - s(x) is (v, u - R, n)."""
+    x = p**v * u with k = 1 - v >= 1 and R = residue_digit(u, p, k),
+    s(x) = R / p**(k-1) = R * p**v, and x - s(x) is (v, u - R, n)."""
     v, u, n = t
     if n < 1:
         raise InsufficientPrecision(f"digit at exponent 0 unknown at precision O(p^{n})")
     if u == 0 or v > 0:
         return Fraction(0), t
-    a = residue_digit(u, p, 1 - v)
-    return a, _normal(p, v, u - a.numerator, n)
+    r = residue_digit(u, p, 1 - v)
+    return Fraction(r, _power(p, -v)), _normal(p, v, u - r, n)
 
 
 class PAdicApprox:

@@ -358,8 +358,8 @@ class TestIntegerKernel:
     """jp_expand and euclid_expand on rationals run on integer tuples; the
     Fraction route above is their reference."""
 
-    @given(
-        p=st.sampled_from((3, 5, 7, 11, 13)),
+    @given(  # primes above 13 give wide residues R and digits with k > 1
+        p=st.sampled_from((3, 5, 7, 11, 13, 257, 65537)),
         m=st.integers(1, 4),
         nums=st.lists(bits_300, min_size=4, max_size=4),
         dens=st.lists(bits_300.filter(bool), min_size=4, max_size=4),
@@ -421,7 +421,7 @@ class TestDigitMap:
     @settings(max_examples=150, deadline=None)
     def test_residue_digit(self, p, k, ui, u):
         ui, u = as_unit(ui, p), as_unit(u, p)
-        a = residue_digit(ui * inverse_mod_pk(u, p, k), p, k)
+        a = F(residue_digit(ui * inverse_mod_pk(u, p, k), p, k), p ** (k - 1))
         x = F(ui, u * p ** (k - 1))
         assert a == fraction_digit(ui, u, p, k) == oracle_digit(x, p)
         # the two properties that fix the digit: range, and a = x mod p
@@ -437,15 +437,27 @@ class TestDigitMap:
     def test_one_inverse_per_step(self, p, w, vs, units):
         u, *uis = (as_unit(a, p) for a in units)
         parts = [None if v is None else (v, ui) for v, ui in zip(vs, uis)]
-        digits = _digits(parts, w, u, p)
-        assert len(digits) == len(parts)
-        for part, a in zip(parts, digits):
+        digits, residues = _digits(parts, w, u, p, {})
+        assert len(digits) == len(residues) == len(parts)
+        for part, a, key in zip(parts, digits, residues):
             if part is None or part[0] > w:
-                assert a == 0
+                assert a == 0 and key is None
                 continue
             k = 1 + w - part[0]  # the inverse mod p**k, taken afresh
             fresh = residue_digit(part[1] * inverse_mod_pk(u, p, k), p, k)
-            assert a == fresh == fraction_digit(part[1], u, p, k)
+            assert key == (fresh, k)
+            assert a == F(fresh, p ** (k - 1)) == fraction_digit(part[1], u, p, k)
+
+    def test_a_run_builds_each_digit_once(self, emb_cubic_q5):
+        alpha = emb_cubic_q5(emb_cubic_q5.field.generator())
+        rational = (F(2**200 + 1, 3**90 + 2), F(-(7**80), 2**150 + 3))
+        for inputs in [rational, (alpha, 1 + 1 / alpha)]:
+            res = jp_expand(inputs, 5, max_steps=40)
+            digits = [a for row in res.mcf.rows for a in row[:-1]]
+            first = {}  # each value -> the first object holding it
+            for a in digits:
+                assert first.setdefault(a, a) is a
+            assert len(first) < len(digits)  # some digit repeats
 
 
 def assert_scaling_shifts_valuations(xs, c, p, max_steps):
@@ -624,6 +636,17 @@ class TestApproxBackend:
         assert main(argv) == 1
         assert capsys.readouterr() == (
             "", "error: InsufficientPrecision: cannot distinguish 0 from O(p^10)\n"
+        )
+        # a last coordinate that cannot be told from 0 certifies no row
+        xs = (to_approx(F(7, 3), 5, 4), to_approx(F(625), 5, 4))
+        with pytest.raises(InsufficientPrecision) as info:
+            euclid_expand(xs, 5)
+        assert info.value.certified_rows == 0
+        argv = ["euclid", "-p", "5", "--backend", "approx", "--precision", "4",
+                "7/3", "625"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: InsufficientPrecision: cannot distinguish 0 from O(p^4)\n"
         )
 
     @given(

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .exprparse import ExprError, evaluate_expression, parse_polynomial
-from .jacobi_perron import euclid_expand, jp_expand
+from .jacobi_perron import DEFAULT_MAX_STEPS, euclid_expand, jp_expand
 from .mcf import (
     MCF,
     check_convergence_conditions,
@@ -79,7 +79,7 @@ def _parse_fraction(s: str) -> Fraction:
 def _add_common(sub, backends):
     sub.add_argument("-p", "--prime", type=int, required=True)
     sub.add_argument("-m", "--dim", type=int, default=None)
-    sub.add_argument("--max-steps", type=int, default=10_000)
+    sub.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     sub.add_argument("--precision", type=int, default=64)
     sub.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     sub.add_argument("--backend", choices=backends, default=None)

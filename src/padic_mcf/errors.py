@@ -13,7 +13,7 @@ class FieldMismatch(ValueError):
 
 class InsufficientPrecision(ArithmeticError):
     """A digit or an exact decision is needed beyond the known precision."""
-    certified_rows = None  # rows a truncated expansion certified before raising
+    certified_rows = None  # rows an expansion emitted before raising
 
 
 class PrecisionExhausted(ArithmeticError):

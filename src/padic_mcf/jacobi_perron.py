@@ -16,10 +16,10 @@ periodicity or termination: an undecidable zero test raises
 InsufficientPrecision instead of guessing.
 
 Both entry points first read their inputs through `padic.as_value`, which
-checks that a p-adic value carries p and reads anything else as a
-Fraction; this module never looks at a value's prime itself.  They run an
-exact tuple through one loop, `_exact_expand`, on the kernel that
-`_exact_run` chooses for its Euclidean (m+1)-tuple.  Every digit of a
+checks that a p-adic value carries p and reads anything else as a Fraction;
+this module never looks at a value's prime itself.  They run every tuple
+through one loop, `_expand`, on a kernel; for an exact tuple it is the one
+`_exact_run` chooses for the Euclidean (m+1)-tuple.  Every digit of a
 rational run lies in Z[1/p], so rationals run on integer tuples with
 p-power scaling (`_IntegerEuclid`) instead of on Fractions.  An exact tuple
 with a number-field element runs projectively on integer coefficient
@@ -31,10 +31,8 @@ tuple from the integer residue R and the k of each digit R / p**(k-1).
 Each run owns a table from (R, k) to that digit, so it builds one Fraction
 per distinct digit, at most rows * m of them, and its rows share them.  The
 kernels report the valuation of their last coordinate, which
-`euclid_expand` returns per step.
-A truncated jp_expand runs jp_step while a coordinate is exact, then a
-loop on `padic.truncated_triples` by the approx_* rules of PAdicApprox
-arithmetic (`_truncated_expand`); a truncated euclid runs `_value_euclid`.
+`euclid_expand` returns per step.  A truncated tuple runs on
+`_TruncatedRun` in jp_expand and on `_ValueEuclid` in euclid_expand.
 """
 
 from __future__ import annotations
@@ -160,46 +158,25 @@ def jp_expand(
     quotient tuples; truncated backends may at most get an advisory
     period_candidate over the emitted quotients.
     """
+    alphas = _read_inputs(inputs, p, max_steps, 1, "need at least one input value")
+    run = _exact_run(alphas + _UNIT, p) or _TruncatedRun(alphas, p)
+    result = _expand(run, max_steps, detect_period)
+    if result.status == "truncated" and isinstance(run, _TruncatedRun):
+        candidate = _quotient_period_candidate(result.mcf.rows)
+        result = replace(result, period_candidate=candidate)
+    return result
+
+
+def _read_inputs(values, p: int, max_steps: int, least: int, message: str) -> tuple:
+    """The values read by padic.as_value, after the checks of both entry
+    points in their order; fewer than least values raise ValueError."""
     require_odd_prime(p)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    alphas = tuple(as_value(x, p) for x in inputs)
-    if not alphas:
-        raise ValueError("need at least one input value")
-    run = _exact_run(alphas + (Fraction(1),), p)
-    if run is not None:
-        return _exact_expand(run, max_steps, detect_period)
-    rows = []
-    try:
-        finite = _truncated_expand(JPState(p, alphas, 0), max_steps, rows)
-    except InsufficientPrecision as exc:
-        exc.certified_rows = len(rows)
-        raise
-    mcf = MCF(len(alphas), rows, finite=finite)
-    if finite:
-        return ExpansionResult(mcf, "finite", len(rows))
-    candidate = _quotient_period_candidate(rows)
-    return ExpansionResult(mcf, "truncated", len(rows), period_candidate=candidate)
-
-
-def _truncated_expand(state: JPState, max_steps: int, rows: list) -> bool:
-    """Append a truncated run's rows to rows, up to max_steps; True if it
-    finishes.  jp_step runs while a coordinate is exact, at most m steps:
-    only an exact last one leaves one (the first), and truncated ones move
-    right.  Then jp_step's operations run on triples; that never finishes."""
-    p = state.prime
-    while (ts := truncated_triples(state.alphas)) is None:
-        res = jp_step(state)
-        rows.append(res.quotients + _UNIT)
-        if res.next_state is None or len(rows) >= max_steps:
-            return res.next_state is None
-        state = res.next_state
-    while len(rows) < max_steps:
-        quotients, rests = zip(*(approx_digit(p, t) for t in ts))
-        lead = approx_inverse(p, rests[-1])
-        ts = (lead,) + tuple(approx_mul(p, lead, t) for t in rests[:-1])
-        rows.append(quotients + _UNIT)
-    return False
+    values = tuple(as_value(x, p) for x in values)
+    if len(values) < least:
+        raise ValueError(message)
+    return values
 
 
 def _exact_run(xs, p: int):
@@ -212,44 +189,44 @@ def _exact_run(xs, p: int):
     return None if lift is None else _ProjectiveEuclid(lift, p)
 
 
-def _exact_expand(run, max_steps: int, detect_period=False, vals=None):
-    """The expansion computed by an exact kernel, up to max_steps rows.
+def _expand(run, max_steps: int, detect_period=False, vals=None):
+    """The expansion computed by a kernel, up to max_steps rows.
 
     With a vals list, the kernel's valuation of the last coordinate of each
     next tuple is appended to it.  Equal complete quotients give equal
     fingerprints, so each tuple is compared exactly only with the earlier
-    tuples that share its fingerprint; a kernel whose runs always
-    terminate has none."""
-    seen = {} if detect_period else None  # fingerprint -> [(n, vectors)]
+    tuples that share its fingerprint; a kernel that never claims a period
+    has fingerprint None.  The kernel's InsufficientPrecision carries
+    certified_rows, the rows emitted before it."""
+    seen = {} if detect_period and run.fingerprint else None  # key -> [(n, vectors)]
     rows = []
-    while True:
-        n = len(rows)
-        if seen is not None and (key := run.fingerprint()) is not None:
-            for k, vectors in seen.get(key, ()):
-                *xs, x_last = run.lift.values(vectors)
-                *ys, y_last = run.lift.values(run.vectors)
-                # x_i / x_last == y_i / y_last, by exact cross products
-                if all(x * y_last == y * x_last for x, y in zip(xs, ys)):
-                    inv = 1 / y_last
-                    return ExpansionResult(
-                        MCF(run.m, rows, finite=False),
-                        "periodic",
-                        n,
-                        preperiod=k,
-                        period=n - k,
-                        witness=(k, n),
-                        witness_state=JPState(
-                            run.p, tuple(y * inv for y in ys), n
-                        ),
-                    )
-            seen.setdefault(key, []).append((n, run.vectors))
-        if n >= max_steps:
-            return ExpansionResult(MCF(run.m, rows, finite=False), "truncated", n)
-        rows.append(run.step() + _UNIT)
-        if vals is not None:
-            vals.append(run.valuation)
-        if run.finished:
-            return ExpansionResult(MCF(run.m, rows, finite=True), "finite", n + 1)
+    try:
+        while True:
+            n = len(rows)
+            if seen is not None:
+                key = run.fingerprint()
+                for k, vectors in seen.get(key, ()):
+                    *xs, x_last = run.lift.values(vectors)
+                    *ys, y_last = run.lift.values(run.vectors)
+                    # x_i / x_last == y_i / y_last, by exact cross products
+                    if all(x * y_last == y * x_last for x, y in zip(xs, ys)):
+                        inv = 1 / y_last
+                        state = JPState(run.p, tuple(y * inv for y in ys), n)
+                        return ExpansionResult(
+                            MCF(run.m, rows, finite=False), "periodic", n, preperiod=k,
+                            period=n - k, witness=(k, n), witness_state=state,
+                        )
+                seen.setdefault(key, []).append((n, run.vectors))
+            if n >= max_steps:
+                return ExpansionResult(MCF(run.m, rows, finite=False), "truncated", n)
+            rows.append(run.step() + _UNIT)
+            if vals is not None:
+                vals.append(run.valuation)
+            if run.finished:
+                return ExpansionResult(MCF(run.m, rows, finite=True), "finite", n + 1)
+    except InsufficientPrecision as exc:
+        exc.certified_rows = len(rows)
+        raise
 
 
 def _quotient_period_candidate(rows):
@@ -274,57 +251,77 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
     is identical to jp_expand on the coordinate ratios and whose
     trace_valuations are v_p(x_n^(m+1)) for n = 0..steps.  The tuples
     x_n themselves follow from the inputs and the rows by the recurrence
-    above.  An exact tuple runs on the kernel and loop of jp_expand, which
-    reads the valuations off the kernel; a truncated tuple runs
-    _value_euclid, and its InsufficientPrecision carries certified_rows as
-    jp_expand's does: the rows whose zero test was decided.
+    above.  It runs jp_expand's loop on an exact kernel or on _ValueEuclid
+    and reads the valuations off the kernel.  Its InsufficientPrecision
+    carries certified_rows as jp_expand's does; it is 0 when the last
+    input coordinate cannot be told from 0.
     """
-    require_odd_prime(p)
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    xs = tuple(as_value(x, p) for x in xs)
-    if len(xs) < 2:
-        raise ValueError("need an (m+1)-tuple with m >= 1")
+    xs = _read_inputs(xs, p, max_steps, 2, "need an (m+1)-tuple with m >= 1")
     try:
         if is_zero(xs[-1]):
             raise ZeroDivisionError("last coordinate must be nonzero")
     except InsufficientPrecision as exc:
         exc.certified_rows = 0  # no row's zero test was decided
         raise
-    run = _exact_run(xs, p)
-    if run is not None:
-        vals = [run.valuation]
-        result = _exact_expand(run, max_steps, vals=vals)
-        return replace(result, trace_valuations=tuple(vals))
-    rows, lasts = [], [xs[-1]]
-    try:
-        for quotients, nxt in _value_euclid(xs, p):
-            finite = is_zero(nxt[-1])  # a row counts once this is decided
-            rows.append(quotients + _UNIT)
-            lasts.append(nxt[-1])
-            if finite or len(rows) >= max_steps:
-                break
-    except InsufficientPrecision as exc:
-        exc.certified_rows = len(rows)
-        raise
-    status = "finite" if finite else "truncated"
-    vals = tuple(valuation(x, p) for x in lasts)
-    mcf = MCF(len(xs) - 1, rows, finite)
-    return ExpansionResult(mcf, status, len(rows), trace_valuations=vals)
+    run = _exact_run(xs, p) or _ValueEuclid(xs, p)
+    vals = [run.valuation]
+    result = _expand(run, max_steps, vals=vals)
+    return replace(result, trace_valuations=tuple(vals))
 
 
-def _value_euclid(xs, p: int):
-    """Steps (quotients, next tuple) of the Euclidean form on values of any
-    backend, up to the step whose last coordinate vanishes.  Each step
-    divides every other coordinate by the last with small remainder.
-    euclid_expand runs it on truncated tuples only."""
-    while True:
-        last = xs[-1]
-        quotients, rests = zip(*(padic_divide(x, last, p) for x in xs[:-1]))
-        xs = (last,) + rests
-        yield quotients, xs
-        if is_zero(xs[-1]):
-            return
+class _TruncatedRun:
+    """jp_expand's kernel for a truncated m-tuple: jp_step while a
+    coordinate is exact, at most m steps, as only an exact last one leaves
+    one (the first) and truncated ones move right; then jp_step's
+    operations on padic's triples, which never finish.  A truncated run
+    claims no period."""
+
+    finished, fingerprint = False, None
+
+    def __init__(self, alphas, p: int):
+        self.p, self.m = p, len(alphas)
+        self.state, self.triples = JPState(p, alphas, 0), truncated_triples(alphas)
+
+    def step(self) -> tuple:
+        """The quotients of the current tuple; moves on to the next tuple."""
+        if self.triples is None:
+            res = jp_step(self.state)
+            self.state = res.next_state
+            if self.state is None:
+                self.finished = True
+            else:
+                self.triples = truncated_triples(self.state.alphas)
+            return res.quotients
+        p = self.p
+        quotients, rests = zip(*(approx_digit(p, t) for t in self.triples))
+        lead = approx_inverse(p, rests[-1])
+        self.triples = (lead,) + tuple(approx_mul(p, lead, t) for t in rests[:-1])
+        return quotients
+
+
+class _ValueEuclid:
+    """euclid_expand's kernel for a truncated (m+1)-tuple: the Euclidean
+    form on values of any backend, dividing every other coordinate by the
+    last with small remainder (padic_divide).  A step ends with the zero
+    test of its new last coordinate, so its row counts once that test is
+    decided.  A truncated run claims no period."""
+
+    finished, fingerprint = False, None
+
+    def __init__(self, xs, p: int):
+        self.p, self.m, self.xs = p, len(xs) - 1, xs
+
+    @property
+    def valuation(self):  # of the last coordinate
+        return valuation(self.xs[-1], self.p)
+
+    def step(self) -> tuple:
+        """The quotients of the current tuple; moves on to the next tuple."""
+        last = self.xs[-1]
+        quotients, rests = zip(*(padic_divide(x, last, self.p) for x in self.xs[:-1]))
+        self.xs = (last,) + rests
+        self.finished = is_zero(rests[-1])
+        return quotients
 
 
 def _digits(parts, w: int, u: int, p: int, table: dict) -> tuple:
@@ -379,6 +376,8 @@ class _IntegerEuclid:
     table of _digits.
     """
 
+    fingerprint = None  # a rational run always terminates
+
     def __init__(self, xs, p: int):
         *ints, scale = lift_to_integer_tuple(xs)
         self.p, self.m, self.e = p, len(ints) - 1, 0
@@ -395,10 +394,6 @@ class _IntegerEuclid:
         """The valuation of the current last coordinate; +inf once finished."""
         last = self.parts[-1]
         return math.inf if last is None else last[0] + self.e - self.scale_v
-
-    def fingerprint(self) -> None:
-        """None: a rational run always terminates."""
-        return None
 
     def step(self) -> tuple:
         """The quotients of the current tuple; moves on to the next tuple."""

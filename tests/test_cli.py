@@ -382,6 +382,28 @@ def test_every_prime_flag_is_checked_alike(capsys, argv):
     assert capsys.readouterr().err == "error: -p must be an odd prime, got 4\n"
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ("expand -p 5 --max-steps 0 1/2", "--max-steps must be >= 1"),
+        ("euclid -p 5 --max-steps 0 1 2", "--max-steps must be >= 1"),
+        ("expand -p 5 --precision 0 1/2", "--precision must be >= 1"),
+        ("expand -p 5 1/0", "cannot parse rational '1/0': Fraction(1, 0)"),
+        ("expand -p 5 --elem 1,2", "--elem/--elem-expr require --minpoly"),
+        ("expand -p 5 --minpoly x^3-3 --elem-expr 1+", "bad --elem-expr: invalid syntax"),
+        ("expand -p 5", "no input values given"),
+        ("expand -p 5 --backend rational --minpoly x^3-2 --elem 0,1",
+         "--backend rational cannot hold algebraic inputs"),
+        ("euclid -p 5 -m 3 1 2 3", "-m 3 does not match 3 coordinates"),
+        ("digits -p 5 --upto 0 1", "--upto must exceed the valuation of the value"),
+    ],
+)
+def test_argument_errors(capsys, argv, error):
+    code, out = run_cli(*argv.split())
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 class TestEvaluateDigitsCheck:
     MCF_JSON = json.dumps(
         {

@@ -12,12 +12,17 @@ from test_mcf import fraction_columns
 
 from padic_mcf import jacobi_perron
 from padic_mcf.cli import main
-from padic_mcf.errors import FieldMismatch, InsufficientPrecision, PrecisionExhausted
+from padic_mcf.errors import (
+    FieldMismatch,
+    InsufficientPrecision,
+    PrecisionExhausted,
+    VerificationFailed,
+)
 from padic_mcf.jacobi_perron import (
     JPState,
     _digits,
     _quotient_period_candidate,
-    _value_euclid,
+    _ValueEuclid,
     euclid_expand,
     jp_expand,
     jp_step,
@@ -341,11 +346,19 @@ def last_valuations(trace, p):
     return tuple(valuation(t[-1], p) for t in trace)
 
 
+def value_euclid(xs, p):
+    """Steps (quotients, next tuple) of _ValueEuclid on values of any
+    backend, up to the step whose last coordinate vanishes."""
+    run = _ValueEuclid(xs, p)
+    while not run.finished:
+        yield run.step(), run.xs
+
+
 def value_euclid_reference(xs, p, steps):
-    """The first `steps` rows of _value_euclid on xs, and the valuations
+    """The first `steps` rows of _ValueEuclid on xs, and the valuations
     of the last coordinates of xs and of the tuples after those rows."""
     rows, trace = [], [xs]
-    for quotients, nxt in itertools.islice(_value_euclid(xs, p), steps):
+    for quotients, nxt in itertools.islice(value_euclid(xs, p), steps):
         rows.append(quotients + (F(1),))
         trace.append(nxt)
     return tuple(rows), last_valuations(trace, p)
@@ -547,6 +560,23 @@ class TestTraceValuations:
 
 
 class TestTerminationDependence:
+    @pytest.mark.parametrize(
+        "dependence, message",
+        [
+            (None, "finite run but inputs are Q-linearly independent"),
+            ((F(1), F(1), F(1)), "dependency vector does not annihilate the inputs"),
+        ],
+    )
+    def test_failures_are_defects(self, monkeypatch, dependence, message):
+        inputs = (F(23, 5), F(14, 19))
+        res = jp_expand(inputs, 5)
+        monkeypatch.setattr(
+            jacobi_perron, "rational_linear_dependence", lambda values: dependence
+        )
+        with pytest.raises(VerificationFailed) as info:
+            verify_termination_dependence(res, inputs)
+        assert str(info.value) == message
+
     def test_rational_inputs(self):
         for inputs in ((F(31, 26), F(21, 26)), (F(23, 5), F(14, 19))):
             res = jp_expand(inputs, 5)
@@ -582,6 +612,11 @@ class TestReexpand:
         rep = reexpand_check(mcf, 5)
         assert rep.matches and rep.value == (F(133, 48), F(5, 4))
         assert not rep.failed_hypotheses
+
+    def test_non_unit_numerators_are_reported(self):
+        rep = reexpand_check(MCF(1, [(2, 1), (F(1, 5), 3)]), 5)
+        assert rep.failed_hypotheses == ("unit_numerators",)
+        assert bool(rep) is False
 
     def test_violated_hypotheses_are_reported(self):
         mcf = MCF.unit_from_sequences([[3, 1], [1, 0]])  # |a_1^(1)| = 1, not > 1
@@ -770,7 +805,7 @@ def small_rational(rng):
 
 class TestProjectiveKernel:
     """jp_expand and euclid_expand on exact tuples with a field element
-    against the jp_step loop and _value_euclid."""
+    against the jp_step loop and _ValueEuclid."""
 
     # quadratic fields too: about one in ten of their m = 1 runs is periodic
     @given(
@@ -883,8 +918,26 @@ class TestProjectiveKernel:
         emb = PAdicEmbedding.create(NumberField([-3, 0, 0, 1]), 5, 32)
         theta = emb(emb.field.generator())
         monkeypatch.setattr(jacobi_perron, "MAX_DOUBLINGS", 1)
-        with pytest.raises(InsufficientPrecision, match="re-lifts"):
-            jp_expand((F(5) ** -60 * theta, theta * theta), 5, max_steps=40)
+        xs = (F(5) ** -60 * theta, theta * theta)
+        for expand, args in ((jp_expand, xs), (euclid_expand, xs + (F(1),))):
+            with pytest.raises(InsufficientPrecision, match="re-lifts") as info:
+                expand(args, 5, max_steps=40)
+            assert info.value.certified_rows == 0  # the cap is hit before row 1
+
+    def test_relift_bound_certifies_the_rows_before_it(self, monkeypatch):
+        # the run that hits the cap counts the rows it emitted, and a run
+        # capped there emits the rows of the run with the real cap
+        emb = PAdicEmbedding.create(NumberField([-3, 0, 0, 1]), 5, 32)
+        theta = emb(emb.field.generator())
+        xs = (theta, theta * theta + F(5) ** -40)
+        full = jp_expand(xs, 5, max_steps=40)
+        assert full.steps == 40
+        monkeypatch.setattr(jacobi_perron, "MAX_DOUBLINGS", 2)
+        for expand, args in ((jp_expand, xs), (euclid_expand, xs + (F(1),))):
+            with pytest.raises(InsufficientPrecision, match="re-lifts") as info:
+                expand(args, 5, max_steps=40)
+            assert info.value.certified_rows == 21
+            assert expand(args, 5, max_steps=21).mcf.rows == full.mcf.rows[:21]
 
     @pytest.mark.parametrize("expand", [jp_expand, euclid_expand])
     def test_errors_stay_the_same(self, expand, emb_cubic_q5, emb_cubic_q7):
@@ -895,6 +948,25 @@ class TestProjectiveKernel:
         gamma = emb_cubic_q7(emb_cubic_q7.field.generator())
         with pytest.raises(ValueError, match="value carries a different prime"):
             expand((alpha, gamma), 5)
+
+
+@pytest.mark.parametrize(
+    "expand, args, message",
+    [
+        # the prime is checked first, then max_steps, then the inputs
+        (jp_expand, ((), 4, 0), "p must be an odd prime, got 4"),
+        (euclid_expand, ((), 4, 0), "p must be an odd prime, got 4"),
+        (jp_expand, ((F(1, 2),), 5, 0), "max_steps must be >= 1"),
+        (jp_expand, ((), 5, 0), "max_steps must be >= 1"),
+        (euclid_expand, ((F(1),), 5, 0), "max_steps must be >= 1"),
+        (jp_expand, ((), 5), "need at least one input value"),
+        (euclid_expand, ((F(1),), 5), "need an (m+1)-tuple with m >= 1"),
+    ],
+)
+def test_argument_errors(expand, args, message):
+    with pytest.raises(ValueError) as info:
+        expand(*args)
+    assert (type(info.value), str(info.value)) == (ValueError, message)
 
 
 def assert_cuts_the_full_run(inputs, p, cap):
@@ -969,8 +1041,8 @@ def rows_until_precision_runs_out(steps, cap):
 def assert_truncated_rows_are_exact_rows(inputs, p, precision, cap):
     """jp_expand and euclid_expand on the inputs truncated modulo
     p**precision emit the first rows of the exact run, whether they stop at
-    cap rows or run out of precision first (then the rows are those their
-    loops, jp_step and _value_euclid, emit before they raise)."""
+    cap rows or run out of precision first (then the rows are those that
+    the jp_step loop and _ValueEuclid emit before they raise)."""
     exact = jp_expand(inputs, p, max_steps=cap).mcf.rows
     approx = tuple(to_approx(x, p, precision) for x in inputs)
 
@@ -982,7 +1054,7 @@ def assert_truncated_rows_are_exact_rows(inputs, p, precision, cap):
             state = res.next_state
 
     def euclid_rows():
-        for quotients, _ in _value_euclid(approx + (F(1),), p):
+        for quotients, _ in value_euclid(approx + (F(1),), p):
             yield quotients + (F(1),)
 
     for run, steps in (

@@ -125,6 +125,40 @@ class TestMCFType:
         mcf = MCF(1, [(x, F(1))])
         assert mcf.rows[0][0] is x
 
+    def test_repr_lists_the_sequences(self):
+        mcf = MCF(2, [(F(-2, 5), F(1), F(1)), (F(3), F(1, 5), F(2))])
+        assert repr(mcf) == "MCF[m=2; (-2/5, 3), (1, 1/5), (1, 2)]"
+
+
+ROW = (F(1), F(1))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ConvergentsTable(0), "dimension must be >= 1"),
+        (lambda: ConvergentsTable(1).push((F(1),)), "need 2 partial quotients"),
+        (lambda: ConvergentsTable(1).push((F(1), F(0))), "a_n^(m+1) must be nonzero"),
+        (lambda: ConvergentsTable(1).push((F(1), F(2))), "a_0^(m+1) must equal 1"),
+        (lambda: MCF(0, [ROW]), "dimension must be >= 1"),
+        (lambda: MCF(1, []), "need at least one row of partial quotients"),
+        (lambda: MCF(1, [ROW, (F(1),)]), "rows must have 2 entries"),
+        (lambda: MCF.from_sequences([[1]]), "need at least two sequences"),
+        (lambda: MCF.from_sequences([[1, 2], [1]]), "sequences must share one length"),
+        (lambda: MCF.from_json_dict({"m": 2, "a": [["1"], ["1"]]}),
+         "'a' must hold m+1 sequences"),
+        (lambda: rescale(MCF(1, [ROW, ROW]), [1]), "need one weight per stored index"),
+        (lambda: reconstruct_initial(ConvergentsTable(1), (F(1),)),
+         "need the m+1 complete quotients at the current index"),
+        (lambda: strong_convergence_sequence(MCF(1, [ROW]), (F(1), F(2)), 5),
+         "need one target per dimension"),
+    ],
+)
+def test_validation_errors(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert (type(info.value), str(info.value)) == (ValueError, message)
+
 
 class TestFormatRational:
     def test_reduces_strings(self):

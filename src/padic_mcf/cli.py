@@ -6,9 +6,14 @@ JSON), digits (balanced digit expansion of a rational), check (norm
 conditions and determinant identities of an MCF), and paper-examples (the
 bundled worked-example suite).
 
+A call whose first argument names a subcommand builds only that
+subcommand's parser.  Any other call (help, no command, an unknown one, an
+option first) builds them all, so every message is the full parser's.
+
 Exit codes: 0 for finite/periodic expansions and successful checks, 2 for
 truncated expansions, 1 for usage, parse and precision errors (reported on
-standard error) and, from the console entry point, for a standard output
+standard error, a precision error of expand or euclid followed by the rows
+it certified) and, from the console entry point, for a standard output
 closed before the result was written.
 """
 
@@ -86,14 +91,7 @@ def _add_common(sub, backends):
     sub.add_argument("--verbose", action="store_true")
 
 
-def build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(
-        prog="padic-mcf",
-        description="Exact multidimensional continued fractions over Q_p.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    ex = subs.add_parser("expand", help="expand an m-tuple of p-adic values")
+def _fill_expand(ex):
     ex.add_argument("values", nargs="*", help="rational inputs as num/den")
     ex.add_argument("--minpoly", help="defining polynomial of a number field")
     ex.add_argument(
@@ -111,30 +109,48 @@ def build_parser() -> _ArgumentParser:
     ex.add_argument("--detect-period", action="store_true")
     _add_common(ex, ("rational", "numberfield", "approx"))
 
-    eu = subs.add_parser("euclid", help="generalized Euclidean form on an (m+1)-tuple")
+
+def _fill_euclid(eu):
     eu.add_argument("values", nargs="+", help="rational coordinates as num/den")
     _add_common(eu, ("rational", "approx"))  # euclid takes no --minpoly
 
-    ev = subs.add_parser("evaluate", help="exact value of a finite MCF (JSON)")
+
+def _fill_evaluate(ev):
     ev.add_argument("--file", help="path to the MCF JSON (default: stdin)")
     ev.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
-    dg = subs.add_parser("digits", help="balanced digit expansion of a rational")
+
+def _fill_digits(dg):
     dg.add_argument("value")
     dg.add_argument("-p", "--prime", type=int, required=True)
     dg.add_argument("--upto", type=int, default=8, help="exponent bound (exclusive)")
     dg.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
-    ck = subs.add_parser("check", help="norm conditions and determinants of an MCF")
+
+def _fill_check(ck):
     ck.add_argument("--file", help="path to the MCF JSON (default: stdin)")
     ck.add_argument("-p", "--prime", type=int, required=True)
     ck.add_argument("--unit-numerators", action="store_true")
     ck.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
-    pe = subs.add_parser("paper-examples", help="run the bundled example suite")
+
+def _fill_paper_examples(pe):
     pe.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     pe.add_argument("--only", help="run a single case id")
 
+
+def build_parser(command=None) -> _ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.  A subparser's
+    prog, usage and help do not depend on its siblings, so parsing a call
+    to `command` with either parser gives the same result and output."""
+    parser = _ArgumentParser(
+        prog="padic-mcf",
+        description="Exact multidimensional continued fractions over Q_p.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, fill, _) in _SUBCOMMANDS.items():
+        if command is None or name == command:
+            fill(subs.add_parser(name, help=help_text))
     return parser
 
 
@@ -352,27 +368,42 @@ def cmd_paper_examples(args, out) -> int:
     return 0 if all_ok else 1
 
 
-_COMMANDS = {
-    "expand": cmd_expand,
-    "euclid": cmd_euclid,
-    "evaluate": cmd_evaluate,
-    "digits": cmd_digits,
-    "check": cmd_check,
-    "paper-examples": cmd_paper_examples,
+# name -> (help text, filler of its subparser, command); in help order
+_SUBCOMMANDS = {
+    "expand": ("expand an m-tuple of p-adic values", _fill_expand, cmd_expand),
+    "euclid": (
+        "generalized Euclidean form on an (m+1)-tuple",
+        _fill_euclid,
+        cmd_euclid,
+    ),
+    "evaluate": ("exact value of a finite MCF (JSON)", _fill_evaluate, cmd_evaluate),
+    "digits": ("balanced digit expansion of a rational", _fill_digits, cmd_digits),
+    "check": ("norm conditions and determinants of an MCF", _fill_check, cmd_check),
+    "paper-examples": (
+        "run the bundled example suite",
+        _fill_paper_examples,
+        cmd_paper_examples,
+    ),
 }
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # anything but an exact subcommand name first (help, no arguments, an
+    # unknown or abbreviated name, an option) gets the full parser's message
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, out)
+        args = build_parser(command).parse_args(argv)
+        return _SUBCOMMANDS[args.command][2](args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ArithmeticError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        rows = getattr(exc, "certified_rows", None)  # set on InsufficientPrecision
+        if rows is not None:
+            print(f"certified rows: {rows}", file=sys.stderr)
         return 1
 
 

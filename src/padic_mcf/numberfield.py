@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from fractions import Fraction
 
 from .errors import (
@@ -646,15 +645,13 @@ class PAdicEmbedding:
 
     The root is cached at some achieved precision and transparently re-lifted
     (by doubling) when more digits are needed; refine_to(n) meets the
-    contract of padic_roots(n).  Refinement is serialised with a lock;
-    concurrent reads are safe.
+    contract of padic_roots(n).
     """
 
     def __init__(self, field: NumberField, prime: int, root: PAdicApprox):
         self.field = field
         self.prime = require_odd_prime(prime)
         self._root = root
-        self._lock = threading.Lock()
         # the unit roots of h are the roots of f of the root's valuation w
         # over p**w; k digits of the root meet padic_roots(k + low)'s contract
         h, shift = _unit_root_poly(field.minpoly, root.val, prime)
@@ -677,25 +674,24 @@ class PAdicEmbedding:
         return self._root.precision
 
     def refine_to(self, precision: int) -> PAdicApprox:
-        with self._lock:
-            old = self._root
-            p, w = self.prime, old.val
-            if old.precision - w + self._low >= precision:
-                return old
-            target = max(precision, 2 * old.precision)
-            k = max(target - self._low, 1)
-            y = _newton_lift(self._h, old.unit, p, k)
-            # y keeps all the cached digits: a root other than the lifted one
-            # agrees with them to at most d places, the lifted one to t - d > d
-            if y is not None:
-                self._root = PAdicApprox(p, w, y, w + k)
+        old = self._root
+        p, w = self.prime, old.val
+        if old.precision - w + self._low >= precision:
+            return old
+        target = max(precision, 2 * old.precision)
+        k = max(target - self._low, 1)
+        y = _newton_lift(self._h, old.unit, p, k)
+        # y keeps all the cached digits: a root other than the lifted one
+        # agrees with them to at most d places, the lifted one to t - d > d
+        if y is not None:
+            self._root = PAdicApprox(p, w, y, w + k)
+            return self._root
+        # Hensel's condition fails at the cached digits: match them again
+        for r in padic_roots(self.field, p, target):
+            if r.val == w and (r.unit - old.unit) % p ** (old.precision - w) == 0:
+                self._root = r
                 return self._root
-            # Hensel's condition fails at the cached digits: match them again
-            for r in padic_roots(self.field, p, target):
-                if r.val == w and (r.unit - old.unit) % p ** (old.precision - w) == 0:
-                    self._root = r
-                    return self._root
-            raise LiftingObstruction("refined roots no longer match the cached root")
+        raise LiftingObstruction("refined roots no longer match the cached root")
 
     def residue(self, vector, k: int) -> int:
         """p**s * emb(v) mod p**k for an integer vector v = (c_0, ..., c_(d-1)).

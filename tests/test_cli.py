@@ -1,5 +1,6 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
+import argparse
 import io
 import json
 import operator
@@ -16,8 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padic_mcf
+from padic_mcf import cli
 from padic_mcf.cli import main
+from padic_mcf.errors import InsufficientPrecision
 from padic_mcf.exprparse import ExprError, evaluate_expression, parse_polynomial
+from padic_mcf.jacobi_perron import euclid_expand, jp_expand
+from padic_mcf.padic import to_approx
 from padic_mcf.worked_examples import PAPER_CASES, ExampleCase, run_paper_examples
 
 
@@ -233,12 +238,17 @@ class TestExpand:
         assert "status: truncated" in out
 
     def test_approx_backend_surfaces_precision_error(self, capsys):
-        code, _ = run_cli(
+        code, out = run_cli(
             "expand", "-p", "5", "--backend", "approx", "--precision", "8",
             "23/5", "14/19",
         )
-        assert code == 1
-        assert "InsufficientPrecision" in capsys.readouterr().err
+        with pytest.raises(InsufficientPrecision) as info:
+            jp_expand((to_approx(F(23, 5), 5, 8), to_approx(F(14, 19), 5, 8)), 5)
+        assert info.value.certified_rows == 3
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: InsufficientPrecision: {info.value}\ncertified rows: 3\n"
+        )
 
     def test_ambiguous_root_selection(self, capsys):
         code, _ = run_cli(
@@ -343,8 +353,13 @@ class TestEuclid:
             "euclid", "-p", "5", "--backend", "approx", "--precision", "20",
             "437", "70", "95",
         )
+        with pytest.raises(InsufficientPrecision) as info:
+            euclid_expand([to_approx(F(v), 5, 20) for v in (437, 70, 95)], 5)
+        assert info.value.certified_rows == 3
         assert (code, out) == (1, "")
-        assert "InsufficientPrecision" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: InsufficientPrecision: {info.value}\ncertified rows: 3\n"
+        )
 
     def test_single_coordinate_rejected(self, capsys):
         code, _ = run_cli("euclid", "-p", "5", "7")
@@ -678,3 +693,116 @@ class TestConsoleEntry:
             os.close(write_end)
         assert proc.stderr == ""
         assert proc.returncode == 1
+
+
+# A call naming a subcommand builds that subcommand's parser alone; every
+# other call builds all of them.  Either way the outcome must be the full
+# parser's: help text, usage errors, exit codes and results.
+SUBCOMMANDS = ("expand", "euclid", "evaluate", "digits", "check", "paper-examples")
+PARSER_CORPUS = [
+    ("-h",),
+    ("--help",),
+    *((name, "-h") for name in SUBCOMMANDS),
+    (),
+    ("nope",),
+    ("exp", "-p", "5", "1/2"),
+    ("-p", "5", "expand", "1"),
+    ("--", "expand", "1/2"),
+    # missing required arguments
+    ("expand", "1/2"),
+    ("euclid", "-p", "5"),
+    ("digits", "-p", "5"),
+    ("check",),
+    # bad choices and values
+    ("expand", "-p", "5", "--format", "xml", "1/2"),
+    ("euclid", "-p", "5", "--backend", "numberfield", "1", "2"),
+    ("evaluate", "--format", "xml"),
+    ("digits", "-p", "x", "1"),
+    ("check", "-p", "5", "--format", "xml"),
+    ("paper-examples", "--format", "xml"),
+    # unrecognized arguments
+    ("expand", "-p", "5", "--bogus", "1/2"),
+    ("euclid", "-p", "5", "--detect-period", "1", "2"),
+    ("evaluate", "--bogus"),
+    ("digits", "-p", "5", "1", "2"),
+    ("check", "-p", "5", "--bogus"),
+    ("paper-examples", "extra"),
+    # one valid call each; MCF stands for a file holding a finite MCF
+    ("expand", "-p", "5", "23/5", "14/19"),
+    ("euclid", "-p", "5", "--format", "json", "437", "70", "95"),
+    ("evaluate", "--file", "MCF"),
+    ("digits", "-p", "5", "1/3"),
+    ("check", "-p", "5", "--file", "MCF"),
+    ("paper-examples", "--only", "c1-q5-pair-a"),
+]
+
+
+def _outcome(capsys, argv):
+    """Exit code (None when main exits), main's output, standard output,
+    standard error and the SystemExit code of one call to main."""
+    out = io.StringIO()
+    try:
+        rc, exit_code = main(list(argv), out=out), None
+    except SystemExit as exc:
+        rc, exit_code = None, exc.code
+    return rc, out.getvalue(), *capsys.readouterr(), exit_code
+
+
+class TestNarrowParser:
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda a: " ".join(a) or "(none)")
+    def test_main_matches_the_full_parser(self, monkeypatch, capsys, tmp_path, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        path = tmp_path / "mcf.json"
+        path.write_text(TestEvaluateDigitsCheck.MCF_JSON)
+        argv = [str(path) if a == "MCF" else a for a in argv]
+        full, built = cli.build_parser, []
+
+        def spy(command=None):
+            built.append(command)
+            return full(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        narrow = _outcome(capsys, argv)
+        assert built == [argv[0] if argv and argv[0] in SUBCOMMANDS else None]
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert _outcome(capsys, argv) == narrow
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_subparser_help_is_the_full_parsers(self, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def subparsers(parser):
+            (action,) = (
+                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            )
+            return action.choices
+
+        narrow = subparsers(cli.build_parser(name))
+        assert list(narrow) == [name]
+        full = subparsers(cli.build_parser())
+        assert list(full) == list(SUBCOMMANDS)
+        assert narrow[name].format_help() == full[name].format_help()
+
+    @pytest.mark.parametrize("argv", [("--help",), ("check", "--help")])
+    def test_module_help_matches_the_full_parser(self, argv):
+        force_full = (
+            "from padic_mcf import cli; full = cli.build_parser; "
+            "cli.build_parser = lambda command=None: full(); cli.entrypoint()"
+        )
+        env = dict(os.environ, COLUMNS="80")
+        narrow, forced = (
+            subprocess.run(
+                [sys.executable, *head, *argv],
+                capture_output=True,
+                text=True,
+                cwd=PACKAGE_ROOT,
+                env=env,
+            )
+            for head in (("-m", "padic_mcf"), ("-c", force_full))
+        )
+        assert narrow.returncode == 0 and narrow.stdout.startswith("usage: padic-mcf")
+        assert (narrow.returncode, narrow.stdout, narrow.stderr) == (
+            forced.returncode,
+            forced.stdout,
+            forced.stderr,
+        )

@@ -665,12 +665,14 @@ class TestApproxBackend:
         assert euclid_expand(xs, 5, max_steps=4).mcf.rows == (
             euclid_expand(exact, 5).mcf.rows[:4]
         )
-        # the command line reports the error as it did before
+        # the command line reports the error, then the rows certified
         argv = ["euclid", "-p", "5", "--backend", "approx", "--precision", "12",
                 "7/3", "11/13", "1"]
         assert main(argv) == 1
         assert capsys.readouterr() == (
-            "", "error: InsufficientPrecision: cannot distinguish 0 from O(p^10)\n"
+            "",
+            "error: InsufficientPrecision: cannot distinguish 0 from O(p^10)\n"
+            "certified rows: 4\n",
         )
         # a last coordinate that cannot be told from 0 certifies no row
         xs = (to_approx(F(7, 3), 5, 4), to_approx(F(625), 5, 4))
@@ -681,7 +683,9 @@ class TestApproxBackend:
                 "7/3", "625"]
         assert main(argv) == 1
         assert capsys.readouterr() == (
-            "", "error: InsufficientPrecision: cannot distinguish 0 from O(p^4)\n"
+            "",
+            "error: InsufficientPrecision: cannot distinguish 0 from O(p^4)\n"
+            "certified rows: 0\n",
         )
 
     @given(
@@ -1215,10 +1219,12 @@ class TestTripleLoop:
         assert info.value.certified_rows == 2
         assert jp_expand(inputs, 3, max_steps=2).status == "truncated"
         assert InsufficientPrecision("elsewhere").certified_rows is None
-        # the command line reports the error as it did before
+        # the command line reports the error, then the rows certified
         argv = ["expand", "-p", "3", "--backend", "approx", "--precision", "5", "--",
                 "32/9", "-1863/64", "144/61"]
         assert main(argv) == 1
         assert capsys.readouterr() == (
-            "", "error: InsufficientPrecision: digit at exponent 0 unknown at precision O(p^-1)\n"
+            "",
+            "error: InsufficientPrecision: digit at exponent 0 unknown at precision O(p^-1)\n"
+            "certified rows: 2\n",
         )

@@ -18,6 +18,7 @@ from padic_mcf import numberfield
 from padic_mcf.errors import (
     AmbiguousSelection,
     FieldMismatch,
+    InsufficientPrecision,
     NoRoot,
 )
 from padic_mcf.numberfield import (
@@ -587,6 +588,18 @@ class TestEmbeddedValues:
         theta = emb(emb.field.generator())
         # theta minus its first 40 digits: digits 40 and 41 of theta are 0
         assert valuation(theta - theta.to_approx(40).rational_view(), 5) == 42
+
+    def test_valuation_gives_up_after_max_doublings(self, monkeypatch):
+        emb = PAdicEmbedding.create(NumberField([-3, 0, 0, 1]), 5, 32)
+        theta = emb(emb.field.generator())
+        x = theta - theta.to_approx(40).rational_view()  # v(x) = 42, x irrational
+        # three doublings read x to 8, 16 and 32 digits, all of them 0
+        monkeypatch.setattr(numberfield, "MAX_DOUBLINGS", 3)
+        with pytest.raises(InsufficientPrecision) as info:
+            x.valuation()
+        assert str(info.value) == "valuation not resolved; value too close to zero"
+        monkeypatch.setattr(numberfield, "MAX_DOUBLINGS", 4)
+        assert x.valuation() == 42
 
 
 class TestLinearDependence:

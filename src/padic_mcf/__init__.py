@@ -28,10 +28,7 @@ from .padic import (
     PAdicApprox,
     balanced_digit_expansion,
     browkin_s,
-    in_browkin_range,
-    is_odd_prime,
     padic_divide,
-    require_odd_prime,
     valuation,
 )
 from .numberfield import (
@@ -39,10 +36,8 @@ from .numberfield import (
     NumberField,
     PAdicEmbedding,
     embed,
-    newton_polygon_slopes,
     padic_roots,
     rational_linear_dependence,
-    select_largest_root,
 )
 from .mcf import (
     MCF,
@@ -110,21 +105,16 @@ __all__ = [
     "embed",
     "euclid_expand",
     "evaluate_finite",
-    "in_browkin_range",
-    "is_odd_prime",
     "jp_expand",
     "jp_step",
     "lift_to_integer_tuple",
-    "newton_polygon_slopes",
     "padic_divide",
     "padic_roots",
     "rational_linear_dependence",
     "reconstruct_initial",
     "reexpand_check",
-    "require_odd_prime",
     "rescale",
     "run_paper_examples",
-    "select_largest_root",
     "strong_convergence_sequence",
     "valuation",
     "verify_termination_dependence",

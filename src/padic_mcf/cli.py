@@ -20,6 +20,7 @@ closed before the result was written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -42,7 +43,7 @@ from .padic import (
     to_approx,
     valuation,
 )
-from .worked_examples import run_paper_examples
+from .worked_examples import PAPER_CASES, run_paper_examples
 
 
 class UsageError(Exception):
@@ -345,8 +346,6 @@ def cmd_check(args, out) -> int:
 
 
 def cmd_paper_examples(args, out) -> int:
-    from .worked_examples import PAPER_CASES
-
     cases = PAPER_CASES
     if args.only:
         cases = tuple(c for c in PAPER_CASES if c.id == args.only)
@@ -394,7 +393,11 @@ def main(argv=None, out=None) -> int:
     # unknown or abbreviated name, an option) gets the full parser's message
     command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        try:
+            with contextlib.redirect_stdout(out):  # -h/--help prints to out
+                args = build_parser(command).parse_args(argv)
+        except SystemExit as exc:  # argparse exits after printing the help
+            return exc.code
         return _SUBCOMMANDS[args.command][2](args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

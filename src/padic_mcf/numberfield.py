@@ -143,12 +143,6 @@ class NumberField:
     def generator(self) -> "AlgebraicNumber":
         return self.element([0, 1])
 
-    def one(self) -> "AlgebraicNumber":
-        return self.element([1])
-
-    def zero(self) -> "AlgebraicNumber":
-        return self.element([])
-
 
 def _is_irreducible(monic: tuple[Fraction, ...]) -> bool:
     """Irreducibility over Q, proved by the mod-q degree certificate where
@@ -270,11 +264,6 @@ class AlgebraicNumber:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational element")
-        return self.coeffs[0]
-
     def to_approx(self, precision: int) -> PAdicApprox:
         self.prime  # raises the ValueError of an element with no embedding
         return embed(self, self.emb, precision)
@@ -289,7 +278,7 @@ class AlgebraicNumber:
         if self.is_zero():
             return PLUS_INFINITY
         if self.is_rational():
-            return valuation(self.as_fraction(), self.prime)
+            return valuation(self.coeffs[0], self.prime)
         n = 8  # independent of the cached root precision: most values are
         # far from zero, and starting large would ratchet the cache up
         for _ in range(MAX_DOUBLINGS):
@@ -378,7 +367,7 @@ class AlgebraicNumber:
 # ---------------------------------------------------------------------------
 
 
-def newton_polygon_slopes(coeffs, p: int):
+def _newton_polygon_slopes(coeffs, p: int):
     """Lower-hull segments of the valuation polygon of a polynomial.
 
     Returns a list of (root_valuation, length) pairs, where root_valuation
@@ -606,7 +595,7 @@ def padic_roots(field_or_coeffs, p: int, precision: int):
         else _pstrip([Fraction(c) for c in field_or_coeffs])
     )
     roots = []
-    for w, _count in newton_polygon_slopes(coeffs, p):
+    for w, _count in _newton_polygon_slopes(coeffs, p):
         if w.denominator != 1:
             continue
         w = int(w)
@@ -622,7 +611,7 @@ def padic_roots(field_or_coeffs, p: int, precision: int):
     return roots
 
 
-def select_largest_root(roots) -> PAdicApprox:
+def _select_largest_root(roots) -> PAdicApprox:
     """The unique root of maximal p-adic norm (minimal valuation)."""
     if not roots:
         raise NoRoot("no roots in Q_p")
@@ -662,16 +651,12 @@ class PAdicEmbedding:
         cls, field: NumberField, prime: int, precision: int = 32
     ) -> "PAdicEmbedding":
         """The embedding at the unique root of maximal p-adic norm."""
-        root = select_largest_root(padic_roots(field, prime, precision))
+        root = _select_largest_root(padic_roots(field, prime, precision))
         return cls(field, prime, root)
 
     @property
     def root(self) -> PAdicApprox:
         return self._root
-
-    @property
-    def achieved_precision(self) -> int:
-        return self._root.precision
 
     def refine_to(self, precision: int) -> PAdicApprox:
         old = self._root

@@ -168,13 +168,13 @@ def truncated_triples(values):
 def integer_lift(values):
     """The exact tuple `values` as integer coefficient vectors over the
     number field of its field elements (a numberfield.IntegerLift); None
-    when a value is a truncated PAdicApprox or every value is rational."""
+    when a value is a truncated PAdicApprox.  A tuple of rationals never
+    comes here: it runs on jacobi_perron's integer kernel."""
     if any(isinstance(x, PAdicApprox) for x in values):
         return None
     for x in values:
         if not isinstance(x, (int, Fraction)):
             return x.integer_lift(values)
-    return None
 
 
 def _balanced_digits(r: int, p: int, n: int) -> list[int]:
@@ -423,18 +423,6 @@ class PAdicApprox:
             return BalancedDigits(self.precision, ())
         digits = _balanced_digits(self.unit, self.prime, self.precision - self.val)
         return BalancedDigits(self.val, tuple(digits))
-
-    def rational_view(self) -> Fraction:
-        """The canonical rational carrying the same digits."""
-        return self.digits.value(self.prime)
-
-    def with_precision(self, precision: int) -> "PAdicApprox":
-        """Forget digits beyond the given (smaller or equal) precision."""
-        if precision > self.precision:
-            raise InsufficientPrecision(
-                f"cannot raise precision {self.precision} to {precision}"
-            )
-        return PAdicApprox(self.prime, self.val, self.unit, precision)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PAdicApprox) and (self.prime, *self.triple) == (

@@ -34,10 +34,6 @@ class ExampleCase:
     params: dict
 
 
-def _fr(s) -> Fraction:
-    return Fraction(s)
-
-
 PAPER_CASES: tuple[ExampleCase, ...] = (
     ExampleCase(
         "c1-q5-pair-a",
@@ -154,7 +150,7 @@ PAPER_CASES: tuple[ExampleCase, ...] = (
 
 
 def _expected_mcf(seqs) -> MCF:
-    return MCF.unit_from_sequences([[_fr(x) for x in s] for s in seqs])
+    return MCF.unit_from_sequences([[Fraction(x) for x in s] for s in seqs])
 
 
 def _fmt_seqs(mcf: MCF) -> str:
@@ -165,7 +161,7 @@ def _fmt_seqs(mcf: MCF) -> str:
 
 def _run_rational(params) -> tuple[bool, str]:
     p = params["p"]
-    inputs = tuple(_fr(x) for x in params["inputs"])
+    inputs = tuple(Fraction(x) for x in params["inputs"])
     expected = _expected_mcf(params["sequences"])
     res = jp_expand(inputs, p)
     if not res.is_finite:
@@ -173,7 +169,7 @@ def _run_rational(params) -> tuple[bool, str]:
     if res.mcf.rows != expected.rows:
         return False, f"quotients {_fmt_seqs(res.mcf)} != recorded {_fmt_seqs(expected)}"
     value = evaluate_finite(res.mcf)
-    expected_value = tuple(_fr(x) for x in params["value"])
+    expected_value = tuple(Fraction(x) for x in params["value"])
     if value != expected_value:
         got = ", ".join(format_rational(x) for x in value)
         want = ", ".join(format_rational(x) for x in expected_value)
@@ -209,7 +205,7 @@ def _run_periodic(params) -> tuple[bool, str]:
 def _run_consistency(params) -> tuple[bool, str]:
     p = params["p"]
     recorded = _expected_mcf(params["sequences"])
-    expected_value = tuple(_fr(x) for x in params["value"])
+    expected_value = tuple(Fraction(x) for x in params["value"])
     value = evaluate_finite(recorded)
     if value != expected_value:
         return False, f"recorded block evaluates to {value}, not {expected_value}"
@@ -219,10 +215,10 @@ def _run_consistency(params) -> tuple[bool, str]:
     field = NumberField(parse_polynomial(params["minpoly"]))
     emb = PAdicEmbedding.create(field, p, 64)
     theta = emb(field.generator())
-    res = jp_expand((theta, _fr(params["companion"])), p)
+    res = jp_expand((theta, Fraction(params["companion"])), p)
     if not res.is_finite:
         return False, f"cube-root pair did not terminate ({res.status})"
-    dep = verify_termination_dependence(res, (theta, _fr(params["companion"])))
+    dep = verify_termination_dependence(res, (theta, Fraction(params["companion"])))
     return True, (
         f"block evaluates to ({', '.join(format_rational(x) for x in expected_value)}) "
         f"and re-expands to itself; cube-root pair finite with dependence "

@@ -1,0 +1,60 @@
+"""The public surface: `padic_mcf.__all__` is exactly what README documents."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import padic_mcf
+from padic_mcf import numberfield, padic, worked_examples
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# names that left the package (deleted, or renamed with a leading underscore)
+GONE = [
+    (padic.PAdicApprox, "with_precision"),
+    (padic.PAdicApprox, "rational_view"),
+    (numberfield.PAdicEmbedding, "achieved_precision"),
+    (numberfield.NumberField, "one"),
+    (numberfield.NumberField, "zero"),
+    (numberfield.AlgebraicNumber, "as_fraction"),
+    (numberfield, "newton_polygon_slopes"),
+    (numberfield, "select_largest_root"),
+    (worked_examples, "_fr"),
+]
+
+# module helpers that the package root no longer exports
+UNEXPORTED = [
+    "newton_polygon_slopes",
+    "select_largest_root",
+    "in_browkin_range",
+    "is_odd_prime",
+    "require_odd_prime",
+]
+
+
+def _readme_identifiers():
+    """Every identifier inside an inline code span of README; fenced code
+    blocks are left out, as their fences would pair the backticks wrongly."""
+    text = re.sub(r"^```.*?^```", "", README.read_text("utf-8"), flags=re.S | re.M)
+    return {w for span in re.findall(r"`([^`]+)`", text) for w in re.findall(r"\w+", span)}
+
+
+def test_every_exported_name_is_bound():
+    assert [n for n in padic_mcf.__all__ if not hasattr(padic_mcf, n)] == []
+    assert len(set(padic_mcf.__all__)) == len(padic_mcf.__all__)
+
+
+def test_readme_documents_every_exported_name():
+    documented = _readme_identifiers()
+    assert [n for n in padic_mcf.__all__ if n not in documented] == []
+
+
+@pytest.mark.parametrize("owner, name", GONE, ids=[f"{o.__name__}.{n}" for o, n in GONE])
+def test_removed_name_is_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize("name", UNEXPORTED)
+def test_helper_is_not_exported(name):
+    assert name not in padic_mcf.__all__ and not hasattr(padic_mcf, name)

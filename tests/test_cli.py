@@ -1,6 +1,7 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
 import argparse
+import dataclasses
 import io
 import json
 import operator
@@ -576,6 +577,51 @@ class TestEvaluateDigitsCheck:
         assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
+def _doctored(case_id, **params):
+    """The bundled case case_id with some of its params replaced."""
+    case = next(c for c in PAPER_CASES if c.id == case_id)
+    return dataclasses.replace(case, params={**case.params, **params})
+
+
+# (doctored case, the detail of its failure)
+DOCTORED = [
+    (
+        _doctored(
+            "c1-q5-pair-a", sequences=(("-2/5", "6/5", "6/5", "4/5"), ("1", "1", "-1", "1"))
+        ),
+        "quotients (-2/5, 6/5, 6/5, 4/5); (1, 1, -1, -1); (1, 1, 1, 1) != recorded "
+        "(-2/5, 6/5, 6/5, 4/5); (1, 1, -1, 1); (1, 1, 1, 1)",
+    ),
+    (_doctored("c9-q5-stop", value=("7", "-4")), "value (6, -4) != recorded (7, -4)"),
+    (
+        _doctored("c4-q5-cubic-periodic", second="1"),
+        "expected a periodic run, got finite",
+    ),
+    (
+        _doctored("c4-q5-cubic-periodic", period=2),
+        "(preperiod, period) = (0, 1) != (0, 2)",
+    ),
+    (
+        _doctored("c6-q7-cubic-periodic", sequences=(("-3/7",), ("2",))),
+        "quotients (-3/7); (-2); (1) != recorded (-3/7); (2); (1)",
+    ),
+    (
+        _doctored("c3-q5-cuberoot", value=("133/48", "4/5")),
+        "recorded block evaluates to (Fraction(133, 48), Fraction(5, 4)), "
+        "not (Fraction(133, 48), Fraction(4, 5))",
+    ),
+    (  # a block of value (229/48, 5/4), but 3 is no balanced digit at p = 5
+        _doctored(
+            "c3-q5-cuberoot",
+            sequences=(("3", "4/5", "12/5"), ("0", "1", "0")),
+            value=("229/48", "5/4"),
+        ),
+        "re-expanding the recorded value does not reproduce the block",
+    ),
+    (_doctored("c3-q5-cuberoot", minpoly="x^2-2"), "NoRoot: no roots in Q_p"),
+]
+
+
 class TestPaperExamples:
     def test_all_pass(self):
         code, out = run_cli("paper-examples")
@@ -610,6 +656,21 @@ class TestPaperExamples:
         bad = [r for r in results if not r["ok"]]
         assert len(bad) == 1 and bad[0]["id"] == "c9-q5-stop"
         assert "!=" in bad[0]["detail"]
+
+    @pytest.mark.parametrize("case, detail", DOCTORED, ids=[c.id for c, _ in DOCTORED])
+    def test_doctored_case_fails_with_its_detail(self, case, detail):
+        all_ok, results = run_paper_examples([case])
+        assert not all_ok
+        assert results == [
+            {"id": case.id, "description": case.description, "ok": False, "detail": detail}
+        ]
+
+    def test_cli_exits_1_on_a_doctored_case(self, monkeypatch):
+        case, detail = DOCTORED[1]  # c9-q5-stop with a wrong value
+        monkeypatch.setattr(cli, "PAPER_CASES", (case,))
+        code, out = run_cli("paper-examples", "--only", case.id)
+        assert code == 1
+        assert out == f"[FAIL] {case.id}: {case.description} -- {detail}\n0/1 passed\n"
 
 
 def _readme_block(heading, lang):
@@ -738,14 +799,11 @@ PARSER_CORPUS = [
 
 
 def _outcome(capsys, argv):
-    """Exit code (None when main exits), main's output, standard output,
-    standard error and the SystemExit code of one call to main."""
+    """Exit code, main's output, standard output and standard error of one
+    call to main."""
     out = io.StringIO()
-    try:
-        rc, exit_code = main(list(argv), out=out), None
-    except SystemExit as exc:
-        rc, exit_code = None, exc.code
-    return rc, out.getvalue(), *capsys.readouterr(), exit_code
+    rc = main(list(argv), out=out)
+    return rc, out.getvalue(), *capsys.readouterr()
 
 
 class TestNarrowParser:
@@ -782,6 +840,14 @@ class TestNarrowParser:
         full = subparsers(cli.build_parser())
         assert list(full) == list(SUBCOMMANDS)
         assert narrow[name].format_help() == full[name].format_help()
+
+    @pytest.mark.parametrize(
+        "argv", [("-h",), ("--help",), ("check", "--help"), ("expand", "-h")]
+    )
+    def test_help_goes_through_out(self, capsys, argv):
+        code, out = run_cli(*argv)
+        assert code == 0 and out.startswith("usage: padic-mcf")
+        assert capsys.readouterr() == ("", "")  # nothing on the real streams
 
     @pytest.mark.parametrize("argv", [("--help",), ("check", "--help")])
     def test_module_help_matches_the_full_parser(self, argv):

@@ -19,6 +19,7 @@ from padic_mcf.errors import (
     AmbiguousSelection,
     FieldMismatch,
     InsufficientPrecision,
+    LiftingObstruction,
     NoRoot,
 )
 from padic_mcf.numberfield import (
@@ -27,12 +28,12 @@ from padic_mcf.numberfield import (
     NumberField,
     PAdicEmbedding,
     _newton_lift,
+    _newton_polygon_slopes,
     _roots_mod_p,
+    _select_largest_root,
     embed,
-    newton_polygon_slopes,
     padic_roots,
     rational_linear_dependence,
-    select_largest_root,
 )
 from padic_mcf.padic import PLUS_INFINITY, PAdicApprox, browkin_s, split_p, valuation
 
@@ -110,7 +111,7 @@ def assert_refined(field, p, root, n):
     """root has n digits, v(f(x)) >= n for its representative x, and it
     agrees mod p**n with exactly one root of padic_roots(field, p, n)."""
     assert root.precision >= n
-    x = root.rational_view()
+    x = root.digits.value(root.prime)
     assert valuation(sum(c * x**i for i, c in enumerate(field.minpoly)), p) >= n
     known = p ** max(n - root.val, 0)
     matching = [
@@ -149,7 +150,7 @@ class TestNumberField:
     def test_inverse_roundtrip(self, k5):
         for coeffs in ([1, 2, 3], [F(1, 2), 0, F(-7, 3)], [0, 0, 5]):
             a = k5.element(coeffs)
-            assert a * a.inverse() == k5.one()
+            assert a * a.inverse() == k5.element([1])
 
     def test_cube_reduction(self, k5):
         theta = k5.generator()
@@ -159,16 +160,20 @@ class TestNumberField:
         alpha = k5.generator()
         beta = 1 + 1 / alpha
         assert len(beta.coeffs) == 3
-        assert alpha * (beta - 1) == k5.one()
+        assert alpha * (beta - 1) == k5.element([1])
 
     def test_field_mismatch(self, k5):
         other = NumberField([-2, 0, 0, 1])
         with pytest.raises(FieldMismatch):
             k5.generator() + other.generator()
 
+    def test_elements_are_immutable(self, k5):
+        with pytest.raises(AttributeError, match="^AlgebraicNumber is immutable$"):
+            k5.generator().coeffs = ()
+
     def test_division_by_zero(self, k5):
         with pytest.raises(ZeroDivisionError):
-            k5.one() / k5.zero()
+            k5.element([1]) / k5.element([])
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -251,13 +256,13 @@ class TestIrreducibility:
 
 class TestNewtonPolygon:
     def test_sqrt2_at_7(self):
-        assert newton_polygon_slopes([F(-2), F(0), F(1)], 7) == [(F(0), 2)]
+        assert _newton_polygon_slopes([F(-2), F(0), F(1)], 7) == [(F(0), 2)]
 
     def test_sqrt5_at_5(self):
-        assert newton_polygon_slopes([F(-5), F(0), F(1)], 5) == [(F(1, 2), 2)]
+        assert _newton_polygon_slopes([F(-5), F(0), F(1)], 5) == [(F(1, 2), 2)]
 
     def test_cubic_two_segments(self):
-        segs = newton_polygon_slopes(CUBIC_Q5, 5)
+        segs = _newton_polygon_slopes(CUBIC_Q5, 5)
         assert segs == [(F(1, 2), 2), (F(-1), 1)]
 
 
@@ -267,7 +272,7 @@ class TestPadicRoots:
         assert len(roots) == 2
         assert sorted(r.unit % 7 for r in roots) == [3, 4]
         for r in roots:
-            x = r.rational_view()
+            x = r.digits.value(r.prime)
             assert valuation(x * x - 2, 7) >= 3
 
     def test_sqrt5_not_in_q5(self):
@@ -276,6 +281,16 @@ class TestPadicRoots:
     def test_cubic_single_root_of_norm_5(self, k5):
         roots = padic_roots(k5, 5, 6)
         assert len(roots) == 1 and roots[0].val == -1
+
+    def test_repeated_root_is_an_obstruction(self):
+        # (x - 1)^2 has discriminant 0, so no separation level bounds the
+        # splitting of its double residue
+        with pytest.raises(LiftingObstruction, match="^root separation did not stabilise$"):
+            padic_roots([1, -2, 1], 5, 8)
+
+    def test_precision_must_be_positive(self, k5):
+        with pytest.raises(ValueError, match="^precision must be >= 1$"):
+            padic_roots(k5, 5, precision=0)
 
     def test_non_simple_residue_with_no_roots(self):
         # x^2 + x + 1 over Q_3: the residue square (x-1)^2 must be separated
@@ -290,7 +305,7 @@ class TestPadicRoots:
         assert len(roots) == 2
         for r in roots:
             assert r.unit % 5 == 1
-            x = r.rational_view()
+            x = r.digits.value(r.prime)
             assert valuation(x * x - 17 * x - 59, 5) >= 6
 
     def test_cube_root_at_a_ten_digit_prime(self):
@@ -340,7 +355,7 @@ class TestPadicRoots:
             assert roots
             for r in roots:
                 assert r.precision >= 20
-                x = r.rational_view()
+                x = r.digits.value(r.prime)
                 assert valuation(sum(c * x**i for i, c in enumerate(coeffs)), p) >= 20
 
     @pytest.mark.parametrize("n", (1, 2, 8, 32, 64))
@@ -353,7 +368,7 @@ class TestPadicRoots:
             assert roots
             for r in roots:
                 assert r.precision >= n
-                x = r.rational_view()
+                x = r.digits.value(r.prime)
                 mp = sum(c * x**i for i, c in enumerate(k.minpoly))
                 assert valuation(mp, p) >= n
 
@@ -404,7 +419,7 @@ class TestPadicRoots:
                     for k in range(5)
                 ]
                 roots = padic_roots(coeffs, p, 8)
-                got = sorted(r.rational_view() % p**8 for r in roots)
+                got = sorted(r.digits.value(r.prime) % p**8 for r in roots)
                 want = sorted(x % p**8 for x in (a, b))
                 assert got == want, (p, a, b, roots)
 
@@ -412,16 +427,16 @@ class TestPadicRoots:
 class TestSelectLargestRoot:
     def test_single(self, k5):
         roots = padic_roots(k5, 5, 4)
-        assert select_largest_root(roots) == roots[0]
+        assert _select_largest_root(roots) == roots[0]
 
     def test_empty(self):
         with pytest.raises(NoRoot):
-            select_largest_root([])
+            _select_largest_root([])
 
     def test_tie_is_an_error(self):
         roots = padic_roots(NumberField([-2, 0, 1]), 7, 3)
         with pytest.raises(AmbiguousSelection):
-            select_largest_root(roots)
+            _select_largest_root(roots)
 
 
 class TestEmbedding:
@@ -440,10 +455,10 @@ class TestEmbedding:
 
     def test_refinement_extends_precision(self, k5):
         e = PAdicEmbedding.create(k5, 5, 8)
-        before = e.achieved_precision
+        before = e.root.precision
         root = e.refine_to(64)
         assert root.precision >= 64 > before
-        x = root.rational_view()
+        x = root.digits.value(root.prime)
         mp = sum(c * x**i for i, c in enumerate(k5.minpoly))
         assert valuation(mp, 5) >= 64
         # f' has valuation -2 at the root, so the cached digits run 2 ahead
@@ -499,7 +514,7 @@ class TestEmbedding:
         # root, which has valuation -1: with d <= 4 and coefficient
         # valuations >= -6 the evaluation error stays below p**n.
         [root] = [r for r in padic_roots(field, p, n + 32) if r.val == emb.root.val]
-        x = root.rational_view()
+        x = root.digits.value(root.prime)
         elements = [random_element_coeffs(rng, p, degree) for _ in range(4)]
         for c in elements:
             want = sum(cj * x**j for j, cj in enumerate(c))
@@ -517,7 +532,7 @@ class TestEmbedding:
         ea, eb = embed(a, emb5, n), embed(b, emb5, n)
         prod = embed(a * b, emb5, n)
         tot = embed(a + b, emb5, n)
-        diff_mul = prod.with_precision((ea * eb).precision) - ea * eb
+        diff_mul = PAdicApprox(5, prod.val, prod.unit, (ea * eb).precision) - ea * eb
         diff_add = tot - (ea + eb)
         assert diff_mul.is_zero_at_precision()
         assert diff_add.is_zero_at_precision()
@@ -532,6 +547,20 @@ class TestEmbedding:
         other = NumberField([-2, 0, 0, 1])
         with pytest.raises(FieldMismatch):
             emb5(other.generator())
+
+    def test_embed_requires_same_field(self, emb5):
+        other = NumberField([-2, 0, 0, 1])
+        with pytest.raises(FieldMismatch, match="^element belongs to a different field$"):
+            embed(other.generator(), emb5, 8)
+
+    def test_refining_a_false_root_is_an_obstruction(self):
+        # 1 is no root of x^3 - 3 (its root in Q_5 is 2 mod 5), so neither
+        # Newton's method nor a new search matches the cached digits
+        emb = PAdicEmbedding(NumberField([-3, 0, 0, 1]), 5, PAdicApprox(5, 0, 1, 3))
+        with pytest.raises(
+            LiftingObstruction, match="^refined roots no longer match the cached root$"
+        ):
+            emb.refine_to(20)
 
 
 class TestEmbeddedValues:
@@ -565,7 +594,7 @@ class TestEmbeddedValues:
     def test_rational_element_hashes_as_its_fraction(self, values):
         k, a, _, _ = values
         half = k.element([F(1, 2)])
-        assert k.one() == 1 and len({k.one(), 1, F(1)}) == 1
+        assert k.element([1]) == 1 and len({k.element([1]), 1, F(1)}) == 1
         assert {F(1, 2): "v"}[half] == "v"
         assert hash(a.emb(half)) == hash(half) == hash(F(1, 2))
 
@@ -576,7 +605,7 @@ class TestEmbeddedValues:
         assert repr(k) == "NumberField(x^3-3)"
 
     def test_unembedded_values_have_no_digits(self, k5):
-        for x in (k5.generator(), k5.zero()):  # zero is no exception
+        for x in (k5.generator(), k5.element([])):  # zero is no exception
             for query in (
                 lambda: browkin_s(x, 5), lambda: valuation(x, 5), lambda: x.to_approx(8)
             ):
@@ -587,12 +616,12 @@ class TestEmbeddedValues:
         emb = PAdicEmbedding.create(NumberField([-3, 0, 0, 1]), 5, 32)
         theta = emb(emb.field.generator())
         # theta minus its first 40 digits: digits 40 and 41 of theta are 0
-        assert valuation(theta - theta.to_approx(40).rational_view(), 5) == 42
+        assert valuation(theta - theta.to_approx(40).digits.value(5), 5) == 42
 
     def test_valuation_gives_up_after_max_doublings(self, monkeypatch):
         emb = PAdicEmbedding.create(NumberField([-3, 0, 0, 1]), 5, 32)
         theta = emb(emb.field.generator())
-        x = theta - theta.to_approx(40).rational_view()  # v(x) = 42, x irrational
+        x = theta - theta.to_approx(40).digits.value(5)  # v(x) = 42, x irrational
         # three doublings read x to 8, 16 and 32 digits, all of them 0
         monkeypatch.setattr(numberfield, "MAX_DOUBLINGS", 3)
         with pytest.raises(InsufficientPrecision) as info:
@@ -610,13 +639,13 @@ class TestLinearDependence:
         assert sum(c * v for c, v in zip(dep, vals)) == 0
 
     def test_independent_pair(self, k5):
-        assert rational_linear_dependence([k5.one(), k5.generator()]) is None
+        assert rational_linear_dependence([k5.element([1]), k5.generator()]) is None
         kq = NumberField([-2, 0, 1])
-        assert rational_linear_dependence([kq.one(), kq.generator()]) is None
+        assert rational_linear_dependence([kq.element([1]), kq.generator()]) is None
 
     def test_cuberoot_with_rationals(self):
         k = NumberField([-2, 0, 0, 1])
-        vals = [k.generator(), k.element([F(5, 4)]), k.one()]
+        vals = [k.generator(), k.element([F(5, 4)]), k.element([1])]
         assert rational_linear_dependence(vals) == (F(0), F(4), F(-5))
 
     def test_none_iff_full_rank(self, k5):
@@ -641,9 +670,9 @@ class TestLinearDependence:
 
         theta = k5.generator()
         batches = [
-            [k5.one(), theta],
-            [k5.one(), theta, theta * theta],
-            [k5.one(), theta, 2 * theta + 3],
+            [k5.element([1]), theta],
+            [k5.element([1]), theta, theta * theta],
+            [k5.element([1]), theta, 2 * theta + 3],
             [theta, theta * theta, theta * theta * theta],
         ]
         for vals in batches:
@@ -651,7 +680,7 @@ class TestLinearDependence:
             vectors = [v.coeffs for v in vals]
             assert (dep is None) == (rank(vectors) == len(vals))
             if dep is not None:
-                acc = k5.zero()
+                acc = k5.element([])
                 for c, v in zip(dep, vals):
                     acc = acc + c * v
                 assert acc.is_zero()

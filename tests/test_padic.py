@@ -419,6 +419,23 @@ class TestPAdicApprox:
         with pytest.raises(ZeroDivisionError):
             a / z
 
+    def test_division_by_exact_zero(self):
+        a = PAdicApprox.from_rational(F(1), 5, 4)
+        for zero in (0, F(0)):
+            with pytest.raises(ZeroDivisionError, match="^division by exact zero$"):
+                a / zero
+
+    def test_exact_zero_over_a_truncated_value(self):
+        # 1/x for x = 2/25 + O(5^6) is known to 8 digits past valuation 2
+        x = PAdicApprox.from_rational(F(2, 25), 5, 6)
+        for zero in (0, F(0)):
+            assert zero / x == PAdicApprox.zero_at(5, 10)
+
+    def test_immutable(self):
+        a = PAdicApprox.from_rational(F(23, 5), 5, 6)
+        with pytest.raises(AttributeError, match="^PAdicApprox is immutable$"):
+            a.val = 0
+
     def test_precision_exhausted(self):
         z = PAdicApprox.zero_at(5, 1)
         big = PAdicApprox.from_rational(F(25), 5, 6)
@@ -468,7 +485,7 @@ class TestPAdicApprox:
     @settings(max_examples=60)
     def test_digits_round_trip(self, x, p, n):
         a = PAdicApprox.from_rational(x, p, n)
-        assert valuation(x - a.rational_view(), p) >= n
+        assert valuation(x - a.digits.value(p), p) >= n
 
 
 def triple_value(t, p: int) -> F:

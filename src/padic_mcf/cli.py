@@ -33,7 +33,6 @@ from .mcf import (
     check_convergence_conditions,
     determinant_check,
     evaluate_finite,
-    format_rational,
 )
 from .numberfield import NumberField, PAdicEmbedding
 from .padic import (
@@ -165,7 +164,7 @@ def _build_inputs(args):
     coefficient vectors, then --elem-expr expressions."""
     rationals = [_parse_fraction(s) for s in args.values]
     if args.minpoly is None:
-        if args.elem or getattr(args, "elem_expr", []):
+        if args.elem or args.elem_expr:
             raise UsageError("--elem/--elem-expr require --minpoly")
         inputs = rationals
     else:
@@ -205,7 +204,7 @@ def _quotient_digit_lines(mcf: MCF, p: int):
                 shown.append("0:[]")
             else:
                 bd = balanced_digit_expansion(a, p, 1)
-                shown.append(f"{format_rational(a)}:{bd.to_json_dict()}")
+                shown.append(f"{a}:{bd.to_json_dict()}")
         lines.append(f"digits n={n}: " + "; ".join(shown))
     return lines
 
@@ -217,7 +216,7 @@ def _print_expansion(result, args, out):
     print(f"status: {result.status}", file=out)
     print(f"steps: {result.steps}", file=out)
     for i, seq in enumerate(result.mcf.sequences(), start=1):
-        print(f"a({i}): " + ", ".join(format_rational(x) for x in seq), file=out)
+        print(f"a({i}): " + ", ".join(map(str, seq)), file=out)
     if result.status == "periodic":
         print(f"preperiod: {result.preperiod}", file=out)
         print(f"period: {result.period}", file=out)
@@ -226,7 +225,7 @@ def _print_expansion(result, args, out):
         print(f"period candidate (advisory): preperiod {pre}, period {per}", file=out)
     if result.is_finite:
         value = evaluate_finite(result.mcf)
-        print("value: " + ", ".join(format_rational(x) for x in value), file=out)
+        print("value: " + ", ".join(map(str, value)), file=out)
     if args.verbose:
         for line in _quotient_digit_lines(result.mcf, args.prime):
             print(line, file=out)
@@ -292,9 +291,9 @@ def cmd_evaluate(args, out) -> int:
     mcf = _read_mcf(args)
     value = evaluate_finite(mcf)
     if args.fmt == "json":
-        print(_dump_json({"value": [format_rational(x) for x in value]}), file=out)
+        print(_dump_json({"value": [str(x) for x in value]}), file=out)
     else:
-        print("value: " + ", ".join(format_rational(x) for x in value), file=out)
+        print("value: " + ", ".join(map(str, value)), file=out)
     return 0
 
 
@@ -306,10 +305,10 @@ def cmd_digits(args, out) -> int:
     bd = balanced_digit_expansion(x, args.prime, args.upto)
     s = browkin_s(x, args.prime)
     payload = {
-        "value": format_rational(x),
+        "value": str(x),
         "valuation": format_valuation(valuation(x, args.prime)),
         "digits": bd.to_json_dict(),
-        "browkin_s": format_rational(s),
+        "browkin_s": str(s),
     }
     if args.fmt == "json":
         print(_dump_json(payload), file=out)
@@ -328,7 +327,7 @@ def cmd_check(args, out) -> int:
         mcf, args.prime, unit_numerators=args.unit_numerators
     )
     dets = [
-        {"n": n, "det": format_rational(det), "matches": ok}
+        {"n": n, "det": str(det), "matches": ok}
         for n, (det, ok) in enumerate(determinant_check(mcf))
     ]
     if args.fmt == "json":

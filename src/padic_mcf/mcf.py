@@ -16,7 +16,7 @@ weights (which preserves all convergents).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -111,7 +111,7 @@ class MCF:
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,
-            "a": [[format_rational(x) for x in seq] for seq in self.sequences()],
+            "a": [[str(x) for x in seq] for seq in self.sequences()],
             "finite": self.finite,
         }
 
@@ -132,11 +132,6 @@ class MCF:
         if type(finite) is not bool:  # the string "false" would read as true
             raise ValueError(f"finite {finite!r} is not true or false")
         return cls.from_sequences(seqs, finite)
-
-
-def format_rational(x) -> str:
-    x = _fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 class ConvergentsTable:

@@ -28,6 +28,7 @@ from .padic import (
     PAdicApprox,
     PLUS_INFINITY,
     inverse_mod_pk,
+    is_odd_prime,
     require_odd_prime,
     split_p,
     valuation,
@@ -51,9 +52,7 @@ MAX_DOUBLINGS = 20
 #: polynomial mod q to prove it irreducible.  A random cubic or quartic is
 #: certified within the first few; one reducible mod every prime, such as
 #: x^4 + 1, scans them all and is then decided by sympy.
-CERTIFICATE_PRIMES = tuple(
-    q for q in range(3, 200, 2) if all(q % r for r in range(3, math.isqrt(q) + 1, 2))
-)
+CERTIFICATE_PRIMES = tuple(filter(is_odd_prime, range(3, 200, 2)))
 
 # ---------------------------------------------------------------------------
 # dense polynomials over Q, little-endian coefficient tuples

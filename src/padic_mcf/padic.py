@@ -185,14 +185,11 @@ def _balanced_digits(r: int, p: int, n: int) -> list[int]:
     takes big-integer divisions on ever shorter numbers instead of n
     divisions of the whole of r by p.
     """
-    if n == 1:  # the residue of r mod p in (-p/2, p/2)
-        r %= p
-        return [r - p if 2 * r > p else r]
+    if n == 1:
+        return [residue_digit(r, p, 1)]
     h = n // 2
-    mod = _power(p, h)
-    hi, lo = divmod(r, mod)
-    if 2 * lo > mod:
-        hi, lo = hi + 1, lo - mod
+    lo = residue_digit(r, p, h)
+    hi = (r - lo) // _power(p, h)
     return _balanced_digits(lo, p, h) + _balanced_digits(hi, p, n - h)
 
 
@@ -388,7 +385,7 @@ class PAdicApprox:
     def from_rational(cls, x, p: int, precision: int) -> "PAdicApprox":
         x = x if isinstance(x, Fraction) else Fraction(x)
         if x == 0:
-            return cls(p, precision, 0, precision)
+            return cls.zero_at(p, precision)
         vn, un = split_p(x.numerator, p)
         vd, ud = split_p(x.denominator, p)
         k = precision - vn + vd

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jacobi_perron import jp_expand, verify_termination_dependence
-from .mcf import MCF, evaluate_finite, format_rational
+from .jacobi_perron import jp_expand, reexpand_check, verify_termination_dependence
+from .mcf import MCF, evaluate_finite
 from .numberfield import NumberField, PAdicEmbedding
 from .exprparse import evaluate_expression, parse_polynomial
 
@@ -149,20 +149,18 @@ PAPER_CASES: tuple[ExampleCase, ...] = (
 )
 
 
-def _expected_mcf(seqs) -> MCF:
-    return MCF.unit_from_sequences([[Fraction(x) for x in s] for s in seqs])
+def _joined(values) -> str:
+    return ", ".join(map(str, values))
 
 
 def _fmt_seqs(mcf: MCF) -> str:
-    return "; ".join(
-        "(" + ", ".join(format_rational(x) for x in s) + ")" for s in mcf.sequences()
-    )
+    return "; ".join(f"({_joined(s)})" for s in mcf.sequences())
 
 
 def _run_rational(params) -> tuple[bool, str]:
     p = params["p"]
     inputs = tuple(Fraction(x) for x in params["inputs"])
-    expected = _expected_mcf(params["sequences"])
+    expected = MCF.unit_from_sequences(params["sequences"])
     res = jp_expand(inputs, p)
     if not res.is_finite:
         return False, f"expected a finite run, got {res.status}"
@@ -171,24 +169,21 @@ def _run_rational(params) -> tuple[bool, str]:
     value = evaluate_finite(res.mcf)
     expected_value = tuple(Fraction(x) for x in params["value"])
     if value != expected_value:
-        got = ", ".join(format_rational(x) for x in value)
-        want = ", ".join(format_rational(x) for x in expected_value)
-        return False, f"value ({got}) != recorded ({want})"
+        return False, f"value ({_joined(value)}) != recorded ({_joined(expected_value)})"
     return True, f"{len(res.mcf)} steps, value matches"
 
 
-def _make_embedded_pair(params):
+def _generator(params):
+    """The generator of the case's field, embedded at the case's prime."""
     field = NumberField(parse_polynomial(params["minpoly"]))
-    emb = PAdicEmbedding.create(field, params["p"])
-    theta = emb(field.generator())
-    second = evaluate_expression(params["second"], theta)
-    return theta, second
+    return PAdicEmbedding.create(field, params["p"])(field.generator())
 
 
 def _run_periodic(params) -> tuple[bool, str]:
     p = params["p"]
-    theta, second = _make_embedded_pair(params)
-    expected = _expected_mcf(params["sequences"])
+    theta = _generator(params)
+    second = evaluate_expression(params["second"], theta)
+    expected = MCF.unit_from_sequences(params["sequences"])
     res = jp_expand((theta, second), p, detect_period=True)
     if res.status != "periodic":
         return False, f"expected a periodic run, got {res.status}"
@@ -204,25 +199,23 @@ def _run_periodic(params) -> tuple[bool, str]:
 
 def _run_consistency(params) -> tuple[bool, str]:
     p = params["p"]
-    recorded = _expected_mcf(params["sequences"])
     expected_value = tuple(Fraction(x) for x in params["value"])
-    value = evaluate_finite(recorded)
-    if value != expected_value:
-        return False, f"recorded block evaluates to {value}, not {expected_value}"
-    re = jp_expand(expected_value, p)
-    if not (re.is_finite and re.mcf.rows == recorded.rows):
+    report = reexpand_check(MCF.unit_from_sequences(params["sequences"]), p)
+    if report.value != expected_value:
+        return False, (
+            f"recorded block evaluates to ({_joined(report.value)}), "
+            f"not ({_joined(expected_value)})"
+        )
+    if not report:
         return False, "re-expanding the recorded value does not reproduce the block"
-    field = NumberField(parse_polynomial(params["minpoly"]))
-    emb = PAdicEmbedding.create(field, p, 64)
-    theta = emb(field.generator())
-    res = jp_expand((theta, Fraction(params["companion"])), p)
+    pair = (_generator(params), Fraction(params["companion"]))
+    res = jp_expand(pair, p)
     if not res.is_finite:
         return False, f"cube-root pair did not terminate ({res.status})"
-    dep = verify_termination_dependence(res, (theta, Fraction(params["companion"])))
+    dep = verify_termination_dependence(res, pair)
     return True, (
-        f"block evaluates to ({', '.join(format_rational(x) for x in expected_value)}) "
-        f"and re-expands to itself; cube-root pair finite with dependence "
-        f"({', '.join(format_rational(c) for c in dep)})"
+        f"block evaluates to ({_joined(expected_value)}) and re-expands to itself; "
+        f"cube-root pair finite with dependence ({_joined(dep)})"
     )
 
 

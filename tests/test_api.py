@@ -1,5 +1,6 @@
 """The public surface: `padic_mcf.__all__` is exactly what README documents."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -58,3 +59,39 @@ def test_removed_name_is_gone(owner, name):
 @pytest.mark.parametrize("name", UNEXPORTED)
 def test_helper_is_not_exported(name):
     assert name not in padic_mcf.__all__ and not hasattr(padic_mcf, name)
+
+
+def _unread_imports(source):
+    """The names that `source` binds by an import and never reads, as an
+    `ast.Name` (which is also the base of every attribute chain)."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_unread_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, re as r\n"
+        "from x import a, b\n"
+        "b.c\n"
+    )
+    assert _unread_imports(source) == ["a", "os", "r"]
+
+
+MODULES = sorted(
+    path
+    for path in Path(padic_mcf.__file__).parent.glob("*.py")
+    if path.name != "__init__.py"  # its imports are the re-exports
+)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_reads_every_import(path):
+    assert _unread_imports(path.read_text("utf-8")) == []

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import operator
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padic_mcf
-from padic_mcf import cli
+from padic_mcf import cli, worked_examples
 from padic_mcf.cli import main
 from padic_mcf.errors import InsufficientPrecision
 from padic_mcf.exprparse import ExprError, evaluate_expression, parse_polynomial
@@ -307,6 +308,21 @@ class TestExpand:
         code, out = run_cli("expand", "-p", "5", "23/5", "14/19", "--verbose")
         assert code == 0
         assert "digits n=0" in out
+
+    def test_verbose_shows_a_zero_quotient_as_an_empty_list(self):
+        code, out = run_cli("expand", "-p", "5", "--verbose", "7/3", "11/20")
+        assert code == 0
+        assert out == (
+            "status: finite\n"
+            "steps: 3\n"
+            "a(1): -1, -4/5, -3/5\n"
+            "a(2): 9/5, -1, 0\n"
+            "a(3): 1, 1, 1\n"
+            "value: 7/3, 11/20\n"
+            "digits n=0: -1:{'k': 0, 'digits': [-1]}; 9/5:{'k': -1, 'digits': [-1, 2]}\n"
+            "digits n=1: -4/5:{'k': -1, 'digits': [1, -1]}; -1:{'k': 0, 'digits': [-1]}\n"
+            "digits n=2: -3/5:{'k': -1, 'digits': [2, -1]}; 0:[]\n"
+        )
 
     def test_approx_backend_with_minpoly_reports_candidate(self):
         code, out = run_cli(
@@ -607,8 +623,7 @@ DOCTORED = [
     ),
     (
         _doctored("c3-q5-cuberoot", value=("133/48", "4/5")),
-        "recorded block evaluates to (Fraction(133, 48), Fraction(5, 4)), "
-        "not (Fraction(133, 48), Fraction(4, 5))",
+        "recorded block evaluates to (133/48, 5/4), not (133/48, 4/5)",
     ),
     (  # a block of value (229/48, 5/4), but 3 is no balanced digit at p = 5
         _doctored(
@@ -664,6 +679,24 @@ class TestPaperExamples:
         assert results == [
             {"id": case.id, "description": case.description, "ok": False, "detail": detail}
         ]
+
+    @pytest.mark.parametrize(
+        "case_id, detail",
+        [
+            ("c1-q5-pair-a", "expected a finite run, got truncated"),
+            ("c3-q5-cuberoot", "cube-root pair did not terminate (truncated)"),
+        ],
+    )
+    def test_a_run_cut_short_is_reported(self, monkeypatch, case_id, detail):
+        # no bundled case runs out of steps; one step allowed makes them
+        monkeypatch.setattr(
+            worked_examples, "jp_expand", functools.partial(jp_expand, max_steps=1)
+        )
+        case = next(c for c in PAPER_CASES if c.id == case_id)
+        assert run_paper_examples([case]) == (
+            False,
+            [{"id": case_id, "description": case.description, "ok": False, "detail": detail}],
+        )
 
     def test_cli_exits_1_on_a_doctored_case(self, monkeypatch):
         case, detail = DOCTORED[1]  # c9-q5-stop with a wrong value

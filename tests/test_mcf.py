@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padic_mcf import mcf as mcf_module
 from padic_mcf.errors import (
     InternalMismatch,
     ZeroDenominatorConvergent,
@@ -24,7 +25,6 @@ from padic_mcf.mcf import (
     dehomogenize,
     determinant_check,
     evaluate_finite,
-    format_rational,
     reconstruct_initial,
     rescale,
     strong_convergence_sequence,
@@ -158,16 +158,6 @@ def test_validation_errors(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert (type(info.value), str(info.value)) == (ValueError, message)
-
-
-class TestFormatRational:
-    def test_reduces_strings(self):
-        assert format_rational("4/6") == "2/3"
-
-    def test_integers(self):
-        assert format_rational(F(-6)) == "-6"
-        assert format_rational(-6) == "-6"
-        assert format_rational(10**30) == str(10**30)
 
 
 class TestConvergentsTable:
@@ -562,6 +552,12 @@ class TestStrongConvergence:
             for i in range(2):
                 prev = [sc.valuation_at(n - j)[i] for j in range(1, 4)]
                 assert sc.valuation_at(n)[i] > min(prev)
+
+    def test_recurrence_self_check_raises(self, monkeypatch):
+        # a zero test that never sees 0 makes every re-checked V_n disagree
+        monkeypatch.setattr(mcf_module, "is_zero", lambda x: False)
+        with pytest.raises(InternalMismatch, match=r"^V recurrence failed at n=0, i=1$"):
+            strong_convergence_sequence(Q5_PAIR, (F(23, 5), F(14, 19)), 5)
 
     def test_zero_targets_give_numerators(self):
         mcf = MCF(2, [(F(0), F(0), F(1)), (F(1, 5), F(2), F(1))])

@@ -23,6 +23,7 @@ from padic_mcf.errors import (
     NoRoot,
 )
 from padic_mcf.numberfield import (
+    CERTIFICATE_PRIMES,
     MAX_DEGREE,
     IntegerLift,
     NumberField,
@@ -175,6 +176,16 @@ class TestNumberField:
         with pytest.raises(ZeroDivisionError):
             k5.element([1]) / k5.element([])
 
+    def test_coefficient_vector_length_is_checked(self):
+        k = NumberField([-3, 0, 0, 1])
+        with pytest.raises(ValueError, match="^need at most 3 coefficients$"):
+            k.element([1, 2, 3, 4])
+        with pytest.raises(ValueError, match="^coefficient vector has wrong length$"):
+            numberfield.AlgebraicNumber(k, (F(1),))
+
+    def test_repr_of_a_negative_power(self):
+        assert repr(-NumberField([-3, 0, 0, 1]).generator()) == "(-x)"
+
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_arithmetic_matches_sympy(self, data):
@@ -231,6 +242,11 @@ class TestIrreducibility:
         assert not numberfield._irreducibility_certificate(coeffs)
         assert NumberField(coeffs).degree == len(coeffs) - 1
 
+    def test_certificate_primes_are_the_odd_primes_below_200(self):
+        # trial division by every smaller integer, a test the package never runs
+        odd_primes = [q for q in range(3, 200, 2) if all(q % d for d in range(2, q))]
+        assert list(CERTIFICATE_PRIMES) == odd_primes and len(odd_primes) == 45
+
     def test_bench_style_fields_need_no_sympy(self):
         rng = random.Random(17)
         # a cubic and a quartic drawn as the bench draws them
@@ -264,6 +280,9 @@ class TestNewtonPolygon:
     def test_cubic_two_segments(self):
         segs = _newton_polygon_slopes(CUBIC_Q5, 5)
         assert segs == [(F(1, 2), 2), (F(-1), 1)]
+
+    def test_fewer_than_two_nonzero_coefficients(self):
+        assert _newton_polygon_slopes((F(0), F(1)), 5) == []
 
 
 class TestPadicRoots:
@@ -392,6 +411,10 @@ class TestPadicRoots:
         assert _newton_lift(f, 1 + 5**5, 5, 20) == 1
         assert _newton_lift(f, 1 + 5**4 + 5**9, 5, 20) == 1 + 5**4
         assert _newton_lift(f, 1 + 5**4, 5, 3) == 1
+
+    def test_newton_lift_stops_where_the_derivative_vanishes(self):
+        # x^2 + 1 at 0: f'(0) = 0, so no Newton step can start
+        assert _newton_lift([1, 0, 1], 0, 5, 3) is None
 
     def test_constructed_ground_truth(self):
         # (x - a)(x - b)(x^2 - c) with c a quadratic nonresidue mod p, so the

@@ -9,7 +9,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import padic_mcf
@@ -106,10 +106,11 @@ def fields(a: PAdicApprox) -> tuple:
     return a.val, a.unit, a.precision
 
 
-def digits_by_loop(a: PAdicApprox) -> tuple:
-    """Balanced digits of a's unit peeled off one division by p at a time."""
-    p, r, out = a.prime, a.unit, []
-    for _ in range(a.precision - a.val):
+def digits_by_loop(r: int, p: int, n: int) -> tuple:
+    """The n balanced digits of the integer r modulo p**n, peeled off one
+    at a time: r % p taken to (-p/2, p/2), subtracted, and divided out."""
+    out = []
+    for _ in range(n):
         d = r % p - p if r % p > (p - 1) // 2 else r % p
         out.append(d)
         r = (r - d) // p
@@ -470,7 +471,27 @@ class TestPAdicApprox:
     @settings(max_examples=150, deadline=None)
     def test_digits_match_the_digit_loop(self, p, val, span, seed):
         a = PAdicApprox(p, val, seed, val + span)
-        assert a.digits == BalancedDigits(a.val, digits_by_loop(a))
+        want = digits_by_loop(a.unit, p, a.precision - a.val)
+        assert a.digits == BalancedDigits(a.val, want)
+
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 1000003)),
+        val=st.integers(-5, 5),
+        n=st.integers(1, 60),
+        unit=st.integers(-(2**1300), -1),
+    )
+    @example(p=1000003, val=0, n=60, unit=-(1000003**60) // 2)
+    @settings(max_examples=100, deadline=None)
+    def test_digits_of_a_negative_unit_match_the_digit_loop(self, p, val, n, unit):
+        # the loop reads the signed unit; PAdicApprox first reduces it mod p**n
+        assume(unit % p)
+        a = PAdicApprox(p, val, unit, val + n)
+        assert a.digits == BalancedDigits(val, digits_by_loop(unit, p, n))
+
+    def test_equal_values_hash_equally(self):
+        a = PAdicApprox.from_rational(F(23, 5), 5, 6)
+        b = PAdicApprox(5, -1, 23, 6)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
     def test_repr(self):
         assert repr(PAdicApprox.from_rational(F(23, 5), 5, 3)) == (

@@ -558,7 +558,7 @@ def verify_termination_dependence(result: ExpansionResult, inputs):
     if not result.is_finite:
         raise ValueError("dependence is only guaranteed for finite runs")
     values = list(inputs)
-    values.append(values[0] * 0 + 1)
+    values.append(Fraction(1))
     dep = rational_linear_dependence(values)
     if dep is None:
         raise VerificationFailed("finite run but inputs are Q-linearly independent")
@@ -585,12 +585,13 @@ class ReexpandReport:
         return self.matches
 
 
-def reexpand_check(mcf: MCF, p: int, max_steps: int = DEFAULT_MAX_STEPS) -> ReexpandReport:
+def reexpand_check(mcf: MCF, p: int) -> ReexpandReport:
     """Evaluate a finite MCF exactly and expand its value again.
 
     Under the uniqueness hypotheses (unit numerators, digits in
     Z[1/p] ∩ (-p/2, p/2), norm conditions from index 1 on) the re-expansion
-    must reproduce the quotients exactly.
+    must reproduce the quotients exactly.  It is cut at len(mcf.rows) rows:
+    a matching one ends at exactly that row, and a longer one cannot match.
     """
     require_odd_prime(p)
     failed = []
@@ -604,6 +605,6 @@ def reexpand_check(mcf: MCF, p: int, max_steps: int = DEFAULT_MAX_STEPS) -> Reex
     if not rep.ok:
         failed.append(f"norm_conditions@n={rep.first_violation}")
     value = evaluate_finite(mcf)
-    re = jp_expand(value, p, max_steps=max_steps)
+    re = jp_expand(value, p, max_steps=len(mcf.rows))
     matches = re.is_finite and re.mcf.rows == mcf.rows
     return ReexpandReport(matches, tuple(failed), value, re)

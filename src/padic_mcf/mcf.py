@@ -384,18 +384,13 @@ def reconstruct_initial(table: ConvergentsTable, alphas):
     m = table.m
     if len(alphas) != m + 1:
         raise ValueError("need the m+1 complete quotients at the current index")
-    den = sum(
-        (alphas[j] * table.column(j)[m] for j in range(m + 1)),
-        start=alphas[0] * 0,
+    cols = [table.column(j) for j in range(m + 1)]
+    zero = alphas[0] * 0
+    den = sum((a * col[m] for a, col in zip(alphas, cols)), start=zero)
+    return tuple(
+        sum((a * col[i] for a, col in zip(alphas, cols)), start=zero) / den
+        for i in range(m)
     )
-    out = []
-    for i in range(m):
-        num = sum(
-            (alphas[j] * table.column(j)[i] for j in range(m + 1)),
-            start=alphas[0] * 0,
-        )
-        out.append(num / den)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ coefficient vectors for the projective expansion kernel of jacobi_perron.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -219,9 +218,10 @@ class AlgebraicNumber:
     plain field arithmetic).  It then behaves as an exact p-adic value:
     field arithmetic stays exact and digit queries go through the embedding
     at whatever precision they need.  A result carries the embedding of
-    either operand; operands embedded at different primes raise
-    FieldMismatch and compare unequal.  Equality and the hash otherwise
-    ignore the embedding, and a rational element equals and hashes as its
+    either operand; operands under two embeddings (two PAdicEmbedding
+    objects, even of one root) raise FieldMismatch and compare unequal, and
+    emb(x) re-embeds one of them.  Equality and the hash otherwise ignore
+    the embedding, and a rational element equals and hashes as its
     Fraction.
     """
 
@@ -244,10 +244,7 @@ class AlgebraicNumber:
 
     def _coerce(self, other):
         if isinstance(other, AlgebraicNumber):
-            if other.field != self.field:
-                raise FieldMismatch("elements of different number fields")
-            if self.emb and other.emb and other.emb.prime != self.emb.prime:
-                raise FieldMismatch("values use different embeddings")
+            _join(self.field, self.emb, other)
             return other
         return self.field.element([Fraction(other)])
 
@@ -714,32 +711,50 @@ def embed(x: AlgebraicNumber, emb: PAdicEmbedding, precision: int) -> PAdicAppro
     return PAdicApprox(p, -s - t, unit, precision)
 
 
+def _join(field, emb, x: AlgebraicNumber):
+    """The field and embedding of the values seen so far (None for none
+    yet) joined with those of the element x.  Values of one field combine
+    when at most one PAdicEmbedding object is among them; an unembedded
+    value joins any embedding."""
+    if field is not None and x.field != field:
+        raise FieldMismatch("elements of different number fields")
+    if emb is not None and x.emb is not None and x.emb is not emb:
+        raise FieldMismatch("values use different embeddings")
+    return x.field, emb or x.emb
+
+
+def _integer_vectors(values):
+    """(field, emb, vectors, ell) for rationals and field elements that
+    _join combines: every value as an integer coefficient vector of length
+    the field's degree (1 when no value is a field element), all of them
+    over the one denominator ell."""
+    field, emb, coeffs = None, None, []
+    for x in values:
+        if isinstance(x, AlgebraicNumber):
+            field, emb = _join(field, emb, x)
+            coeffs.append(x.coeffs)
+        else:
+            coeffs.append((Fraction(x),))
+    d = field.degree if field else 1
+    flat, ell = clear_denominators(
+        [c for vec in coeffs for c in vec + (Fraction(0),) * (d - len(vec))]
+    )
+    return field, emb, [flat[i : i + d] for i in range(0, len(flat), d)], ell
+
+
 class IntegerLift:
     """An exact tuple over one number field as integer coefficient vectors.
 
-    Built from values of which at least one is an embedded AlgebraicNumber;
-    a rational becomes a constant vector.  `vectors` times `scale` are the
-    coefficient vectors of the values.  The projective kernel of
-    jacobi_perron runs on such vectors and asks this class only what needs
-    the field: their residues through the embedding, and their values.
+    Built from values of which at least one is an embedded AlgebraicNumber,
+    all of one field and under one embedding (_join); a rational becomes a
+    constant vector.  `vectors` times `scale` are the coefficient vectors
+    of the values.  The projective kernel of jacobi_perron runs on such
+    vectors and asks this class only what needs the field: their residues
+    through the embedding, and their values.
     """
 
     def __init__(self, values):
-        field = emb = None
-        coeffs = []
-        for x in values:
-            if isinstance(x, AlgebraicNumber):
-                if field is not None and x.field != field:
-                    raise FieldMismatch("elements of different number fields")
-                field, emb = x.field, emb or x.emb
-                coeffs.append(x.coeffs)
-            else:
-                coeffs.append((Fraction(x),))
-        self.field, self.emb, d = field, emb, field.degree
-        flat, ell = clear_denominators(
-            [c for vec in coeffs for c in vec + (Fraction(0),) * (d - len(vec))]
-        )
-        self.vectors = [flat[i : i + d] for i in range(0, len(flat), d)]
+        self.field, self.emb, self.vectors, ell = _integer_vectors(values)
         self.scale = Fraction(1, ell)
 
     def values(self, vectors) -> tuple:
@@ -796,31 +811,24 @@ def rational_linear_dependence(values):
     """A nonzero rational vector c with sum(c_j * values_j) == 0, or None.
 
     Values may be Fractions, ints or AlgebraicNumbers of one common field,
-    embedded or not; an empty list gives None.  The result is the unique
-    dependence among values_0..values_r with values_0..values_{r-1}
-    independent, as coprime integers with a positive leading entry.
+    under at most one embedding (_join); an empty list gives None.  The
+    result is the unique dependence among values_0..values_r with
+    values_0..values_{r-1} independent, as coprime integers with a positive
+    leading entry.
 
-    The values' coefficient vectors, each scaled to integers by the lcm of
-    its denominators, are the columns of an integer matrix, and _bareiss
-    stops at its first free column r.  Take c_r = D, the last pivot, which
-    is the determinant of the r x r system on the pivot rows.  By Cramer's
-    rule each other c_i is then minus the determinant of that system with
-    column i replaced by column r, an integer, so the back-substitution
-    divides exactly.
+    The values' coefficient vectors, scaled to integers over one common
+    denominator, are the columns of an integer matrix, and _bareiss stops
+    at its first free column r.  Take c_r = D, the last pivot, which is the
+    determinant of the r x r system on the pivot rows.  By Cramer's rule
+    each other c_i is then minus the determinant of that system with column
+    i replaced by column r, an integer, so the back-substitution divides
+    exactly.  The common denominator scales every column alike, so c is a
+    dependence of the values themselves.
     """
-    field, scaled = None, []
-    for v in values:
-        if isinstance(v, AlgebraicNumber):
-            if field is not None and v.field != field:
-                raise FieldMismatch("values in different number fields")
-            field, vec = v.field, v.coeffs
-        else:
-            vec = (Fraction(v),)
-        scaled.append(clear_denominators(vec))
-    if not scaled:
+    cols = _integer_vectors(values)[2]
+    if not cols:
         return None
-    cols, scales = zip(*scaled)
-    a = [list(row) for row in itertools.zip_longest(*cols, fillvalue=0)]
+    a = [list(row) for row in zip(*cols)]
     r, _ = _bareiss(a)
     if r == len(cols):
         return None
@@ -828,6 +836,5 @@ def rational_linear_dependence(values):
     c[r] = a[r - 1][r - 1] if r else 1
     for i in range(r - 1, -1, -1):
         c[i] = -sum(a[i][j] * c[j] for j in range(i + 1, r + 1)) // a[i][i]
-    c = [x * ell for x, ell in zip(c, scales)]
     g = math.gcd(*c) * (1 if next(x for x in c if x) > 0 else -1)
     return tuple(Fraction(x // g) for x in c)

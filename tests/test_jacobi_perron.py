@@ -43,6 +43,7 @@ from padic_mcf.numberfield import (
     IntegerLift,
     NumberField,
     PAdicEmbedding,
+    padic_roots,
 )
 from padic_mcf.padic import (
     PLUS_INFINITY,
@@ -618,6 +619,15 @@ class TestReexpand:
         assert rep.failed_hypotheses == ("unit_numerators",)
         assert bool(rep) is False
 
+    def test_a_run_past_the_default_cap_reproduces_itself(self):
+        # 11914 rows: a re-expansion cut at DEFAULT_MAX_STEPS could not match
+        bits = random.Random(5).getrandbits
+        xs = tuple(F(bits(13000), bits(13000) | 1) for _ in range(2))
+        mcf = jp_expand(xs, 3, max_steps=12000).mcf
+        assert mcf.finite and len(mcf.rows) == 11914
+        rep = reexpand_check(mcf, 3)
+        assert rep.matches and not rep.failed_hypotheses
+
     def test_violated_hypotheses_are_reported(self):
         mcf = MCF.unit_from_sequences([[3, 1], [1, 0]])  # |a_1^(1)| = 1, not > 1
         rep = reexpand_check(mcf, 5)
@@ -952,6 +962,17 @@ class TestProjectiveKernel:
         gamma = emb_cubic_q7(emb_cubic_q7.field.generator())
         with pytest.raises(ValueError, match="value carries a different prime"):
             expand((alpha, gamma), 5)
+
+    def test_values_under_two_embeddings_do_not_mix(self):
+        # theta of x^2 - 2 at its two roots r1, r2 = -r1 in Q_7: (t1, t2)
+        # is (r1, -r1), not (r1, r1), so it may not run on one embedding
+        k = NumberField([-2, 0, 1])
+        e1, e2 = (PAdicEmbedding(k, 7, r) for r in padic_roots(k, 7, 8))
+        t1, t2 = e1(k.generator()), e2(k.generator())
+        for expand, args in ((jp_expand, (t1, t2)), (euclid_expand, (t1, t2, F(1)))):
+            with pytest.raises(FieldMismatch, match="^values use different embeddings$"):
+                expand(args, 7)
+        assert jp_expand((t1, -t1), 7).mcf.rows[0] == (3, -3, 1)
 
 
 @pytest.mark.parametrize(

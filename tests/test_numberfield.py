@@ -32,6 +32,7 @@ from padic_mcf.numberfield import (
     _newton_polygon_slopes,
     _roots_mod_p,
     _select_largest_root,
+    clear_denominators,
     embed,
     padic_roots,
     rational_linear_dependence,
@@ -654,6 +655,40 @@ class TestEmbeddedValues:
         assert x.valuation() == 42
 
 
+class TestTwoRootsOfOneField:
+    """theta of x^2 - 2 under the embeddings e1, e2 at its two roots in Q_7:
+    t1 = e1(theta) and t2 = e2(theta) are r1 and r2 = -r1."""
+
+    @pytest.fixture(scope="class")
+    def roots(self):
+        k = NumberField([-2, 0, 1])
+        e1, e2 = (PAdicEmbedding(k, 7, r) for r in padic_roots(k, 7, 8))
+        return e1, e1(k.generator()), e2(k.generator())
+
+    @pytest.mark.parametrize(
+        "combine",
+        [
+            lambda t1, t2: t1 + t2,
+            lambda t1, t2: t1 * t2,
+            lambda t1, t2: rational_linear_dependence([t1, t2]),
+        ],
+        ids=["add", "mul", "dependence"],
+    )
+    def test_values_under_two_embeddings_do_not_mix(self, roots, combine):
+        _, t1, t2 = roots
+        with pytest.raises(FieldMismatch, match="^values use different embeddings$"):
+            combine(t1, t2)
+
+    def test_values_under_two_embeddings_are_unequal(self, roots):
+        _, t1, t2 = roots
+        assert not t1 == t2 and t1 != t2
+
+    def test_re_embedding_one_value_mixes_them(self, roots):
+        e1, t1, t2 = roots
+        assert (t1 - e1(t2)).is_zero() and (t1 + e1(t2)).emb is e1
+        assert rational_linear_dependence([t1, e1(t2)]) == (F(1), F(-1))
+
+
 class TestLinearDependence:
     def test_all_rational(self):
         vals = [F(1), F(31, 26), F(21, 26)]
@@ -756,6 +791,26 @@ class TestLinearDependence:
         assert M * sympy.Matrix(c) == sympy.zeros(degree, 1)
         assert math.gcd(*c) == 1 and next(x for x in c if x) > 0
         assert c[r] != 0 and all(x == 0 for x in c[r + 1 :])
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rescaled_values_give_the_rescaled_dependence(self, data):
+        # Scaling value j by lambda_j != 0 keeps the independent prefixes, so
+        # the dependence becomes c_j / lambda_j, normalised again.
+        k = DEPENDENCE_FIELDS[3]
+        element = st.lists(small_fractions, min_size=3, max_size=3).map(k.element)
+        values = data.draw(st.lists(st.one_of(small_fractions, element), min_size=1,
+                                    max_size=3))
+        w = data.draw(st.lists(small_fractions, min_size=len(values),
+                               max_size=len(values)))
+        values.append(sum((x * v for x, v in zip(w, values)), F(0)))
+        lams = data.draw(st.lists(small_fractions.filter(bool), min_size=len(values),
+                                  max_size=len(values)))
+        dep = rational_linear_dependence(values)
+        scaled = rational_linear_dependence([x * v for x, v in zip(lams, values)])
+        want, _ = clear_denominators([c / x for c, x in zip(dep, lams)])
+        g = math.gcd(*want) * (1 if next(x for x in want if x) > 0 else -1)
+        assert scaled == tuple(F(x // g) for x in want)
 
     @given(
         a=st.fractions(min_value=-99, max_value=99, max_denominator=20),

@@ -161,35 +161,35 @@ def build_parser(command=None) -> _ArgumentParser:
 
 def _build_inputs(args):
     """Assemble the input tuple: positional rationals first, then --elem
-    coefficient vectors, then --elem-expr expressions."""
+    coefficient vectors, then --elem-expr expressions.  What the arguments
+    alone decide is checked before the field is built, so that no field
+    error hides it."""
     rationals = [_parse_fraction(s) for s in args.values]
-    if args.minpoly is None:
-        if args.elem or args.elem_expr:
-            raise UsageError("--elem/--elem-expr require --minpoly")
-        inputs = rationals
-    else:
+    if args.minpoly is None and (args.elem or args.elem_expr):
+        raise UsageError("--elem/--elem-expr require --minpoly")
+    elems = [[_parse_fraction(c) for c in spec.split(",")] for spec in args.elem]
+    count = len(rationals) + len(elems) + len(args.elem_expr)
+    if not count:
+        raise UsageError("no input values given")
+    if args.dim is not None and args.dim != count:
+        raise UsageError(f"-m {args.dim} does not match {count} inputs")
+    backend = args.backend or ("numberfield" if args.minpoly else "rational")
+    if backend == "rational" and args.minpoly:
+        raise UsageError("--backend rational cannot hold algebraic inputs")
+    inputs = rationals
+    if args.minpoly is not None:
         try:
             field = NumberField(parse_polynomial(args.minpoly))
         except (ExprError, ValueError) as exc:
             raise UsageError(f"bad --minpoly: {exc}") from None
         emb = PAdicEmbedding.create(field, args.prime)
         theta = emb(field.generator())
-        inputs = list(rationals)
-        for spec in args.elem:
-            coeffs = [_parse_fraction(c) for c in spec.split(",")]
-            inputs.append(emb(field.element(coeffs)))
+        inputs += [emb(field.element(coeffs)) for coeffs in elems]
         for spec in args.elem_expr:
             try:
                 inputs.append(evaluate_expression(spec, theta))
             except ExprError as exc:
                 raise UsageError(f"bad --elem-expr: {exc}") from None
-    if not inputs:
-        raise UsageError("no input values given")
-    if args.dim is not None and args.dim != len(inputs):
-        raise UsageError(f"-m {args.dim} does not match {len(inputs)} inputs")
-    backend = args.backend or ("numberfield" if args.minpoly else "rational")
-    if backend == "rational" and args.minpoly:
-        raise UsageError("--backend rational cannot hold algebraic inputs")
     if backend == "approx":
         inputs = [to_approx(x, args.prime, args.precision) for x in inputs]
     return tuple(inputs)

@@ -21,7 +21,7 @@ class PrecisionExhausted(ArithmeticError):
 
 
 class LiftingObstruction(ArithmeticError):
-    """A residual root could not be separated or lifted."""
+    """A residual root could not be lifted."""
 
 
 class NoRoot(ValueError):

@@ -4,11 +4,12 @@ A NumberField is defined by a monic irreducible polynomial over Q; its
 elements are coefficient vectors reduced modulo that polynomial.  Roots of
 the polynomial inside Q_p are located by Newton-polygon slope analysis
 (only integer slopes can carry Q_p roots), gcd splitting modulo p and Hensel
-lifting of simple residues, with a recursive disc subdivision for residues
-that are not simple modulo p.  An embedding fixes one such root, lifts it
-alone by Newton's method as digits are needed, and evaluates coefficient
-vectors at it.  An IntegerLift holds a tuple of field elements as integer
-coefficient vectors for the projective expansion kernel of jacobi_perron.
+lifting of simple residues, with a worklist of smaller residue discs for
+residues that are not simple modulo p.  An embedding fixes one such root,
+lifts it alone by Newton's method as digits are needed, and evaluates
+coefficient vectors at it.  An IntegerLift holds a tuple of field elements
+as integer coefficient vectors for the projective expansion kernel of
+jacobi_perron.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ MAX_DEGREE = 64
 
 #: Precision doublings one exact query may take before it raises
 #: InsufficientPrecision: AlgebraicNumber.valuation, and the re-lifts of one
-#: expansion run on an IntegerLift.  The other budget is the separation
-#: bound of _zp_roots, about half the p-adic valuation of the discriminant
-#: (LiftingObstruction); root lifts and embeddings compute their digit
-#: counts exactly and never retry.
+#: expansion run on an IntegerLift.  Root searches have no budget, as a
+#: squarefree polynomial bounds their depth (_zp_roots); root lifts and
+#: embeddings compute their digit counts exactly and never retry.
 MAX_DOUBLINGS = 20
 
 #: The primes q at which NumberField reads the factor degrees of its
@@ -420,53 +420,37 @@ def _newton_lift(f, y: int, p: int, k: int):
         y = (y - fy // p**d * inverse_mod_pk(u, p, e)) % p**e
 
 
-def _zp_roots(coeffs, p: int, k: int, levels: int | None = None):
-    """All roots in Z_p of a squarefree integer polynomial, mod p**k.
+def _zp_roots(coeffs, p: int, k: int):
+    """All roots in Z_p of a squarefree integer polynomial f, mod p**k.
 
     Returns integers r with f(r) == 0 mod p**k, one per genuine Z_p root.
-    Residues that are not simple modulo p are separated recursively, at
-    most `levels` deep: _separation_levels bounds it on the first descent,
-    and a recursion past that bound raises LiftingObstruction.
-    """
-    shift = min(split_p(c, p)[0] for c in coeffs if c != 0)
-    work = [c // p**shift for c in coeffs]
-    dwork = _pderiv(work)
-    roots = []
-    for r in _roots_mod_p(work, p):
-        if _peval(dwork, r) % p != 0:
-            roots.append(_newton_lift(work, r, p, k))
-            continue
-        if levels is None:
-            levels = _separation_levels(work, p)
-        if levels == 0:
-            raise LiftingObstruction("root separation did not stabilise")
-        # shift into the residue disc r + p*Z_p and recurse
-        sub = _compose_affine(work, r, p)
-        for z in _zp_roots(sub, p, max(k - 1, 1), levels - 1):
-            roots.append((r + p * z) % p**k)
-    return roots
+    The worklist holds residue discs c + p**j * Z_p as (g, c, j), where
+    g(z) = f(c + p**j * z) up to a power of p.  A simple residue r of g
+    lifts by Newton's method to a root z of g, and c + p**j * z mod p**k
+    needs z only to k - j digits; a residue that is not simple is the disc
+    c + p**j * r + p**(j+1) * Z_p, pushed as a new entry.
 
-
-def _separation_levels(f, p: int) -> int:
-    """ceil(v_p(disc f) / 2) for an integer polynomial f with a coefficient
-    prime to p, and 0 when disc f = 0, where no bound exists.
-
-    _zp_roots subdivides a residue disc a j-th time only for two distinct
+    The list runs out: a disc is split a j-th time only for two distinct
     roots a, b of f, integral over Z_p, with v(a - b) > j - 1; and v(a - b)
     <= v(disc f) / 2: write f = c * prod(y_i x - x_i), each (x_i, y_i)
     integral with a unit entry; then c is a unit (Gauss) and disc f =
     c^(2n-2) * prod_(i<j) (x_i y_j - x_j y_i)^2, a product of integral
     factors, in which a and b, as (a, 1) and (b, 1), contribute (a - b)^2.
-    The discriminant is Res(f, f') / f_n up to sign, the resultant the
-    determinant of the Sylvester matrix.
+    A squarefree f therefore needs at most v_p(disc f) / 2 levels.
     """
-    n, df = len(f) - 1, _pderiv(f)
-    rows = [[0] * i + f[::-1] + [0] * (n - 2 - i) for i in range(n - 1)]
-    rows += [[0] * i + df[::-1] + [0] * (n - 1 - i) for i in range(n)]
-    r, _ = _bareiss(rows)
-    if r < len(rows):
-        return 0
-    return (split_p(rows[-1][-1], p)[0] - split_p(f[-1], p)[0] + 1) // 2
+    roots, work = [], [(coeffs, 0, 0)]
+    while work:
+        g, c, j = work.pop()
+        shift = min(split_p(a, p)[0] for a in g if a != 0)
+        g = [a // p**shift for a in g]
+        dg = _pderiv(g)
+        for r in _roots_mod_p(g, p):
+            if _peval(dg, r) % p != 0:
+                z = _newton_lift(g, r, p, max(k - j, 1))
+                roots.append((c + p**j * z) % p**k)
+            else:
+                work.append((_compose_affine(g, r, p), c + p**j * r, j + 1))
+    return roots
 
 
 def _fp_divmod(a, b, p: int):
@@ -573,23 +557,12 @@ def _unit_root_poly(coeffs, w: int, p: int):
     return clear_denominators([c / Fraction(p) ** shift for c in scaled])[0], shift
 
 
-def padic_roots(field_or_coeffs, p: int, precision: int):
-    """All roots of the defining polynomial inside Q_p.
-
-    Each root is returned with at least `precision` known digits, and its
-    stored representative x satisfies v(f(x)) >= precision; when the
-    derivative at the root has negative valuation this forces extra digits
-    beyond the request, which are kept.  Only Newton-polygon segments with
-    integer slopes can carry Q_p roots; the list may legitimately be empty.
-    """
+def _qp_roots(coeffs, p: int, precision: int):
+    """All roots inside Q_p of a squarefree polynomial over Q, given by its
+    little-endian coefficients; padic_roots states the contract."""
     require_odd_prime(p)
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    coeffs = (
-        field_or_coeffs.minpoly
-        if isinstance(field_or_coeffs, NumberField)
-        else _pstrip([Fraction(c) for c in field_or_coeffs])
-    )
     roots = []
     for w, _count in _newton_polygon_slopes(coeffs, p):
         if w.denominator != 1:
@@ -605,6 +578,19 @@ def padic_roots(field_or_coeffs, p: int, precision: int):
                 roots.append(PAdicApprox(p, w, y, w + k))
     roots.sort(key=lambda r: (r.val, r.unit))
     return roots
+
+
+def padic_roots(field: NumberField, p: int, precision: int):
+    """All roots of the field's defining polynomial inside Q_p, which is
+    irreducible and so squarefree.
+
+    Each root is returned with at least `precision` known digits, and its
+    stored representative x satisfies v(f(x)) >= precision; when the
+    derivative at the root has negative valuation this forces extra digits
+    beyond the request, which are kept.  Only Newton-polygon segments with
+    integer slopes can carry Q_p roots; the list may legitimately be empty.
+    """
+    return _qp_roots(field.minpoly, p, precision)
 
 
 def _select_largest_root(roots) -> PAdicApprox:

@@ -29,17 +29,25 @@ from .errors import InsufficientPrecision, PrecisionExhausted
 PLUS_INFINITY = math.inf
 
 
+#: The least strong pseudoprime to the 13 prime bases 2..41 (Sorenson and
+#: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+#: 2017), about 3.3 * 10^24.  No fixed set of bases is proven to decide
+#: primality beyond it, so is_odd_prime refuses every p from it on.
+_PRIME_BOUND = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def is_odd_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, restricted to odd primes (p != 2)."""
-    if not isinstance(p, int) or p < 3 or p % 2 == 0:
+    """Deterministic Miller-Rabin, restricted to odd primes (p != 2) below
+    _PRIME_BOUND; False from there on."""
+    if not isinstance(p, int) or p < 3 or p % 2 == 0 or p >= _PRIME_BOUND:
         return False
     d, r = p - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    # These witnesses decide primality for every p < 3.3 * 10^24.
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    # These witnesses decide primality for every p < _PRIME_BOUND.
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         if a % p == 0:
             continue
         x = pow(a, d, p)

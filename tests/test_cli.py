@@ -259,6 +259,17 @@ class TestExpand:
         assert code == 1
         assert "AmbiguousSelection" in capsys.readouterr().err
 
+    def test_roots_sharing_1200_digits_are_ambiguous(self, capsys):
+        # both roots of (x - 1)^2 - 6 * 5^2400 are units: the search splits
+        # their common residue 1200 times and the choice is then ambiguous
+        code, out = run_cli(
+            "expand", "-p", "5", f"--minpoly={1 - 6 * 5**2400},-2,1", "--elem", "0,1"
+        )
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: AmbiguousSelection: 2 roots share the maximal norm p^0\n"
+        )
+
     def test_degree_bound_is_usage_error(self, capsys):
         code, out = run_cli(
             "expand", "-p", "5", "--minpoly", "x^256*x^256*x^256*x^256-6",
@@ -428,6 +439,13 @@ def test_every_prime_flag_is_checked_alike(capsys, argv):
          "--backend rational cannot hold algebraic inputs"),
         ("euclid -p 5 -m 3 1 2 3", "-m 3 does not match 3 coordinates"),
         ("digits -p 5 --upto 0 1", "--upto must exceed the valuation of the value"),
+        # x^2+x+1 has no root in Q_5, and these errors come before the field's
+        ("expand -p 5 --minpoly x^2+x+1", "no input values given"),
+        ("expand -p 5 --minpoly x^2+x+1 --elem 1,x",
+         "cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
+        ("expand -p 5 -m 3 --minpoly x^2+x+1 --elem 0,1", "-m 3 does not match 1 inputs"),
+        ("expand -p 5 --backend rational --minpoly x^2+x+1 --elem 0,1",
+         "--backend rational cannot hold algebraic inputs"),
     ],
 )
 def test_argument_errors(capsys, argv, error):

@@ -37,7 +37,7 @@ from padic_mcf.numberfield import (
     padic_roots,
     rational_linear_dependence,
 )
-from padic_mcf.padic import PLUS_INFINITY, PAdicApprox, browkin_s, split_p, valuation
+from padic_mcf.padic import PLUS_INFINITY, PAdicApprox, browkin_s, valuation
 
 CUBIC_Q5 = [F(-1), F(-1), F(-8, 5), F(1)]  # x^3 - 8/5 x^2 - x - 1
 # (x-1)^3 - 5^11 (x-1) - 5^17 at p = 5: one root in Q_5, 1 + z with v(z) = 6,
@@ -302,11 +302,17 @@ class TestPadicRoots:
         roots = padic_roots(k5, 5, 6)
         assert len(roots) == 1 and roots[0].val == -1
 
-    def test_repeated_root_is_an_obstruction(self):
-        # (x - 1)^2 has discriminant 0, so no separation level bounds the
-        # splitting of its double residue
-        with pytest.raises(LiftingObstruction, match="^root separation did not stabilise$"):
-            padic_roots([1, -2, 1], 5, 8)
+    def test_roots_sharing_1200_digits(self):
+        # (x - 1)^2 - 6 * 5^2400 has the roots 1 +- 5^1200 * sqrt(6), as 6
+        # is a square mod 5, and (x - 1)^2 - 2 * 5^2400 has none: each
+        # search splits its double residue 1200 times
+        f = NumberField([1 - 6 * 5**2400, -2, 1])
+        roots = padic_roots(f, 5, 8)
+        assert len(roots) == 2
+        for r in roots:
+            x = r.digits.value(r.prime)
+            assert valuation(sum(c * x**i for i, c in enumerate(f.minpoly)), 5) >= 8
+        assert padic_roots(NumberField([1 - 2 * 5**2400, -2, 1]), 5, 8) == []
 
     def test_precision_must_be_positive(self, k5):
         with pytest.raises(ValueError, match="^precision must be >= 1$"):
@@ -371,7 +377,7 @@ class TestPadicRoots:
         # planted roots next to the irreducible x^2 + 1 (p = 3 mod 4)
         planted = poly_times(poly_times([-(10**12), 1], [7, 1]), [1, 0, 1])
         for coeffs in ((-3, 0, 0, 1), (-2, 0, F(-1, p), 1), planted):
-            roots = padic_roots(coeffs, p, 20)
+            roots = numberfield._qp_roots(coeffs, p, 20)
             assert roots
             for r in roots:
                 assert r.precision >= 20
@@ -392,15 +398,24 @@ class TestPadicRoots:
                 mp = sum(c * x**i for i, c in enumerate(k.minpoly))
                 assert valuation(mp, p) >= n
 
-    @given(p=st.sampled_from((3, 5, 7)), data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_separation_levels_are_half_the_discriminant_valuation(self, p, data):
-        lead = data.draw(st.sampled_from((1, 2, p, 3 * p, p * p)))
-        f = data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=7)) + [lead]
-        assume(any(c % p for c in f))
-        disc = int(sympy.discriminant(sympy.Poly(f[::-1], sympy.Symbol("x"))))
-        want = 0 if disc == 0 else (split_p(disc, p)[0] + 1) // 2
-        assert numberfield._separation_levels(f, p) == want
+    @given(
+        p=st.sampled_from((3, 5, 7, 11)),
+        a=st.integers(-1000, 1000),
+        j=st.integers(0, 60),
+        u=st.integers(1, 100),
+        k=st.integers(1, 80),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_planted_close_roots(self, p, a, j, u, k):
+        # (x - a)(x - a - p^j u)(x^2 - c), c a nonresidue mod p: the two
+        # planted roots share j digits, and x^2 - c has no root; a root 0
+        # is not on the Newton polygon
+        b = a + p**j * u
+        assume(u % p and a and b)
+        c = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        f = poly_times(poly_times([-a, 1], [-b, 1]), [-c, 0, 1])
+        got = [r.digits.value(r.prime) % p**k for r in numberfield._qp_roots(f, p, k)]
+        assert sorted(got) == sorted([a % p**k, b % p**k])
 
     def test_newton_lift_needs_hensels_condition(self):
         # f = (x - 1)(x - 1 - 5^4).  At 1 + 5^2, t = v(f) = 4 = 2d: no lift,
@@ -442,7 +457,7 @@ class TestPadicRoots:
                     )
                     for k in range(5)
                 ]
-                roots = padic_roots(coeffs, p, 8)
+                roots = numberfield._qp_roots(coeffs, p, 8)
                 got = sorted(r.digits.value(r.prime) % p**8 for r in roots)
                 want = sorted(x % p**8 for x in (a, b))
                 assert got == want, (p, a, b, roots)

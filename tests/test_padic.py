@@ -180,10 +180,16 @@ class TestValuation:
             assert vs == min(vx, vy)
 
     def test_rejects_even_or_composite(self):
-        for bad in (2, 4, 9, 1, 0, -5):
+        # 318665857834031151167461 = 399165290221 * 798330580441 is a strong
+        # pseudoprime to the bases 2..37, 3317044064679887385961981 to 2..41
+        psi_12, psi_13 = 318665857834031151167461, 3317044064679887385961981
+        for bad in (2, 4, 9, 1, 0, -5, psi_12, psi_13):
             assert not is_odd_prime(bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^p must be an odd prime, got {bad}$"):
                 valuation(F(1), bad)
+
+    def test_accepts_the_largest_prime_below_the_bound(self):
+        assert is_odd_prime(3317044064679887385961813)
 
 
 class TestBalancedDigits:

@@ -162,8 +162,8 @@ def build_parser(command=None) -> _ArgumentParser:
 def _build_inputs(args):
     """Assemble the input tuple: positional rationals first, then --elem
     coefficient vectors, then --elem-expr expressions.  What the arguments
-    alone decide is checked before the field is built, so that no field
-    error hides it."""
+    alone decide is checked before the field is built, and the --elem
+    lengths before its embedding, so that no field error hides them."""
     rationals = [_parse_fraction(s) for s in args.values]
     if args.minpoly is None and (args.elem or args.elem_expr):
         raise UsageError("--elem/--elem-expr require --minpoly")
@@ -182,6 +182,11 @@ def _build_inputs(args):
             field = NumberField(parse_polynomial(args.minpoly))
         except (ExprError, ValueError) as exc:
             raise UsageError(f"bad --minpoly: {exc}") from None
+        for spec, coeffs in zip(args.elem, elems):
+            if len(coeffs) > field.degree:
+                raise UsageError(
+                    f"bad --elem {spec}: need at most {field.degree} coefficients"
+                )
         emb = PAdicEmbedding.create(field, args.prime)
         theta = emb(field.generator())
         inputs += [emb(field.element(coeffs)) for coeffs in elems]

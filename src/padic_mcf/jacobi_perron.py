@@ -33,6 +33,10 @@ per distinct digit, at most rows * m of them, and its rows share them.  The
 kernels report the valuation of their last coordinate, which
 `euclid_expand` returns per step.  A truncated tuple runs on
 `_TruncatedRun` in jp_expand and on `_ValueEuclid` in euclid_expand.
+Once every coordinate is truncated, `_TruncatedRun` steps `_IntegerEuclid`
+on the exact representatives and keeps each coordinate's precision in a
+ledger beside it, which raises InsufficientPrecision where padic's
+truncated arithmetic would.
 """
 
 from __future__ import annotations
@@ -45,9 +49,6 @@ from .errors import InsufficientPrecision, VerificationFailed
 from .mcf import MCF, check_convergence_conditions, evaluate_finite
 from .numberfield import MAX_DOUBLINGS, clear_denominators, rational_linear_dependence
 from .padic import (
-    approx_digit,
-    approx_inverse,
-    approx_mul,
     as_value,
     browkin_s,
     in_browkin_range,
@@ -272,30 +273,86 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
 class _TruncatedRun:
     """jp_expand's kernel for a truncated m-tuple: jp_step while a
     coordinate is exact, at most m steps, as only an exact last one leaves
-    one (the first) and truncated ones move right; then jp_step's
-    operations on padic's triples, which never finish.  A truncated run
-    claims no period."""
+    one (the first) and truncated ones move right; then, once every
+    coordinate is a triple (v, u, n), an exact run with a precision ledger,
+    which never finishes.  A truncated run claims no period.
+
+    The exact run is _IntegerEuclid on the representatives u * p**v (0 for
+    a zero class) and 1; next to it, `precisions` holds each coordinate's
+    absolute precision n_i.  A step raises InsufficientPrecision for the
+    first n_i < 1 (its digit at exponent 0 is unknown), takes the exact
+    step, and reads each remainder's valuation r_i = min(v, n_i), v that
+    of the exact remainder alpha^(i) - a^(i) (n_i for an exact zero).  If
+    r_m >= n_m, the last remainder cannot be told from 0 and the step
+    raises; else n'_1 = n_m - 2 r_m and n'_(i+1) = min(n'_1 + r_i,
+    n_i - r_m).
+
+    This emits the rows and raises the errors of jp_step's operations on
+    padic's triples, the approx_* rules.  Reduction modulo p**k commutes
+    with the ring operations, and the rules are sound (test_padic holds
+    them to that): the rule for a - s(a) keeps a's precision, the inverse
+    of a remainder at (r, n) has precision n - 2r, and a product of
+    factors (va, na) and (vb, nb) has precision min(na + vb, nb + va),
+    which for the inverse times remainder i are the updates above.  By
+    induction over the steps, every triple is therefore the exact run's
+    value reduced modulo p**n_i, and its valuation is min(v_exact, n_i),
+    so the ledger's tests are the rules' tests: a zero class of precision
+    n is a triple of valuation n.  The digit s(x) depends on x modulo p
+    alone, so at n_i >= 1 the triple and the exact value give the same
+    digit.  (The cap at n_i never changes an update: an r_i above n_i
+    meets n_i - r_m in a min, and an r_m at or above n_m raises.)
+
+    The exact run needs no precision of its own: its integers keep their
+    size, and a step costs one inverse modulo a small p**k and products
+    of its integers by small ones, where the rules invert and multiply at
+    the full precision.
+    """
 
     finished, fingerprint = False, None
 
     def __init__(self, alphas, p: int):
         self.p, self.m = p, len(alphas)
-        self.state, self.triples = JPState(p, alphas, 0), truncated_triples(alphas)
+        self.state, self.exact = JPState(p, alphas, 0), None
+        self._start_exact(alphas)
+
+    def _start_exact(self, alphas) -> None:
+        """Switches to the exact run once every coordinate is a triple."""
+        triples = truncated_triples(alphas)
+        if triples is not None:
+            p = self.p
+            reps = tuple(
+                Fraction(u) * Fraction(p) ** v if u else _ZERO for v, u, _ in triples
+            )
+            self.exact = _IntegerEuclid(reps + _UNIT, p)
+            self.precisions = [n for _, _, n in triples]
 
     def step(self) -> tuple:
         """The quotients of the current tuple; moves on to the next tuple."""
-        if self.triples is None:
+        if self.exact is None:
             res = jp_step(self.state)
             self.state = res.next_state
             if self.state is None:
                 self.finished = True
             else:
-                self.triples = truncated_triples(self.state.alphas)
+                self._start_exact(self.state.alphas)
             return res.quotients
-        p = self.p
-        quotients, rests = zip(*(approx_digit(p, t) for t in self.triples))
-        lead = approx_inverse(p, rests[-1])
-        self.triples = (lead,) + tuple(approx_mul(p, lead, t) for t in rests[:-1])
+        ns = self.precisions
+        for n in ns:
+            if n < 1:
+                raise InsufficientPrecision(
+                    f"digit at exponent 0 unknown at precision O(p^{n})"
+                )
+        quotients = self.exact.step()
+        rs = [  # the remainders' valuations, from the parts after the first
+            n if part is None else min(part[0], n)
+            for part, n in zip(self.exact.parts[1:], ns)
+        ]
+        if rs[-1] >= ns[-1]:
+            raise InsufficientPrecision(f"cannot distinguish 0 from O(p^{ns[-1]})")
+        first = ns[-1] - 2 * rs[-1]
+        self.precisions = [first] + [
+            min(first + r, n - rs[-1]) for r, n in zip(rs, ns[:-1])
+        ]
         return quotients
 
 

@@ -150,7 +150,10 @@ def is_zero(x) -> bool:
     if isinstance(x, (int, Fraction)):
         return x == 0
     if isinstance(x, PAdicApprox):
-        _known(x.triple)
+        if x.unit == 0:
+            raise InsufficientPrecision(
+                f"cannot distinguish 0 from O(p^{x.precision})"
+            )
         return False
     return x.is_zero()
 
@@ -166,8 +169,9 @@ def to_approx(x, p: int, precision: int) -> "PAdicApprox":
 
 
 def truncated_triples(values):
-    """The triples (val, unit, precision) of a tuple of truncated values, on
-    which the approx_* rules run; None unless every value is a PAdicApprox."""
+    """The triples (val, unit, precision) of a tuple of truncated values,
+    which jacobi_perron's truncated run reads; None unless every value is a
+    PAdicApprox."""
     if all(isinstance(x, PAdicApprox) for x in values):
         return tuple(x.triple for x in values)
     return None
@@ -298,7 +302,8 @@ def padic_divide(sigma, tau, p: int):
 
 # A truncated value p**v * u + O(p**n) is the triple (v, u, n).  The rules
 # below are the one copy of truncated arithmetic: PAdicApprox's operators
-# wrap them, and truncated expansions run on them directly.
+# wrap them, and jacobi_perron's truncated run keeps their precisions in
+# closed form.
 def _normal(p: int, v: int, u: int, n: int) -> tuple:
     """p**v * u mod p**n as a triple: (n, 0, n) if that is 0, else with the
     unit prime to p and below p**(n - v)."""
@@ -307,13 +312,6 @@ def _normal(p: int, v: int, u: int, n: int) -> tuple:
         return n, 0, n
     w, u = split_p(u, p)
     return v + w, u, n
-
-
-def _known(t: tuple) -> tuple:
-    """t, once the value it holds is told from 0 at its precision."""
-    if t[1] == 0:
-        raise InsufficientPrecision(f"cannot distinguish 0 from O(p^{t[2]})")
-    return t
 
 
 def approx_add(p: int, a: tuple, b: tuple) -> tuple:
@@ -342,13 +340,6 @@ def approx_div(p: int, a: tuple, b: tuple) -> tuple:
         return na - vb, 0, na - vb
     r = min(na - va, nb - vb)
     return _normal(p, va - vb, ua * inverse_mod_pk(ub, p, r), va - vb + r)
-
-
-def approx_inverse(p: int, t: tuple) -> tuple:
-    """1 / x for a truncated x, after is_zero(x): the exact 1 is lifted to
-    the relative precision of x, as PAdicApprox's 1 / x lifts it."""
-    v, _, n = _known(t)
-    return approx_div(p, (0, 1, n - v), t)
 
 
 def approx_digit(p: int, t: tuple) -> tuple:

@@ -446,6 +446,11 @@ def test_every_prime_flag_is_checked_alike(capsys, argv):
         ("expand -p 5 -m 3 --minpoly x^2+x+1 --elem 0,1", "-m 3 does not match 1 inputs"),
         ("expand -p 5 --backend rational --minpoly x^2+x+1 --elem 0,1",
          "--backend rational cannot hold algebraic inputs"),
+        # an --elem longer than the degree, checked before the embedding
+        ("expand -p 5 --minpoly x^3-2 --elem 1,2,3,4",
+         "bad --elem 1,2,3,4: need at most 3 coefficients"),
+        ("expand -p 5 --minpoly x^2+x+1 --elem 0,1 --elem 1,2,3",
+         "bad --elem 1,2,3: need at most 2 coefficients"),
     ],
 )
 def test_argument_errors(capsys, argv, error):

@@ -1172,6 +1172,7 @@ def approx(p, precision, *xs):
 
 
 BIG = F(3**200 + 1, 2**300 + 1)  # its exact runs take over 100 steps
+BIG2 = F(7**60 + 2, 3**90 + 1)
 
 
 class TestTripleLoop:
@@ -1216,11 +1217,46 @@ class TestTripleLoop:
             (5, (*approx(5, 60, BIG), F(2, 7) + F(25, 3)), 4, "truncated"),
             (7, (F(3, 7) + F(49, 5), *approx(7, 60, BIG), F(97, 7) + F(49, 5)), 4,
              "truncated"),
+            # a zero class moves right until it is the last remainder
+            (5, (PAdicApprox.zero_at(5, 40), *approx(5, 60, BIG)), 20,
+             "cannot distinguish 0 from O(p^37)"),
+            (5, (*approx(5, 60, BIG), PAdicApprox.zero_at(5, 30), *approx(5, 60, BIG2)),
+             20, "cannot distinguish 0 from O(p^29)"),
+            # coordinates at different precisions
+            (5, (*approx(5, 60, BIG), *approx(5, 20, BIG2)), 40,
+             "cannot distinguish 0 from O(p^1)"),
+            (5, (*approx(5, 20, BIG), *approx(5, 60, BIG2)), 40,
+             "digit at exponent 0 unknown at precision O(p^0)"),
+            # the exact run of the representatives 2, 3 finishes at its
+            # second step, where the last remainder is 0 at O(p^99)
+            (5, approx(5, 100, F(2), F(3)), 20, "cannot distinguish 0 from O(p^99)"),
         ],
     )
     def test_outcomes(self, p, inputs, max_steps, outcome):
         _, status, detail = assert_matches_jp_step_outcome(inputs, p, max_steps)
         assert outcome in (status, detail)
+
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        coords=st.lists(
+            st.tuples(  # (representative or None for a zero class, shift, precision)
+                st.none() | st.builds(F, st.integers(-(10**40), 10**40),
+                                      st.integers(1, 10**30)),
+                st.integers(-3, 3),
+                st.integers(-2, 80),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        max_steps=st.integers(1, 120),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_precisions_differ_per_coordinate(self, p, coords, max_steps):
+        inputs = tuple(
+            PAdicApprox.zero_at(p, n) if x is None else to_approx(x * F(p) ** s, p, n)
+            for x, s, n in coords
+        )
+        assert_matches_jp_step_outcome(inputs, p, max_steps)
 
     def test_field_element_beside_truncated_values(self, emb_cuberoot2):
         # theta * approx and approx * theta embed theta by to_approx, so a

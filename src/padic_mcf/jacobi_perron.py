@@ -24,7 +24,8 @@ rational run lies in Z[1/p], so rationals run on integer tuples with
 p-power scaling (`_IntegerEuclid`) instead of on Fractions.  An exact tuple
 with a number-field element runs projectively on integer coefficient
 vectors, reading digits from their residues modulo a power of p
-(`_ProjectiveEuclid`); it confirms a period by exact equality in the field.
+(`_ProjectiveEuclid`); it looks a period up by the keys of its digits
+and confirms it by exact equality in the field.
 Both kernels read each step's digits off unit residues through
 `padic.residue_digit`, with one modular inverse per step, and form the next
 tuple from the integer residue R and the k of each digit R / p**(k-1).
@@ -194,30 +195,23 @@ def _expand(run, max_steps: int, detect_period=False, vals=None):
     """The expansion computed by a kernel, up to max_steps rows.
 
     With a vals list, the kernel's valuation of the last coordinate of each
-    next tuple is appended to it.  Equal complete quotients give equal
-    fingerprints, so each tuple is compared exactly only with the earlier
-    tuples that share its fingerprint; a kernel that never claims a period
-    has fingerprint None.  The kernel's InsufficientPrecision carries
-    certified_rows, the rows emitted before it."""
-    seen = {} if detect_period and run.fingerprint else None  # key -> [(n, vectors)]
+    next tuple is appended to it.  With detect_period, the kernel's
+    `repeat` looks each tuple up among the earlier ones; a kernel that
+    never claims a period has repeat None.  The kernel's
+    InsufficientPrecision carries certified_rows, the rows emitted before
+    it."""
+    repeat = run.repeat if detect_period else None
     rows = []
     try:
         while True:
             n = len(rows)
-            if seen is not None:
-                key = run.fingerprint()
-                for k, vectors in seen.get(key, ()):
-                    *xs, x_last = run.lift.values(vectors)
-                    *ys, y_last = run.lift.values(run.vectors)
-                    # x_i / x_last == y_i / y_last, by exact cross products
-                    if all(x * y_last == y * x_last for x, y in zip(xs, ys)):
-                        inv = 1 / y_last
-                        state = JPState(run.p, tuple(y * inv for y in ys), n)
-                        return ExpansionResult(
-                            MCF(run.m, rows, finite=False), "periodic", n, preperiod=k,
-                            period=n - k, witness=(k, n), witness_state=state,
-                        )
-                seen.setdefault(key, []).append((n, run.vectors))
+            found = repeat(n) if repeat else None
+            if found is not None:
+                k, alphas = found
+                return ExpansionResult(
+                    MCF(run.m, rows, finite=False), "periodic", n, preperiod=k,
+                    period=n - k, witness=(k, n), witness_state=JPState(run.p, alphas, n),
+                )
             if n >= max_steps:
                 return ExpansionResult(MCF(run.m, rows, finite=False), "truncated", n)
             rows.append(run.step() + _UNIT)
@@ -308,7 +302,7 @@ class _TruncatedRun:
     the full precision.
     """
 
-    finished, fingerprint = False, None
+    finished, repeat = False, None
 
     def __init__(self, alphas, p: int):
         self.p, self.m = p, len(alphas)
@@ -363,7 +357,7 @@ class _ValueEuclid:
     test of its new last coordinate, so its row counts once that test is
     decided.  A truncated run claims no period."""
 
-    finished, fingerprint = False, None
+    finished, repeat = False, None
 
     def __init__(self, xs, p: int):
         self.p, self.m, self.xs = p, len(xs) - 1, xs
@@ -433,7 +427,7 @@ class _IntegerEuclid:
     table of _digits.
     """
 
-    fingerprint = None  # a rational run always terminates
+    repeat = None  # a rational run always terminates
 
     def __init__(self, xs, p: int):
         *ints, scale = lift_to_integer_tuple(xs)
@@ -470,11 +464,23 @@ class _IntegerEuclid:
         return quotients
 
 
-#: Digits of the unit of each ratio x^(i) / x^(m+1) that a period
-#: fingerprint records, and the cap on the valuation it records.
-_FINGERPRINT_DIGITS = 24
 #: Precision of the first residues of a projective run.
 _START_PRECISION = 32
+#: Digits to which a period lookup compares complete quotients before it
+#: compares them exactly, and the number of tuples of one digit row that
+#: it compares with every later one before it files the later ones by
+#: those digits.
+_INDEX_DIGITS = 8
+_UNINDEXED = 8
+
+
+def _residues_agree(es, fs, precision: int, p: int) -> bool:
+    """False when the residue tuples es and fs, both known modulo
+    p**precision, certainly belong to different points: some
+    e_i * f_last - f_i * e_last is not 0 mod p**precision.  Two tuples
+    that are p-adic multiples of each other give 0 for every i."""
+    mod = p**precision
+    return not any((e * fs[-1] - f * es[-1]) % mod for e, f in zip(es[:-1], fs[:-1]))
 
 
 class _ProjectiveEuclid:
@@ -495,10 +501,24 @@ class _ProjectiveEuclid:
     it, which costs as many digits of precision.  The vectors are then
     divided by their content g: its p-part only moves the offset, and its
     unit part joins c, since a unit common to every E_i changes no ratio.
-    Zero tests are on the vectors.  When a digit or a fingerprint needs
-    more digits than E carries, E is computed again from the vectors with
-    at least twice the precision of the last such re-lift; a run takes at
-    most MAX_DOUBLINGS re-lifts.
+    Zero tests are on the vectors.  When a digit needs more digits than E
+    carries, E is computed again from the vectors with at least twice the
+    precision of the last such re-lift; a run takes at most MAX_DOUBLINGS
+    re-lifts.
+
+    A tuple's digits are read once, by its period lookup or by its step,
+    whichever comes first, and the lookup reads no digit that the step
+    would not.  `repeat` files each tuple under two functions of its
+    complete quotients: the keys (R_i, k_i) of its digits, None for a zero
+    digit, and, once its digit keys have _UNINDEXED tuples without one, its
+    `_index`, which is None where the residues do not carry it.  A tuple
+    is compared only with the earlier ones of its digit keys whose index
+    is its own or None (every one, if its own is None), so a long run,
+    whose few digit rows each hold many tuples, does not compare each
+    tuple with all of them.  `_same_point` compares two tuples by
+    _residues_agree on their residues to at most _INDEX_DIGITS digits,
+    which equal points pass, and then by exact products in the field, the
+    only test that claims a period.
     """
 
     def __init__(self, lift, p: int):
@@ -509,7 +529,10 @@ class _ProjectiveEuclid:
         self.digits = {}
         self.precision = self._lifted = _START_PRECISION
         self.residues = lift.residues(self.vectors, self.precision)
-        self._read_state = None  # _read(keyed=True) of the current tuple
+        self._row = None  # _read and _digits of the current tuple
+        self._index_mod = p**_INDEX_DIGITS
+        # digit keys -> {index: [(n, vectors, residues mod p**t, precision <= t)]}
+        self._seen = {}
 
     @property
     def finished(self) -> bool:
@@ -519,12 +542,12 @@ class _ProjectiveEuclid:
     def valuation(self):  # of the last coordinate, read in the field
         return valuation(self.lift.values(self.vectors[-1:])[0], self.p) + self.scale_v
 
-    def _read(self, keyed: bool):
+    def _read(self):
         """(w, u, parts) with E_(m+1) = u * p**w and parts[i] = (v_i, u_i),
         E_i = u_i * p**v_i, or None where E_i is 0 mod p**precision (so that
         v_i >= precision > w and the digit is 0).  Re-lifts until every
-        digit and, if keyed, the fingerprint is determined."""
-        p, t = self.p, _FINGERPRINT_DIGITS
+        digit is determined."""
+        p = self.p
         while True:
             need = self.precision + 1  # while E_(m+1) is 0 mod p**precision
             if self.residues[-1]:
@@ -533,8 +556,6 @@ class _ProjectiveEuclid:
                 vs = [part[0] for part in parts if part is not None]
                 # u_i and u mod p**(1 + w - v_i) for each digit
                 need = max([1 + 2 * w - v for v in vs if v <= w], default=0)
-                if keyed:  # the cap test and the units mod p**t
-                    need = max(need, w + t, *(v + t for v in vs if v < w + t))
                 if need <= self.precision:
                     return w, u, parts
             if self.relifts == MAX_DOUBLINGS:
@@ -549,27 +570,78 @@ class _ProjectiveEuclid:
                 for r in self.lift.residues(self.vectors, self.offset + self.precision)
             ]
 
-    def fingerprint(self) -> tuple:
-        """A function of the complete quotients x^(i) / x^(m+1) alone: for
-        each i, None for an exact zero, else the valuation of the ratio
-        capped at t, with its unit mod p**t below the cap."""
-        w, u, parts = self._read_state = self._read(keyed=True)
-        t = _FINGERPRINT_DIGITS
-        mod = self.p**t
+    def _digit_row(self) -> tuple:
+        """(w, u, parts, digits, keys) of the current tuple, read once."""
+        if self._row is None:
+            w, u, parts = self._read()
+            self._row = (w, u, parts, *_digits(parts, w, u, self.p, self.digits))
+        return self._row
+
+    def _index(self, w: int, u: int, parts):
+        """The ratios x^(i) / x^(m+1) to t = _INDEX_DIGITS digits: for each
+        i, the valuation capped at t, with the unit mod p**t below the cap;
+        None unless the residues carry u and each u_i below the cap mod
+        p**t."""
+        t, precision = _INDEX_DIGITS, self.precision
+        if precision < w + t or any(
+            part and part[0] < w + t and precision < part[0] + t for part in parts
+        ):
+            return None
+        mod = self._index_mod
         inv = inverse_mod_pk(u, self.p, t)
         return tuple(
-            None if not any(vec)
-            else t if part is None or part[0] - w >= t
-            else (part[0] - w, part[1] * inv % mod)
-            for vec, part in zip(self.vectors, parts)
+            t if part is None or part[0] - w >= t
+            else (part[0] - w, part[1] % mod * inv % mod)
+            for part in parts
         )
+
+    def repeat(self, n: int):
+        """(k, complete quotients) if the current tuple, tuple n, equals an
+        earlier tuple k; else None, with tuple n filed for later lookups."""
+        w, u, parts, _, keys = self._digit_row()
+        mod = self._index_mod
+        here = (
+            n, self.vectors, [e % mod for e in self.residues],
+            min(self.precision, _INDEX_DIGITS),
+        )
+        groups = self._seen.setdefault(tuple(keys), {})
+        unindexed = groups.get(None, ())
+        index = self._index(w, u, parts) if len(unindexed) >= _UNINDEXED else None
+        candidates = (
+            groups.values() if index is None
+            else (groups.get(index, ()), unindexed)
+        )
+        for group in candidates:
+            for earlier in group:
+                alphas = self._same_point(here, earlier)
+                if alphas is not None:
+                    return earlier[0], alphas
+        groups.setdefault(index, []).append(here)
+        return None
+
+    def _same_point(self, here, earlier):
+        """The complete quotients of filed tuple here if it and earlier are
+        the same point, else None: _residues_agree on their residues first,
+        then exact products in the field."""
+        _, vectors, residues, precision = here
+        _, their_vectors, their_residues, their_precision = earlier
+        if not _residues_agree(
+            residues, their_residues, min(precision, their_precision), self.p
+        ):
+            return None
+        *xs, x_last = self.lift.values(their_vectors)
+        *ys, y_last = self.lift.values(vectors)
+        # x_i / x_last == y_i / y_last, by exact cross products
+        if not all(x * y_last == y * x_last for x, y in zip(xs, ys)):
+            return None
+        inv = 1 / y_last
+        return tuple(y * inv for y in ys)
 
     def step(self) -> tuple:
         """The quotients of the current tuple; moves on to the next tuple."""
-        w, u, parts = self._read_state or self._read(keyed=False)
-        self._read_state = None
+        w, u, _, quotients, residues = self._digit_row()
+        self._row = None
         p = self.p
-        quotients, residues = _digits(parts, w, u, p, self.digits)
         s = max((key[1] - 1 for key in residues if key is not None), default=0)
         big = p**s  # P
         coefs = [  # P * a^(i)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from conftest import eisenstein_field, euclid_tuples
 from test_mcf import fraction_columns
@@ -51,6 +51,7 @@ from padic_mcf.padic import (
     balanced_digit_expansion,
     browkin_s,
     in_browkin_range,
+    integer_lift,
     inverse_mod_pk,
     residue_digit,
     to_approx,
@@ -813,8 +814,65 @@ def count_relifts(monkeypatch):
     return calls
 
 
+def assert_lookup_relifts_as_one_more_row(xs, p, max_steps, count_relifts):
+    """A run with period lookup that finds no period computes the residues
+    of the run of one more row without it, at the same precisions: the
+    lookup of the tuple after the last row reads that tuple's digits, which
+    the step of one more row reads too."""
+    count_relifts.clear()
+    found = jp_expand(xs, p, max_steps=max_steps, detect_period=True)
+    looked_up = list(count_relifts)
+    count_relifts.clear()
+    ahead = jp_expand(xs, p, max_steps=max_steps + 1)
+    assert found.status != "periodic"
+    assert found.mcf.rows == ahead.mcf.rows[:max_steps]
+    assert looked_up == count_relifts
+
+
 def small_rational(rng):
     return F(rng.randint(-30, 30), rng.randint(1, 30))
+
+
+def paper_periodic_pair(case, emb_cubic_q5, emb_cubic_q7):
+    """(p, pair) for the purely periodic pairs of worked examples c4 and c6."""
+    if case == "c4":
+        alpha = emb_cubic_q5(emb_cubic_q5.field.generator())
+        return 5, (alpha, 1 + 1 / alpha)
+    gamma = emb_cubic_q7(emb_cubic_q7.field.generator())
+    return 7, (gamma, -2 + 1 / gamma)
+
+
+def back(pair, digits):
+    """The pair (a1 + y/x, a2 + 1/x) whose step with the digit row
+    (a1, a2) gives pair = (x, y); the row is its row of digits when a1 and
+    a2 are digits and y/x and 1/x have valuation at least 1."""
+    (x, y), (a1, a2) = pair, digits
+    return a1 + y / x, a2 + 1 / x
+
+
+def random_digit(rng, p, j):
+    """A random digit r / p**j, |r| < p**(j+1) / 2, of valuation exactly -j
+    for j >= 1."""
+    bound = (p ** (j + 1) - 1) // 2
+    while True:
+        r = rng.randint(-bound, bound)
+        if j == 0 or r % p:
+            return F(r, p**j)
+
+
+def random_back_row(rng, p):
+    """A digit row (a1, a2), v(a1) = -j <= -1 and v(a2) > -j, for which
+    back keeps v(x) <= -1 and v(y / x) >= 1, so that rows can be put in
+    front of each other."""
+    j = rng.randint(1, 2)
+    return random_digit(rng, p, j), random_digit(rng, p, rng.randint(0, j - 1))
+
+
+def cubic_theta_pair(rng, p):
+    """(theta, theta^2) of a random cubic drawn as the bench draws it."""
+    field = NumberField(eisenstein_field(rng, p, 3))
+    theta = PAdicEmbedding.create(field, p, 16)(field.generator())
+    return theta, theta * theta
 
 
 class TestProjectiveKernel:
@@ -876,19 +934,9 @@ class TestProjectiveKernel:
         ],
     )
     def test_periods_with_a_preperiod(self, emb_cubic_q5, emb_cubic_q7, case, rows, witness):
-        # (alpha, beta) = (a1 + beta'/alpha', a2 + 1/alpha') undoes one step
-        # from (alpha', beta') with the digit row (a1, a2); the row is valid
-        # since both added terms have valuation 1
-        def back(pair, digits):
-            (x, y), (a1, a2) = pair, digits
-            return a1 + y / x, a2 + 1 / x
-
-        if case == "c4":
-            alpha = emb_cubic_q5(emb_cubic_q5.field.generator())
-            p, pair = 5, (alpha, 1 + 1 / alpha)
-        else:
-            gamma = emb_cubic_q7(emb_cubic_q7.field.generator())
-            p, pair = 7, (gamma, -2 + 1 / gamma)
+        # back undoes one step; each row is valid since both added terms
+        # have valuation 1
+        p, pair = paper_periodic_pair(case[:2], emb_cubic_q5, emb_cubic_q7)
         for digits in reversed(rows[:-1]):
             pair = back(pair, digits)
         res = assert_matches_oracle(pair, p, 50, True)
@@ -899,13 +947,103 @@ class TestProjectiveKernel:
             state = jp_step(state).next_state
         assert state.alphas == res.witness_state.alphas
 
+    @given(
+        case=st.sampled_from(("c4", "c6")),
+        preperiod=st.integers(0, 4),
+        unindexed=st.sampled_from((0, 1, jacobi_perron._UNINDEXED)),
+        start=st.sampled_from((1, 3, 6, jacobi_perron._START_PRECISION)),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_periods_after_random_preperiods(
+        self, emb_cubic_q5, emb_cubic_q7, case, preperiod, unindexed, start, rng
+    ):
+        # with _UNINDEXED at 0 or 1, the period lookup files tuples by their
+        # index, as in a long run; a low first precision leaves tuples with
+        # residues of fewer digits than the index and the cross-check read
+        p, pair = paper_periodic_pair(case, emb_cubic_q5, emb_cubic_q7)
+        for _ in range(preperiod):
+            pair = back(pair, random_back_row(rng, p))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jacobi_perron, "_UNINDEXED", unindexed)
+            patch.setattr(jacobi_perron, "_START_PRECISION", start)
+            res = assert_matches_oracle(pair, p, 50, True)
+        assert res.status == "periodic"
+
+    @given(
+        p=st.sampled_from((3, 5, 7, 11)),
+        rng=st.randoms(use_true_random=False),
+        max_steps=st.integers(1, 80),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_period_lookup_keeps_the_rows(self, p, rng, max_steps):
+        xs = cubic_theta_pair(rng, p)
+        found = jp_expand(xs, p, max_steps=max_steps, detect_period=True)
+        assume(found.status != "periodic")
+        plain = jp_expand(xs, p, max_steps=max_steps)
+        assert (found.mcf.rows, found.status) == (plain.mcf.rows, plain.status)
+
+    @given(
+        p=st.sampled_from((3, 5, 7)),
+        rng=st.randoms(use_true_random=False),
+        starts=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        shift=st.integers(-4, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lookup_keys_are_functions_of_the_point(self, p, rng, starts, shift):
+        # one point, held as two tuples that are multiples of each other and
+        # read from two first precisions, has one digit row at every step
+        # and, where the residues of both carry it, one index
+        theta, square = cubic_theta_pair(rng, p)
+        c = F(p) ** shift * (theta + small_rational(rng))
+        runs = []
+        for xs, start in zip(((theta, square, F(1)), (c * theta, c * square, c)), starts):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(jacobi_perron, "_START_PRECISION", start)
+                runs.append(jacobi_perron._ProjectiveEuclid(integer_lift(xs), p))
+        for _ in range(12):
+            rows = [run._digit_row() for run in runs]
+            assert rows[0][4] == rows[1][4]
+            indexes = [run._index(w, u, parts) for run, (w, u, parts, *_) in zip(runs, rows)]
+            if None not in indexes:
+                assert indexes[0] == indexes[1]
+            for run in runs:
+                run.step()
+
+    def test_period_lookup_compares_few_tuples(self, monkeypatch):
+        # a long run at a small prime has few digit rows; filing the tuples
+        # of a row by their index keeps a lookup from comparing its tuple
+        # with every earlier one of the row
+        calls = []
+        agree = jacobi_perron._residues_agree
+
+        def counted(*args):
+            calls.append(args)
+            return agree(*args)
+
+        monkeypatch.setattr(jacobi_perron, "_residues_agree", counted)
+        xs = cubic_theta_pair(random.Random(0), 3)
+        res = jp_expand(xs, 3, max_steps=3000, detect_period=True)
+        assert res.status == "truncated"
+        assert len(calls) <= jacobi_perron._UNINDEXED * res.steps
+
     def test_fingerprint_is_only_a_filter(self, monkeypatch, emb_cubic_q5):
-        # with one digit, unequal states share fingerprints, and only the
-        # exact comparison in the field tells them apart
-        monkeypatch.setattr(jacobi_perron, "_FINGERPRINT_DIGITS", 1)
+        # with no tuple indexed and the residue cross-check passing every
+        # pair, each tuple that shares an earlier tuple's digit keys reaches
+        # the exact comparison in the field, and only that comparison tells
+        # them apart
+        checks = []
+
+        def always_agree(*args):
+            checks.append(args)
+            return True
+
+        monkeypatch.setattr(jacobi_perron._ProjectiveEuclid, "_index", lambda *args: None)
+        monkeypatch.setattr(jacobi_perron, "_residues_agree", always_agree)
         emb = PAdicEmbedding.create(NumberField([-3, 0, 0, 1]), 5, 32)
         theta = emb(emb.field.generator())
         assert_matches_oracle((theta, theta * theta), 5, 60, True)
+        assert checks  # unequal tuples shared digit keys
         alpha = emb_cubic_q5(emb_cubic_q5.field.generator())
         beta = 1 + 1 / alpha
         res = assert_matches_oracle((F(2, 5) + beta / alpha, F(1, 5) + 1 / alpha), 5, 50, True)
@@ -927,6 +1065,7 @@ class TestProjectiveKernel:
             count_relifts.clear()
             assert_matches_oracle(values, 5, 40, detect_period)
             assert len(count_relifts) >= 3  # the first residues, two re-lifts
+        assert_lookup_relifts_as_one_more_row(values, 5, 40, count_relifts)
 
     def test_relift_bound(self, monkeypatch):
         emb = PAdicEmbedding.create(NumberField([-3, 0, 0, 1]), 5, 32)
@@ -952,6 +1091,22 @@ class TestProjectiveKernel:
                 expand(args, 5, max_steps=40)
             assert info.value.certified_rows == 21
             assert expand(args, 5, max_steps=21).mcf.rows == full.mcf.rows[:21]
+        # the period lookup reads no digit that the rows do not, so it
+        # spends no re-lift of its own and certifies as many rows
+        with pytest.raises(InsufficientPrecision, match="re-lifts") as info:
+            jp_expand(xs, 5, max_steps=40, detect_period=True)
+        assert info.value.certified_rows == 21
+        for detect_period in (False, True):
+            with pytest.raises(InsufficientPrecision, match="re-lifts") as info:
+                jp_expand((F(5) ** -60 * theta, theta * theta), 5, 40, detect_period)
+            assert info.value.certified_rows == 4
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_period_lookup_relifts_as_one_more_row(self, seed, count_relifts):
+        rng = random.Random(seed)
+        p = rng.choice((3, 5, 7, 11))
+        xs = cubic_theta_pair(rng, p)
+        assert_lookup_relifts_as_one_more_row(xs, p, rng.randint(60, 150), count_relifts)
 
     @pytest.mark.parametrize("expand", [jp_expand, euclid_expand])
     def test_errors_stay_the_same(self, expand, emb_cubic_q5, emb_cubic_q7):

@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -49,7 +50,19 @@ class UsageError(Exception):
     pass
 
 
+#: Arguments that every parser reads as values, not options: a negative
+#: integer, decimal or fraction, alone or first in a comma list (-3, -.5,
+#: -1/2, -1,1/2).  argparse's own pattern stops at -3 and -.5.
+_NEGATIVE_VALUE = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)(,-?(\d+(/\d+)?|\d*\.\d+))*$")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option of ours looks like a negative value, so argparse reads
+        # whatever this matches as a value
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
     def error(self, message):  # route argparse failures through exit code 1
         raise UsageError(message)
 

@@ -27,13 +27,14 @@ vectors, reading digits from their residues modulo a power of p
 (`_ProjectiveEuclid`); it looks a period up by the keys of its digits
 and confirms it by exact equality in the field.
 Both kernels read each step's digits off unit residues through
-`padic.residue_digit`, with one modular inverse per step, and form the next
-tuple from the integer residue R and the k of each digit R / p**(k-1).
-Each run owns a table from (R, k) to that digit, so it builds one Fraction
-per distinct digit, at most rows * m of them, and its rows share them.  The
-kernels report the valuation of their last coordinate, which
-`euclid_expand` returns per step.  A truncated tuple runs on
-`_TruncatedRun` in jp_expand and on `_ValueEuclid` in euclid_expand.
+`padic.residue_digit`, with at most one modular inverse per step, and form
+the next tuple from the integer residue R and the k of each digit
+R / p**(k-1).  Each run owns a table from (R, k) to that digit, so it
+builds one Fraction per distinct digit, at most rows * m of them, and its
+rows share them.  The kernels report the valuation of their last
+coordinate, which `euclid_expand` returns per step.  A truncated tuple
+runs on `_TruncatedRun` in jp_expand and on `_ValueEuclid` in
+euclid_expand.
 Once every coordinate is truncated, `_TruncatedRun` steps `_IntegerEuclid`
 on the exact representatives and keeps each coordinate's precision in a
 ledger beside it, which raises InsufficientPrecision where padic's
@@ -384,13 +385,19 @@ def _digits(parts, w: int, u: int, p: int, table: dict) -> tuple:
     With k = 1 + w - v_i >= 1 the digit is R / p**(k-1), R the symmetric
     residue of u_i / u mod p**k, which padic.residue_digit, the one digit
     map, reads off u_i * u**-1; for k < 1 it is 0.  u is inverted once,
-    mod p**K for the largest k, which fixes u**-1 mod every p**k.  The
+    mod p**K for the largest k, which fixes u**-1 mod every p**k; a row
+    whose digits are all 0 returns before it inverts anything.  The
     kernels step on R and k.  table is the run's map from (R, k) to the
     digit, so a run builds one Fraction per distinct digit, at most
     rows * m of them.
     """
-    low = min((part[0] for part in parts if part is not None), default=w + 1)
-    inv = inverse_mod_pk(u, p, 1 + w - low) if low <= w else 0
+    low = w + 1
+    for part in parts:
+        if part is not None and part[0] < low:
+            low = part[0]
+    if low > w:
+        return (_ZERO,) * len(parts), [None] * len(parts)
+    inv = inverse_mod_pk(u, p, 1 + w - low)
     digits, residues = [], []
     for part in parts:
         if part is None or part[0] > w:
@@ -419,10 +426,12 @@ class _IntegerEuclid:
     With x^(m+1) = u * p**w, a coordinate x^(i) = u_i * p**v_i has the
     digit a^(i) = R / p**(k-1) of _digits when k = 1 + w - v_i >= 1.
     Divided by p**w, the next tuple is integral: its first entry is u and
-    (x^(i) - a^(i) x^(m+1)) / p**w = (u_i - R u) / p**(k-1), which p
-    divides and which is formed from the integers R and k.  The part prime
-    to p of every coordinate is carried through exact integer steps, so no
-    gcd is taken on it, and the valuation of the last coordinate is
+    (x^(i) - a^(i) x^(m+1)) / p**w = (u_i - R u) / p**(k-1) = p * z, with
+    z = (u_i - R u) / p**k an integer, since R = u_i / u mod p**k.  So the
+    new part is (1, z), formed from the integers R and k, and only a z
+    that p divides is split, to (v + 1, unit).  The part prime to p of
+    every coordinate is carried through exact integer steps, so no gcd is
+    taken on it, and the valuation of the last coordinate is
     v + e - v_p(scale), with v_p(scale) split once.  `digits` is the run's
     table of _digits.
     """
@@ -457,8 +466,14 @@ class _IntegerEuclid:
                 nxt.append(None if part is None else (part[0] - w, part[1]))
                 continue
             r, k = key
-            y = (part[1] - r * u) // p ** (k - 1)
-            nxt.append(split_p(y, p) if y else None)
+            z = (part[1] - r * u) // p**k
+            if not z:
+                nxt.append(None)
+            elif z % p:
+                nxt.append((1, z))
+            else:
+                v, z = split_p(z, p)
+                nxt.append((v + 1, z))
         self.parts = nxt
         self.e += w
         return quotients

@@ -124,20 +124,29 @@ def _power(p: int, e: int) -> int:
     return p**e
 
 
+#: inverse_mod_pk seeds its Newton steps with pow's inverse modulo the
+#: first p**e of its halving chain below 2**_SEED_BITS.
+_SEED_BITS = 40
+
+
 def inverse_mod_pk(a: int, p: int, k: int) -> int:
     """The inverse of an integer a prime to p modulo p**k, for k >= 1.
 
-    From the inverse y mod p, Newton's step y <- y*(2 - a*y) turns an
-    inverse mod p**e into one mod p**(2e), so lifting along the halving
-    chain of k takes O(log k) products instead of one extended gcd on
-    numbers of k digits (von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 9).  Every modular inverse of the package goes through here.
+    Newton's step y <- y*(2 - a*y) turns an inverse mod p**e into one mod
+    p**(2e), so lifting along the halving chain of k takes O(log k)
+    products instead of one extended gcd on numbers of k digits (von zur
+    Gathen & Gerhard, Modern Computer Algebra, ch. 9).  The chain stops at
+    its first exponent e with p**e below 2**_SEED_BITS, or at e = 1, and
+    the seed there is pow's inverse mod p**e: on moduli that small one
+    extended gcd is faster than the products that would lift to it.
+    Every modular inverse of the package goes through here.
     """
-    chain = []  # k, ceil(k/2), ceil(k/4), ... above 1
-    while k > 1:
+    chain = []  # k, ceil(k/2), ceil(k/4), ... down to the seed's exponent
+    while k > 1 and _power(p, k) >> _SEED_BITS:
         chain.append(k)
         k = (k + 1) // 2
-    y = pow(a % p, -1, p)
+    mod = _power(p, k)
+    y = pow(a % mod, -1, mod)
     for e in reversed(chain):
         mod = _power(p, e)
         y = y * (2 - a % mod * y) % mod

@@ -862,6 +862,56 @@ def _outcome(capsys, argv):
     return rc, out.getvalue(), *capsys.readouterr()
 
 
+class TestNegativeValues:
+    """Every parser reads -a/b and -a,b,... as values, as it reads -3: each
+    call gives what its `--` or `=` spelling gives."""
+
+    EXPAND = ("expand", "-p", "5")
+    CUBIC = (*EXPAND, "--minpoly", "x^3-3", "--max-steps", "6")
+
+    @pytest.mark.parametrize(
+        "argv, spelled",
+        [
+            ((*EXPAND, "-1/2", "3"), (*EXPAND, "--", "-1/2", "3")),
+            ((*EXPAND, "-3", "-2/7"), (*EXPAND, "--", "-3", "-2/7")),
+            ((*EXPAND, "-.5", "-1.25"), (*EXPAND, "--", "-.5", "-1.25")),
+            (
+                ("euclid", "-p", "5", "-1/2", "3", "-7"),
+                ("euclid", "-p", "5", "--", "-1/2", "3", "-7"),
+            ),
+            (("digits", "-1/3", "-p", "5"), ("digits", "-p", "5", "--", "-1/3")),
+            ((*CUBIC, "--elem", "-1,1"), (*CUBIC, "--elem=-1,1")),
+            ((*CUBIC, "--elem", "-1/2,-1,1/5"), (*CUBIC, "--elem=-1/2,-1,1/5")),
+            (
+                (*EXPAND, "--minpoly", "-3,0,0,1", "--elem", "0,1", "--max-steps", "6"),
+                (*EXPAND, "--minpoly=-3,0,0,1", "--elem", "0,1", "--max-steps", "6"),
+            ),
+            # usage errors after parsing are the same too
+            ((*EXPAND, "--elem", "-1,1"), (*EXPAND, "--elem=-1,1")),
+            (("digits", "-1/0", "-p", "5"), ("digits", "-p", "5", "--", "-1/0")),
+        ],
+    )
+    def test_as_spelled_with_separator(self, capsys, argv, spelled):
+        outcome = _outcome(capsys, argv)
+        assert outcome == _outcome(capsys, spelled)
+        assert "unrecognized arguments" not in outcome[3]
+        assert "required" not in outcome[3] and "expected one" not in outcome[3]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [  # an expression is no number, and still needs the = form
+            ((*EXPAND, "-x"), "error: unrecognized arguments: -x\n"),
+            (
+                (*EXPAND, "--minpoly", "x^2-2", "--elem-expr", "-x"),
+                "error: argument --elem-expr: expected one argument\n",
+            ),
+            ((*EXPAND, "-1/2x"), "error: unrecognized arguments: -1/2x\n"),
+        ],
+    )
+    def test_other_dashed_words_stay_options(self, capsys, argv, message):
+        assert _outcome(capsys, argv) == (1, "", "", message)
+
+
 class TestNarrowParser:
     @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda a: " ".join(a) or "(none)")
     def test_main_matches_the_full_parser(self, monkeypatch, capsys, tmp_path, argv):

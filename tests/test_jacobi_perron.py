@@ -21,6 +21,7 @@ from padic_mcf.errors import (
 from padic_mcf.jacobi_perron import (
     JPState,
     _digits,
+    _IntegerEuclid,
     _quotient_period_candidate,
     _ValueEuclid,
     euclid_expand,
@@ -409,6 +410,54 @@ class TestIntegerKernel:
         assert eu.mcf.rows == oracle_rows
         assert eu.trace_valuations == last_valuations(trace, p)
         assert eu.is_finite and eu.steps == len(trace) - 1
+
+    @given(
+        p=st.sampled_from((3, 5, 7, 13, 257, 65537)),
+        m=st.integers(1, 4),
+        last=st.tuples(bits_300, bits_300, st.integers(-30, 30)),
+        coords=st.lists(
+            st.tuples(
+                st.integers(-(2**64), 2**64),  # R of the first digit
+                st.integers(1, 3),  # its k
+                st.integers(1, 4),  # the remainder's valuation, above w
+                bits_300,  # the remainder's unit, over ...
+                bits_300,  # ... a denominator prime to p
+            ),
+            min_size=4,
+            max_size=4,
+        ),
+    )
+    @example(  # first remainders 0 and divisible by p**2, with a negative unit
+        p=3, m=2, last=(-5, 7, 2), coords=[(1, 1, 1, 0, 1), (-4, 2, 3, -2, 1)] * 2
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_step_matches_the_fraction_form(self, p, m, last, coords):
+        """After every step, each part (v, u) of the kernel is the Fraction
+        Euclidean form's coordinate u * p**(v + e) / scale.  Coordinate i is
+        a_i * x_last + p**(w + j_i) * t_i, so the first step's remainders
+        are 0 for t_i = 0 and divisible by p**2 for j_i >= 2, where the
+        step splits a p-power off z; later steps are random."""
+        x_last = F(as_unit(last[0], p), as_unit(last[1], p)) * F(p) ** last[2]
+        w = valuation(x_last, p)
+        xs = tuple(
+            F(residue_digit(r, p, k), p ** (k - 1)) * x_last
+            + F(p) ** (w + j) * F(n, as_unit(d, p))
+            for r, k, j, n, d in coords[:m]
+        ) + (x_last,)
+        trace, rows = fraction_euclid_trace(xs, p)
+        run, scale = _IntegerEuclid(xs, p), lift_to_integer_tuple(xs)[-1]
+        for n, expected in enumerate(trace):
+            assert len(run.parts) == m + 1
+            for part, x in zip(run.parts, expected):
+                if part is None:
+                    assert x == 0
+                    continue
+                v, u = part
+                assert v >= 0 and u % p
+                assert F(u * p ** (v + run.e), scale) == x
+            assert run.finished == (n == len(trace) - 1)
+            if not run.finished:
+                assert run.step() + (F(1),) == rows[n]
 
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 257, 65537, 2**31 - 1, 10**9 + 7, 2**61 - 1)

@@ -16,6 +16,7 @@ import padic_mcf
 from padic_mcf.errors import InsufficientPrecision, PrecisionExhausted
 from padic_mcf.numberfield import NumberField, PAdicEmbedding
 from padic_mcf.padic import (
+    _SEED_BITS,
     PLUS_INFINITY,
     BalancedDigits,
     PAdicApprox,
@@ -135,6 +136,20 @@ class TestInverseModPk:
         for k in CHAIN_EDGES:
             for a in (1, -1, 2, p - 1, p + 1, p**k - 1, 7 * p**k + 2):
                 assert inverse_mod_pk(a, p, k) == pow(a, -1, p**k)
+
+    @pytest.mark.parametrize("p", (3, 11, 257, 2**61 - 1, 3317044064679887385961813))
+    def test_seed_boundary(self, p):
+        """e is the largest exponent with p**e below 2**_SEED_BITS, where a
+        chain from k = e takes its seed and one from k = e + 1 lifts; the
+        last two primes are above that bound, so e = 1 and the seed is the
+        inverse mod p itself."""
+        e = 1
+        while p ** (e + 1) < 2**_SEED_BITS:
+            e += 1
+        for k in sorted({1, e - 1, e, e + 1, 2 * e - 1, 2 * e, 2 * e + 1} - {0}):
+            mod = p**k
+            for a in (1, -1, 2, p - 1, p + 1, mod - 1, 7 * mod + 2, 5**3000 * p + 1):
+                assert inverse_mod_pk(a, p, k) == pow(a, -1, mod)
 
     def test_non_unit_is_an_error(self):
         with pytest.raises(ValueError):

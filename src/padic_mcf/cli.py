@@ -193,7 +193,7 @@ def _build_inputs(args):
     if args.minpoly is not None:
         try:
             field = NumberField(parse_polynomial(args.minpoly))
-        except (ExprError, ValueError) as exc:
+        except (ExprError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad --minpoly: {exc}") from None
         for spec, coeffs in zip(args.elem, elems):
             if len(coeffs) > field.degree:
@@ -300,8 +300,9 @@ def _read_mcf(args) -> MCF:
         text = sys.stdin.read()
     try:
         return MCF.from_json_dict(json.loads(text))
-    except (KeyError, TypeError, ValueError) as exc:
-        # JSON of the wrong shape ends in KeyError or TypeError
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        # JSON of the wrong shape ends in KeyError or TypeError, a zero
+        # denominator in ZeroDivisionError
         raise UsageError(f"bad MCF JSON: {exc}") from None
 
 

@@ -283,12 +283,13 @@ class _TruncatedRun:
     n_i - r_m).
 
     This emits the rows and raises the errors of jp_step's operations on
-    padic's triples, the approx_* rules.  Reduction modulo p**k commutes
-    with the ring operations, and the rules are sound (test_padic holds
-    them to that): the rule for a - s(a) keeps a's precision, the inverse
-    of a remainder at (r, n) has precision n - 2r, and a product of
-    factors (va, na) and (vb, nb) has precision min(na + vb, nb + va),
-    which for the inverse times remainder i are the updates above.  By
+    PAdicApprox, whose operators each apply one precision rule.  Reduction
+    modulo p**k commutes with the ring operations, and the rules are sound
+    (test_padic holds them to that): a - s(a) keeps a's precision
+    (`__sub__`), the inverse of a remainder at (r, n) has precision n - 2r
+    (`__rtruediv__`), and a product of factors (va, na) and (vb, nb) has
+    precision min(na + vb, nb + va) (`__mul__`), which for the inverse
+    times remainder i are the updates above.  By
     induction over the steps, every triple is therefore the exact run's
     value reduced modulo p**n_i, and its valuation is min(v_exact, n_i),
     so the ledger's tests are the rules' tests: a zero class of precision
@@ -299,8 +300,8 @@ class _TruncatedRun:
 
     The exact run needs no precision of its own: its integers keep their
     size, and a step costs one inverse modulo a small p**k and products
-    of its integers by small ones, where the rules invert and multiply at
-    the full precision.
+    of its integers by small ones, where the operators invert and multiply
+    at the full precision.
     """
 
     finished, repeat = False, None

@@ -3,8 +3,8 @@
 Valuations, balanced digit expansions (digits in the open interval
 (-p/2, p/2)), the Browkin digit-truncation map that plays the role of the
 floor function, division with p-adically small remainder, and truncated
-p-adic numbers with explicit precision tracking, whose rules act on plain
-(val, unit, precision) triples.
+p-adic numbers with explicit precision tracking (PAdicApprox), each of
+whose arithmetic operators holds the one copy of its precision rule.
 
 Throughout, p is an odd prime and exact rational arithmetic uses
 fractions.Fraction; `split_p`, the p-part of an integer in O(log v)
@@ -119,8 +119,9 @@ def split_p(n: int, q: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=1024)
 def _power(p: int, e: int) -> int:
-    """p**e, from a bounded table: the truncated backend reads the same few
-    moduli over and over."""
+    """p**e, from a bounded table: inverse_mod_pk and residue_digit, which
+    the exact kernels call on every step, read the same few moduli over and
+    over."""
     return p**e
 
 
@@ -287,7 +288,13 @@ def browkin_s(x, p: int) -> Fraction:
         if x.is_zero():
             return Fraction(0)
         x = x.to_approx(1)
-    return approx_digit(p, x.triple)[0]
+    v, u, n = x.triple
+    if n < 1:
+        raise InsufficientPrecision(f"digit at exponent 0 unknown at precision O(p^{n})")
+    if u == 0 or v > 0:
+        return Fraction(0)
+    # x = u / p**(k-1) for k = 1 - v >= 1, so s(x) = R / p**(k-1) (residue_digit)
+    return Fraction(residue_digit(u, p, 1 - v), _power(p, -v))
 
 
 def padic_divide(sigma, tau, p: int):
@@ -309,69 +316,15 @@ def padic_divide(sigma, tau, p: int):
     return q, eta
 
 
-# A truncated value p**v * u + O(p**n) is the triple (v, u, n).  The rules
-# below are the one copy of truncated arithmetic: PAdicApprox's operators
-# wrap them, and jacobi_perron's truncated run keeps their precisions in
-# closed form.
-def _normal(p: int, v: int, u: int, n: int) -> tuple:
-    """p**v * u mod p**n as a triple: (n, 0, n) if that is 0, else with the
-    unit prime to p and below p**(n - v)."""
-    u = u % _power(p, n - v) if n > v else 0
-    if not u:
-        return n, 0, n
-    w, u = split_p(u, p)
-    return v + w, u, n
-
-
-def approx_add(p: int, a: tuple, b: tuple) -> tuple:
-    """a + b, known modulo the lower precision."""
-    (va, ua, na), (vb, ub, nb) = a, b
-    base = min(va, vb)
-    s = ua * p ** (va - base) + ub * p ** (vb - base)
-    return _normal(p, base, s, min(na, nb))
-
-
-def approx_mul(p: int, a: tuple, b: tuple) -> tuple:
-    """a * b, known modulo p**min(na + vb, nb + va): the lower relative
-    precision, which is at least 1 when neither factor is 0."""
-    (va, ua, na), (vb, ub, nb) = a, b
-    return _normal(p, va + vb, ua * ub, min(na + vb, nb + va))
-
-
-def approx_div(p: int, a: tuple, b: tuple) -> tuple:
-    """a / b, with the lower relative precision."""
-    (va, ua, na), (vb, ub, nb) = a, b
-    if ub == 0:
-        raise ZeroDivisionError(f"divisor indistinguishable from zero at O(p^{nb})")
-    if ua == 0:
-        if na <= vb:  # weaker than O(p^0): the result would say nothing
-            raise PrecisionExhausted("quotient carries no known digits")
-        return na - vb, 0, na - vb
-    r = min(na - va, nb - vb)
-    return _normal(p, va - vb, ua * inverse_mod_pk(ub, p, r), va - vb + r)
-
-
-def approx_digit(p: int, t: tuple) -> tuple:
-    """(s(x), x - s(x)) for a truncated x, s the Browkin truncation: for
-    x = p**v * u with k = 1 - v >= 1 and R = residue_digit(u, p, k),
-    s(x) = R / p**(k-1) = R * p**v, and x - s(x) is (v, u - R, n)."""
-    v, u, n = t
-    if n < 1:
-        raise InsufficientPrecision(f"digit at exponent 0 unknown at precision O(p^{n})")
-    if u == 0 or v > 0:
-        return Fraction(0), t
-    r = residue_digit(u, p, 1 - v)
-    return Fraction(r, _power(p, -v)), _normal(p, v, u - r, n)
-
-
 class PAdicApprox:
     """A truncated p-adic number p**val * unit, known modulo p**precision.
 
     Invariants: either unit == 0 and val == precision (the value is
     indistinguishable from zero at this precision), or 0 < unit <
-    p**(precision - val) with p not dividing unit.  Instances are immutable
-    values; arithmetic propagates precision conservatively, by the approx_*
-    rules, and never reports digits beyond what the operands support.
+    p**(precision - val) with p not dividing unit, the normal form the
+    constructor puts every result in.  Instances are immutable values;
+    each operator holds the one copy of its precision rule and never
+    reports digits beyond what the operands support.
     Exact operands (int, Fraction, or a field element under an embedding at
     the same prime, on either side) mix freely and only shift precision
     through valuation bookkeeping; an operand at another prime raises the
@@ -382,8 +335,13 @@ class PAdicApprox:
 
     def __init__(self, prime: int, val: int, unit: int, precision: int):
         require_odd_prime(prime)
-        triple = _normal(prime, val, unit, precision)
-        for name, x in zip(self.__slots__, (prime, *triple)):
+        unit = unit % _power(prime, precision - val) if precision > val else 0
+        if unit:
+            w, unit = split_p(unit, prime)
+            val += w
+        else:
+            val = precision
+        for name, x in zip(self.__slots__, (prime, val, unit, precision)):
             object.__setattr__(self, name, x)
 
     def __setattr__(self, *a):  # immutable value
@@ -449,27 +407,27 @@ class PAdicApprox:
         terms.append(f"O({self.prime}^{self.precision})")
         return " + ".join(terms)
 
-    # -- arithmetic, by the approx_* rules -------------------------------
+    # -- arithmetic, one precision rule per operation --------------------
 
-    def _operand(self, other) -> tuple:
-        """The triple of other; a nonzero exact other (a Fraction, or a field
+    def _operand(self, other) -> "PAdicApprox":
+        """other as a PAdicApprox; a nonzero exact other (a Fraction, or a field
         element through its embedding) is lifted by to_approx with enough
         relative precision that it never becomes the bottleneck of mul/div."""
         if isinstance(other, PAdicApprox):
-            return other.triple
+            return other
         v, rel = valuation(other, self.prime), max(self.precision - self.val, 1)
-        return to_approx(other, self.prime, v + rel).triple
-
-    def _apply(self, rule, a: tuple, b: tuple) -> "PAdicApprox":
-        return PAdicApprox(self.prime, *rule(self.prime, a, b))
+        return to_approx(other, self.prime, v + rel)
 
     def __add__(self, other):
+        """self + other, known modulo the lower precision."""
         other = as_value(other, self.prime)
         if not isinstance(other, PAdicApprox):
             if other == 0:
                 return self
             other = to_approx(other, self.prime, self.precision)
-        return self._apply(approx_add, self.triple, other.triple)
+        p, base = self.prime, min(self.val, other.val)
+        s = self.unit * p ** (self.val - base) + other.unit * p ** (other.val - base)
+        return PAdicApprox(p, base, s, min(self.precision, other.precision))
 
     __radd__ = __add__
 
@@ -483,19 +441,36 @@ class PAdicApprox:
         return (-self) + other
 
     def __mul__(self, other):
+        """self * other, known modulo p**min(na + vb, nb + va): the lower
+        relative precision, which is at least 1 when neither factor is 0."""
         other = as_value(other, self.prime)
         if not isinstance(other, PAdicApprox) and other == 0:
             # exact zero: correct at every precision; keep this one's
             return PAdicApprox.zero_at(self.prime, self.precision)
-        return self._apply(approx_mul, self.triple, self._operand(other))
+        b = self._operand(other)
+        n = min(self.precision + b.val, b.precision + self.val)
+        return PAdicApprox(self.prime, self.val + b.val, self.unit * b.unit, n)
 
     __rmul__ = __mul__
+
+    def _div(self, b: "PAdicApprox") -> "PAdicApprox":
+        """self / b, with the lower relative precision."""
+        p = self.prime
+        if b.unit == 0:
+            raise ZeroDivisionError(f"divisor indistinguishable from zero at O(p^{b.precision})")
+        if self.unit == 0:
+            if self.precision <= b.val:  # weaker than O(p^0): the result would say nothing
+                raise PrecisionExhausted("quotient carries no known digits")
+            return PAdicApprox.zero_at(p, self.precision - b.val)
+        r = min(self.precision - self.val, b.precision - b.val)
+        v = self.val - b.val
+        return PAdicApprox(p, v, self.unit * inverse_mod_pk(b.unit, p, r), v + r)
 
     def __truediv__(self, other):
         other = as_value(other, self.prime)
         if not isinstance(other, PAdicApprox) and other == 0:
             raise ZeroDivisionError("division by exact zero")
-        return self._apply(approx_div, self.triple, self._operand(other))
+        return self._div(self._operand(other))
 
     def __rtruediv__(self, other):
         q = as_value(other, self.prime)
@@ -505,4 +480,4 @@ class PAdicApprox:
             )
         if q == 0:
             return PAdicApprox.zero_at(self.prime, max(self.precision - 2 * self.val, 1))
-        return self._apply(approx_div, self._operand(q), self.triple)
+        return self._operand(q)._div(self)

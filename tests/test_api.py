@@ -22,6 +22,10 @@ GONE = [
     (numberfield, "newton_polygon_slopes"),
     (numberfield, "select_largest_root"),
     (worked_examples, "_fr"),
+    (padic, "approx_add"),
+    (padic, "approx_mul"),
+    (padic, "approx_div"),
+    (padic, "approx_digit"),
 ]
 
 # module helpers that the package root no longer exports

@@ -432,6 +432,7 @@ def test_every_prime_flag_is_checked_alike(capsys, argv):
         ("euclid -p 5 --max-steps 0 1 2", "--max-steps must be >= 1"),
         ("expand -p 5 --precision 0 1/2", "--precision must be >= 1"),
         ("expand -p 5 1/0", "cannot parse rational '1/0': Fraction(1, 0)"),
+        ("expand -p 5 --minpoly 1/0,0,1 --elem 0,1", "bad --minpoly: Fraction(1, 0)"),
         ("expand -p 5 --elem 1,2", "--elem/--elem-expr require --minpoly"),
         ("expand -p 5 --minpoly x^3-3 --elem-expr 1+", "bad --elem-expr: invalid syntax"),
         ("expand -p 5", "no input values given"),
@@ -501,10 +502,13 @@ class TestEvaluateDigitsCheck:
             (("check", "-p", "5"), '{"m":1,"a":["12","11"]}'),
             (("evaluate",), '{"m":1,"a":"11"}'),
             (("check", "-p", "5"), '{"m":1,"a":"11"}'),
+            (("evaluate",), '{"m":1,"a":[["1/0"],["1"]]}'),
+            (("check", "-p", "5"), '{"m":1,"a":[["1/0"],["1"]]}'),
         ],
         ids=["list", "string-m", "null-quotient", "huge-float", "float-quotient",
              "bool-quotient", "string-finite", "bool-m", "float-m",
-             "string-sequences", "check-string-sequences", "string-a", "check-string-a"],
+             "string-sequences", "check-string-sequences", "string-a", "check-string-a",
+             "zero-denominator", "check-zero-denominator"],
     )
     def test_wrong_shape_is_usage_error(self, monkeypatch, capsys, command, text):
         # well-formed JSON that is not an MCF: an error line, no traceback

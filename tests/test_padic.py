@@ -20,10 +20,6 @@ from padic_mcf.padic import (
     PLUS_INFINITY,
     BalancedDigits,
     PAdicApprox,
-    approx_add,
-    approx_digit,
-    approx_div,
-    approx_mul,
     as_value,
     balanced_digit_expansion,
     browkin_s,
@@ -546,11 +542,12 @@ def is_browkin_digit(q: F, p: int) -> bool:
 
 
 class TestTripleRules:
-    """The approx_* rules against exact arithmetic on two representatives
-    of each operand, x and x + p**n * r with r p-integral.  Every choice
-    must lie in the class of the result modulo the precision the rule
-    reports: so the rule is right, and its precision is no higher than the
-    operands support.  The operand triples come from oracle_approx."""
+    """PAdicApprox's operators against exact arithmetic on two
+    representatives of each operand, x and x + p**n * r with r p-integral.
+    Every choice must lie in the class of the result modulo the precision
+    the operator reports: so its rule is right, and its precision is no
+    higher than the operands support.  The operands' triples come from
+    oracle_approx."""
 
     @given(
         x=rationals,
@@ -567,34 +564,36 @@ class TestTripleRules:
     def test_every_representative_lies_in_the_result(self, x, y, shift, p, na, nb, r):
         x, y = x * F(p) ** shift[0], y * F(p) ** shift[1]
         a, b = oracle_approx(x, p, na), oracle_approx(y, p, nb)
+        xa, ya = PAdicApprox(p, *a), PAdicApprox(p, *b)
+        assert (xa.triple, ya.triple) == (a, b)
         xs = (x, x + F(p) ** na * F(r[0], p * abs(r[1]) + 1))
         ys = (y, y + F(p) ** nb * F(r[1], p * abs(r[0]) + 1))
-        results = [(approx_add(p, a, b), xs, ys, lambda u, w: u + w),
-                   (approx_mul(p, a, b), xs, ys, lambda u, w: u * w)]
+        results = [(xa + ya, xs, ys, lambda u, w: u + w),
+                   (xa * ya, xs, ys, lambda u, w: u * w)]
         if b[1] == 0:
             with pytest.raises(ZeroDivisionError):
-                approx_div(p, a, b)
+                xa / ya
         elif a[1] == 0 and na <= b[0]:
             with pytest.raises(PrecisionExhausted):
-                approx_div(p, a, b)
+                xa / ya
         else:
-            results.append((approx_div(p, a, b), xs, ys, lambda u, w: u / w))
+            results.append((xa / ya, xs, ys, lambda u, w: u / w))
         if a[1] == 0:  # jp_step's zero test comes before its 1 / x
             with pytest.raises(InsufficientPrecision, match="cannot distinguish 0"):
-                is_zero(PAdicApprox(p, *a))
+                is_zero(xa)
         else:  # the exact 1 is lifted to the relative precision of x
-            inverse = (1 / PAdicApprox(p, *a)).triple
-            results.append((inverse, xs, (1,), lambda u, _: 1 / u))
+            results.append((1 / xa, xs, (1,), lambda u, _: 1 / u))
         if na < 1:
             with pytest.raises(InsufficientPrecision, match="digit at exponent 0"):
-                approx_digit(p, a)
+                browkin_s(xa, p)
         else:
-            digit, rest = approx_digit(p, a)
+            digit = browkin_s(xa, p)
             # the one element of Z[1/p] in (-p/2, p/2) within |.| < 1 of x
             assert is_browkin_digit(digit, p)
             assert all(oracle_valuation(u - digit, p) >= 1 for u in xs)
-            results.append((rest, xs, (digit,), lambda u, w: u - w))
-        for t, us, ws, op in results:
+            results.append((xa - digit, xs, (digit,), lambda u, w: u - w))
+        for result, us, ws, op in results:
+            t = result.triple
             assert t == oracle_approx(triple_value(t, p), p, t[2])  # normal form
             assert all(in_class(op(u, w), t, p) for u in us for w in ws)
 

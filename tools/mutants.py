@@ -7,7 +7,9 @@
 Each mutant replaces one piece of text, which must occur exactly once, in
 one file of `src/padic_mcf` of a fresh copy of the repository in a
 temporary directory, and runs its test module there with `pytest -x`.  A
-mutant is killed when that run fails.  Before the mutants, each named test
+mutant is killed when that run fails, or when it takes TIMEOUT_FACTOR
+times as long as the module's unmutated run (reported as a timeout; some
+mutants make a kernel loop forever).  Before the mutants, each named test
 module must pass on the unmutated copy, or nothing is learnt from a kill.
 
 An equivalent mutant changes speed only, so no test can kill it; it is
@@ -166,15 +168,90 @@ MUTANTS = (
         "    if backward != forward:\n", "    if False:\n",
         "tests/test_mcf.py",
     ),
+    # _ProjectiveEuclid's re-lift and step
+    Mutant(
+        "read-need-minus-one", "jacobi_perron.py",
+        "need = max([1 + 2 * w - v for v in vs if v <= w], default=0)",
+        "need = max([2 * w - v for v in vs if v <= w], default=0)",
+        "tests/test_jacobi_perron.py",
+    ),
+    Mutant(
+        "offset-sign", "jacobi_perron.py",
+        "self.offset += drop - g_v", "self.offset += drop + g_v",
+        "tests/test_jacobi_perron.py",
+    ),
+    Mutant(
+        "projective-scale-sign", "jacobi_perron.py",
+        "self.scale_v += g_v - s", "self.scale_v += g_v + s",
+        "tests/test_jacobi_perron.py",
+    ),
+    # PAdicApprox's precision rules and normal form, and browkin_s
+    Mutant(
+        "normal-form-valuation", "padic.py",
+        "            val += w\n", "",
+        "tests/test_padic.py",
+    ),
+    Mutant(
+        "add-precision-max", "padic.py",
+        "s, min(self.precision, other.precision))",
+        "s, max(self.precision, other.precision))",
+        "tests/test_padic.py",
+    ),
+    Mutant(
+        "mul-precision-max", "padic.py",
+        "min(self.precision + b.val, b.precision + self.val)",
+        "max(self.precision + b.val, b.precision + self.val)",
+        "tests/test_padic.py",
+    ),
+    Mutant(
+        "div-relative-precision-max", "padic.py",
+        "r = min(self.precision - self.val, b.precision - b.val)",
+        "r = max(self.precision - self.val, b.precision - b.val)",
+        "tests/test_padic.py",
+    ),
+    Mutant(
+        "digit-at-valuation-zero", "padic.py",
+        "    if u == 0 or v > 0:\n", "    if u == 0 or v >= 0:\n",
+        "tests/test_padic.py",
+    ),
+    # numberfield: Hensel lifting, Z_p roots, irreducibility, inverses
+    Mutant(
+        "hensel-condition", "numberfield.py",
+        "        if t <= 2 * d:\n", "        if t < 2 * d:\n",
+        "tests/test_numberfield.py",
+    ),
+    Mutant(
+        "disc-depth-kept", "numberfield.py",
+        "c + p**j * r, j + 1))", "c + p**j * r, j))",
+        "tests/test_numberfield.py",
+    ),
+    Mutant(
+        "certificate-unused", "numberfield.py",
+        "        if not possible:\n            return True\n",
+        "        if not possible:\n            break\n",
+        "tests/test_numberfield.py",
+    ),
+    Mutant(
+        "inverse-sign", "numberfield.py",
+        "tuple(-x / c[-1] for x in c[:-1])", "tuple(x / c[-1] for x in c[:-1])",
+        "tests/test_numberfield.py",
+    ),
 )
 
+#: A mutant's test run may take this many times its module's unmutated run;
+#: one that takes longer (a kernel that no longer ends) counts as killed.
+TIMEOUT_FACTOR = 10
 
-def pytest_fails(tree: Path, tests: str) -> bool:
-    """Whether `pytest -x` on the test module fails in the copy at tree."""
+
+def pytest_fails(tree: Path, tests: str, timeout: float | None = None) -> bool:
+    """Whether `pytest -x` on the test module fails in the copy at tree; a
+    run still going after timeout seconds is stopped and raises
+    subprocess.TimeoutExpired."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", tests],
         cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        timeout=timeout,
     )
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"pytest {tests} exited with {proc.returncode}")
@@ -210,25 +287,30 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         clean = Path(tmp) / "clean"
         shutil.copytree(ROOT, clean, ignore=COPY_IGNORE)
+        timeouts = {}
         for tests in sorted({m.tests for m in mutants}):
+            start = time.monotonic()
             if pytest_fails(clean, tests):
                 print(f"baseline {tests} fails; no mutant can be judged")
                 return 1
+            timeouts[tests] = TIMEOUT_FACTOR * (time.monotonic() - start)
         for m in mutants:
             tree = Path(tmp) / m.name
             shutil.copytree(clean, tree)
-            start = time.monotonic()
+            start, how = time.monotonic(), ""
             try:
                 mutate(tree, m)
-                killed = pytest_fails(tree, m.tests)
+                killed = pytest_fails(tree, m.tests, timeouts[m.tests])
             except LookupError as exc:
                 print(f"STALE     {exc}")
                 bad += 1
                 continue
+            except subprocess.TimeoutExpired:
+                killed, how = True, " (timeout)"
             finally:
                 shutil.rmtree(tree)
             ok = killed != bool(m.equivalent)
-            verdict = ("killed" if killed else "survived") + (
+            verdict = ("killed" + how if killed else "survived") + (
                 " (equivalent)" if m.equivalent else ""
             )
             print(f"{'ok ' if ok else 'BAD'}  {m.name}: {verdict} by {m.tests} "

@@ -6,9 +6,11 @@ JSON), digits (balanced digit expansion of a rational), check (norm
 conditions and determinant identities of an MCF), and paper-examples (the
 bundled worked-example suite).
 
-A call whose first argument names a subcommand builds only that
-subcommand's parser.  Any other call (help, no command, an unknown one, an
-option first) builds them all, so every message is the full parser's.
+A call whose first argument names a subcommand parses with that
+subcommand's parser alone.  Any other call (help, no command, an unknown
+one, an option first) uses the parser of them all, so every message is the
+full parser's.  Each parser is built once per process and then reused;
+nothing changes a parser after it is built.
 
 Exit codes: 0 for finite/periodic expansions and successful checks, 2 for
 truncated expansions, 1 for usage, parse and precision errors (reported on
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
@@ -152,10 +155,16 @@ def _fill_paper_examples(pe):
     pe.add_argument("--only", help="run a single case id")
 
 
+@functools.cache
 def build_parser(command=None) -> _ArgumentParser:
     """The parser of every subcommand, or of `command` alone.  A subparser's
     prog, usage and help do not depend on its siblings, so parsing a call
-    to `command` with either parser gives the same result and output."""
+    to `command` with either parser gives the same result and output.
+
+    Cached: a parse leaves its parser as it was (argparse copies an
+    `append` default before appending to it, help reads COLUMNS when it is
+    formatted and `_ArgumentParser.error` raises), so one parser per
+    command serves every call."""
     parser = _ArgumentParser(
         prog="padic-mcf",
         description="Exact multidimensional continued fractions over Q_p.",

@@ -200,7 +200,8 @@ def _expand(run, max_steps: int, detect_period=False, vals=None):
     `repeat` looks each tuple up among the earlier ones; a kernel that
     never claims a period has repeat None.  The kernel's
     InsufficientPrecision carries certified_rows, the rows emitted before
-    it."""
+    it.  The rows are valid as the kernel emits them, so the MCF is built
+    without MCF.__init__'s checks."""
     repeat = run.repeat if detect_period else None
     rows = []
     try:
@@ -209,17 +210,20 @@ def _expand(run, max_steps: int, detect_period=False, vals=None):
             found = repeat(n) if repeat else None
             if found is not None:
                 k, alphas = found
+                mcf = MCF._of_valid_rows(run.m, rows, False)
                 return ExpansionResult(
-                    MCF(run.m, rows, finite=False), "periodic", n, preperiod=k,
-                    period=n - k, witness=(k, n), witness_state=JPState(run.p, alphas, n),
+                    mcf, "periodic", n, preperiod=k, period=n - k, witness=(k, n),
+                    witness_state=JPState(run.p, alphas, n),
                 )
             if n >= max_steps:
-                return ExpansionResult(MCF(run.m, rows, finite=False), "truncated", n)
+                mcf = MCF._of_valid_rows(run.m, rows, False)
+                return ExpansionResult(mcf, "truncated", n)
             rows.append(run.step() + _UNIT)
             if vals is not None:
                 vals.append(run.valuation)
             if run.finished:
-                return ExpansionResult(MCF(run.m, rows, finite=True), "finite", n + 1)
+                mcf = MCF._of_valid_rows(run.m, rows, True)
+                return ExpansionResult(mcf, "finite", n + 1)
     except InsufficientPrecision as exc:
         exc.certified_rows = len(rows)
         raise

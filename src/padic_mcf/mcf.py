@@ -4,10 +4,11 @@ An MCF of dimension m is m+1 sequences of rational partial quotients
 a_n^(1), ..., a_n^(m+1); convergents Q_n^(i) = A_n^(i)/A_n^(m+1) follow the
 depth-(m+1) linear recurrence A_n^(i) = sum_j a_n^(j) A_{n-j}^(i) seeded
 with Kronecker deltas.  That recurrence is run in one place, the rolling
-convergent table's unreduced integer window, which serves every quantity
-below: the determinant identity read off the window (the product of the
-step matrices), finite evaluation (checked against backward substitution
-on integer vectors, a second route that associates the same product in the
+convergent table's unreduced integer window, each column over its own
+denominator and never rescaled.  It serves every quantity below: the
+determinant identity read off the window (the product of the step
+matrices), finite evaluation (checked against backward substitution on
+integer vectors, a second route that associates the same product in the
 opposite order), the recovery of a starting tuple, and the
 strong-convergence quantities V_n^(i) = A_n^(i) - target_i * A_n^(m+1).
 The module also checks the p-adic convergence conditions and rescales
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import prod
 from operator import mul
 
 from .errors import (
@@ -64,6 +67,15 @@ class MCF:
         self.m = m
         self.rows = rows
         self.finite = finite
+
+    @classmethod
+    def _of_valid_rows(cls, m: int, rows, finite: bool) -> "MCF":
+        """An MCF of rows that already pass __init__'s checks as tuples of
+        Fractions, such as an expansion kernel emits: kept as they are,
+        not mapped or checked again."""
+        mcf = object.__new__(cls)
+        mcf.m, mcf.rows, mcf.finite = m, tuple(rows), finite
+        return mcf
 
     @classmethod
     def from_sequences(cls, seqs, finite: bool = True) -> "MCF":
@@ -141,13 +153,16 @@ class ConvergentsTable:
     index through the recurrence.  Only the last m+1 columns are kept: a
     caller that needs the whole sequence reads `column(0)` after each push,
     and the seeds as `column(-1 - n)` for n = -(m+1)..-1 before the first.
-    The columns A_n, ..., A_(n-m) are held as integers over one common
-    denominator D_n, never reduced: a row scaled to integers c over ell
-    makes the new column sum_j c_j*col_j over D_(n+1) = ell*D_n and
-    multiplies the kept columns by ell, with no lcm, gcd or Fraction.
-    `column`, `denominator` and `convergents` return Fractions.  In bits,
-    the columns are within 0.5% of their reduced form on jp_expand rows and
-    17-44% longer on general rows (m = 1..3, 20-300 rows, entries up to 40
+    Each column A_k is held as integers U_k = D_k*A_k over its own
+    denominator D_k = ell_0*...*ell_k, where row k scaled to integers is c
+    over ell_k, and is never reduced or rescaled: the new column is
+    U_(n+1) = sum_j c_j*(ell_n*...*ell_(n-j+1))*U_(n-j), whose coefficients
+    are products of small integers, with no lcm, gcd or Fraction.  The
+    window is kept per coordinate (row i holds U_n^(i), ..., U_(n-m)^(i)),
+    beside the last m+1 denominators and the last m ells.  `column`,
+    `denominator` and `convergents` return Fractions.  In bits, the
+    columns are within 0.05% of their reduced form on jp_expand rows and
+    13-46% longer on general rows (m = 1..3, 20-300 rows, entries up to 40
     over denominators up to 60).
     """
 
@@ -156,15 +171,18 @@ class ConvergentsTable:
             raise ValueError("dimension must be >= 1")
         self.m = m
         self.n = -1
-        # newest first: columns n, n-1, ..., n-m, each times _den
-        self._window = [[int(i == j) for i in range(m + 1)] for j in range(m + 1)]
-        self._den = 1
+        # newest first: _window[i] = U_n^(i), ..., U_(n-m)^(i), the column
+        # U_(n-j) over _dens[j]; _ells = ell_n, ..., ell_(n-m+1)
+        self._window = [[int(i == j) for j in range(m + 1)] for i in range(m + 1)]
+        self._dens = [1] * (m + 1)
+        self._ells = [1] * m
 
     def column(self, back: int = 0):
         """Column A_{n-back}^(i), for back = 0..m."""
         if not 0 <= back <= self.m:
             raise IndexError(f"back must be in 0..{self.m}, got {back}")
-        return tuple(Fraction(x, self._den) for x in self._window[back])
+        den = self._dens[back]
+        return tuple(Fraction(w[back], den) for w in self._window)
 
     def push(self, row) -> None:
         """Advance by one index with the partial-quotient tuple row."""
@@ -179,18 +197,28 @@ class ConvergentsTable:
 
     def _advance(self, c, ell: int) -> None:
         """Advance with a valid row already scaled to integers c over ell."""
-        window = self._window
-        new = [sum(map(mul, c, row)) for row in zip(*window)]
-        self._window = [new] + [[ell * x for x in col] for col in window[: self.m]]
-        self._den *= ell
+        # c_j times D_n/D_(n-j) = ell_n*...*ell_(n-j+1)
+        k = list(map(mul, c, accumulate(self._ells, mul, initial=1)))
+        for w in self._window:
+            w.insert(0, sum(map(mul, k, w)))
+            w.pop()
+        dens, ells = self._dens, self._ells
+        dens.insert(0, ell * dens[0])
+        dens.pop()
+        ells.insert(0, ell)
+        ells.pop()
         self.n += 1
 
+    def _newest(self):
+        """The integer column U_n, over the denominator D_n."""
+        return [w[0] for w in self._window]
+
     def denominator(self):
-        return Fraction(self._window[0][self.m], self._den)
+        return Fraction(self._window[self.m][0], self._dens[0])
 
     def convergents(self):
         """Q_n^(i) for i = 1..m; raises while the denominator vanishes."""
-        nums = self._window[0]
+        nums = self._newest()
         if nums[self.m] == 0:
             raise ZeroDenominatorConvergent(f"A_{self.n}^({self.m + 1}) = 0")
         return tuple(Fraction(nums[i], nums[self.m]) for i in range(self.m))
@@ -225,20 +253,28 @@ def determinant_check(mcf: MCF):
     transposed product B_0 ... B_n of the step matrices (first column the
     partial quotients, a shifted identity to its right), and each B_j has
     determinant (-1)**m * a_j^(m+1): expanding along its bottom row crosses
-    an m-cycle permutation.
+    an m-cycle permutation.  The determinant is taken of the integer
+    window, each column over its own denominator, and compared with the
+    closed form in integers; a matching det is the closed form itself.
     """
     m = mcf.m
     table = ConvergentsTable(m)
-    expected = Fraction(1)
+    closed = Fraction(1)  # the product of the a_j^(m+1), often 1 throughout
     out = []
-    for row in mcf.rows:
+    for n, row in enumerate(mcf.rows):
         table.push(row)
-        expected *= (-1) ** m * row[m]
-        # Bareiss on the integer columns; each is over the common denominator
-        a = [list(col) for col in table._window]
+        if row[m] != 1:
+            closed *= row[m]
+        expected = -closed if m * (n + 1) % 2 else closed
+        # Bareiss on the transposed integer window: the same determinant
+        a = [list(w) for w in table._window]
         r, sign = _bareiss(a)
-        det = Fraction(sign * a[m][m] if r > m else 0, table._den ** (m + 1))
-        out.append((det, det == expected))
+        num = sign * a[m][m] if r > m else 0
+        den = prod(table._dens)
+        if num * expected.denominator == expected.numerator * den:
+            out.append((expected, True))
+        else:
+            out.append((Fraction(num, den), False))
     return out
 
 
@@ -341,14 +377,16 @@ def evaluate_finite(mcf: MCF):
     """Exact value (alpha_0^(1), ..., alpha_0^(m)) of a finite MCF.
 
     Computed twice, from one pass of clear_denominators that scales row n to
-    integers c over ell: forward, as the final convergent of a
-    ConvergentsTable advanced on the scaled rows, and backward through the
-    defining relations with alpha_r^(i) = a_r^(i).  The two must agree
-    exactly.  The routes multiply the step matrices in opposite orders, so
-    they check each other.  The backward route carries y with
-    alpha_n^(i) = y_i/d and y_(m+1)/d = a_n^(m+1), steps y <- (c_i*y_1 +
-    ell*y_(i+1) for i = 1..m, c_(m+1)*y_1), and reduces once at the end,
-    where d = y_(m+1) because a_0^(m+1) = 1.
+    integers c over ell: forward, as the final column of a ConvergentsTable
+    advanced on the scaled rows, and backward through the defining
+    relations with alpha_r^(i) = a_r^(i).  The two must agree exactly.  The
+    routes multiply the step matrices in opposite orders, so they check
+    each other.  The backward route carries y with alpha_n^(i) = y_i/d and
+    y_(m+1)/d = a_n^(m+1), steps y <- (c_i*y_1 + ell*y_(i+1) for i = 1..m,
+    c_(m+1)*y_1), and ends with d = y_(m+1) because a_0^(m+1) = 1.  Both
+    routes apply the scaled step matrices ell_n*B_n without dividing, so
+    the final integer column U_r equals y exactly; they are compared as
+    integers, and the value is reduced once, at the end.
     """
     if not mcf.finite:
         raise ValueError("only finite MCFs have a value")
@@ -361,12 +399,12 @@ def evaluate_finite(mcf: MCF):
             raise ZeroIntermediate(f"alpha_{n + 1}^(1) = 0 during backward evaluation")
         c, ell = scaled[n]
         y = [c[i] * lead + ell * y[i + 1] for i in range(m)] + [c[m] * lead]
-    backward = tuple(Fraction(y[i], y[m]) for i in range(m))
     table = ConvergentsTable(m)
     for c, ell in scaled:  # MCF has validated the rows
         table._advance(c, ell)
-    forward = table.convergents()
-    if backward != forward:
+    backward = tuple(Fraction(y[i], y[m]) for i in range(m))
+    if table._newest() != y:
+        forward = table.convergents()
         raise InternalMismatch(
             f"backward value {backward} != final convergent {forward}"
         )

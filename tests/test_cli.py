@@ -926,14 +926,53 @@ class TestNarrowParser:
         full, built = cli.build_parser, []
 
         def spy(command=None):
-            built.append(command)
-            return full(command)
+            parser = full(command)
+            built.append((command, parser))
+            return parser
 
         monkeypatch.setattr(cli, "build_parser", spy)
+        full.cache_clear()
         narrow = _outcome(capsys, argv)
-        assert built == [argv[0] if argv and argv[0] in SUBCOMMANDS else None]
+        command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+        assert [c for c, _ in built] == [command]
+        # a second call reuses the cached parser and says the same
+        assert _outcome(capsys, argv) == narrow
+        assert built[1] == built[0] and full.cache_info().currsize == 1
         monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
         assert _outcome(capsys, argv) == narrow
+
+    def test_cached_parsers_keep_no_state(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "mcf.json"
+        path.write_text(TestEvaluateDigitsCheck.MCF_JSON)
+        cubic = ("expand", "-p", "5", "--minpoly", "x^3-3", "--max-steps", "4")
+        calls = [
+            ("80", (*cubic, "--elem", "0,1", "--elem", "1,1")),
+            ("80", (*cubic, "--elem-expr", "x^2")),
+            ("80", ("expand", "-p", "5", "--elem", "0,1")),
+            ("80", ("expand", "-p")),
+            ("80", ("-h",)),
+            ("120", ("-h",)),
+            ("80", ("expand", "-h")),
+            ("120", ("expand", "-h")),
+            ("80", ("check", "-p", "5", "--file", str(path))),
+            ("80", ("expand", "-p", "5", "7/3", "11/20")),
+            ("80", (*cubic, "--elem", "0,1", "--elem", "1,1")),
+        ]
+
+        def run(fresh):
+            outcomes = []
+            for columns, argv in calls:
+                monkeypatch.setenv("COLUMNS", columns)
+                if fresh:
+                    cli.build_parser.cache_clear()
+                outcomes.append(_outcome(capsys, argv))
+            return outcomes
+
+        cli.build_parser.cache_clear()
+        cached = run(fresh=False)
+        assert cli.build_parser.cache_info().misses == 3  # expand, the full one, check
+        assert cached == run(fresh=True)
+        assert cached[6][1] != cached[7][1]  # help is wrapped at COLUMNS
 
     @pytest.mark.parametrize("name", SUBCOMMANDS)
     def test_subparser_help_is_the_full_parsers(self, monkeypatch, name):

@@ -685,6 +685,60 @@ class TestReexpand:
         assert any(h.startswith("norm_conditions") for h in rep.failed_hypotheses)
 
 
+def assert_checked_mcf(result):
+    """The MCF of an expansion, built without MCF.__init__, is the one
+    __init__ builds from the same rows: tuples of Fractions, a last entry
+    that never vanishes and a_0^(m+1) = 1."""
+    mcf = result.mcf
+    checked = MCF(mcf.m, mcf.rows, mcf.finite)
+    assert mcf == checked and mcf.rows == checked.rows
+    assert type(mcf.rows) is tuple
+    assert all(type(row) is tuple for row in mcf.rows)
+    assert all(type(x) is F for row in mcf.rows for x in row)
+
+
+class TestExpansionMCF:
+    @given(
+        p=st.sampled_from((3, 5, 7, 11)),
+        m=st.integers(1, 3),
+        max_steps=st.one_of(st.none(), st.integers(1, 30)),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rational(self, p, m, max_steps, rng):
+        inputs = random_inputs(rng, m, 10 ** rng.randint(1, 40))
+        cap = max_steps or 10_000
+        assert_checked_mcf(jp_expand(inputs, p, max_steps=cap))
+        last = F(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        assert_checked_mcf(euclid_expand(inputs + (last,), p, max_steps=cap))
+
+    @given(
+        coeffs=st.lists(st.fractions(max_denominator=50), min_size=3, max_size=3),
+        max_steps=st.integers(1, 20),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_algebraic(self, emb_cubic_q5, coeffs, max_steps):
+        theta = emb_cubic_q5(emb_cubic_q5.field.generator())
+        x = coeffs[0] + coeffs[1] * theta + coeffs[2] * theta * theta
+        for inputs in [(theta, 1 + 1 / theta), (theta, x)]:  # the first is periodic
+            assert_checked_mcf(
+                jp_expand(inputs, 5, max_steps=max_steps, detect_period=True)
+            )
+
+    @given(
+        rs=st.lists(st.fractions(max_denominator=10**6), min_size=2, max_size=2),
+        precision=st.integers(100, 300),
+        max_steps=st.integers(1, 12),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_truncated(self, emb_cuberoot2, rs, precision, max_steps):
+        theta = emb_cuberoot2(emb_cuberoot2.field.generator())
+        exact = (theta * theta + rs[1], theta + rs[0])
+        xs = tuple(to_approx(x, 5, precision) for x in exact)
+        assert_checked_mcf(jp_expand(xs, 5, max_steps=max_steps))
+        assert_checked_mcf(euclid_expand(xs + (F(1),), 5, max_steps=max_steps))
+
+
 class TestApproxBackend:
     def test_termination_is_undecidable(self):
         ax = PAdicApprox.from_rational(F(23, 5), 5, 10)

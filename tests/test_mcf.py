@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padic_mcf import mcf as mcf_module
@@ -80,17 +80,42 @@ def fraction_backward(mcf):
 
 
 _ENTRY = st.builds(F, st.integers(-40, 40), st.integers(1, 60))
-# general rows: m = 1..4, zeros, entries outside Z[1/p], and negative or
-# non-unit a_n^(m+1) (a_0^(m+1) is set to 1 by general_rows)
-_GENERAL = dict(
-    m=st.integers(1, 4),
-    rows=st.lists(
-        st.lists(st.one_of(st.just(F(0)), _ENTRY), min_size=5, max_size=5),
-        min_size=1,
-        max_size=12,
-    ),
-    lasts=st.lists(_ENTRY.filter(bool), min_size=12, max_size=12),
-)
+
+
+def _general(max_rows):
+    """General rows: m = 1..4, zeros, entries outside Z[1/p], and negative
+    or non-unit a_n^(m+1) (a_0^(m+1) is set to 1 by general_rows)."""
+    return dict(
+        m=st.integers(1, 4),
+        rows=st.lists(
+            st.lists(st.one_of(st.just(F(0)), _ENTRY), min_size=5, max_size=5),
+            min_size=1,
+            max_size=max_rows,
+        ),
+        lasts=st.lists(_ENTRY.filter(bool), min_size=max_rows, max_size=max_rows),
+    )
+
+
+_GENERAL = _general(12)
+
+
+def fraction_det(matrix):
+    """Determinant of a square Fraction matrix by Gaussian elimination with
+    Fractions: the reference for determinant_check."""
+    a = [list(row) for row in matrix]
+    det = F(1)
+    for c in range(len(a)):
+        piv = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if piv is None:
+            return F(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
 
 
 def general_rows(m, rows, lasts):
@@ -180,12 +205,21 @@ class TestConvergentsTable:
             q = t.try_convergents()
         assert q == (F(23, 5), F(14, 19))
 
-    @given(**_GENERAL)
+    @given(**_general(60))
+    @example(  # every column over a different denominator
+        m=2,
+        rows=[
+            [F(1, 2), F(3, 4)], [F(2, 3), F(-1, 5)], [F(5, 7), F(0)], [F(1, 6), F(7, 9)]
+        ],
+        lasts=[F(1), F(2, 3), F(-5, 4), F(3, 8)],
+    )
     @settings(max_examples=60, deadline=None)
     def test_general_rows_match_fraction_recurrence(self, m, rows, lasts):
-        # entries outside Z[1/p], zeros and negative a_n^(m+1) included
+        # entries outside Z[1/p], zeros and negative or non-unit a_n^(m+1)
+        # included, so every column has its own denominator
         rows = general_rows(m, rows, lasts)
         cols = fraction_columns(rows, m)
+        dets = determinant_check(MCF(m, rows))
         t = ConvergentsTable(m)
         for back in range(m + 1):
             assert t.column(back) == cols[m - back]
@@ -198,9 +232,9 @@ class TestConvergentsTable:
             assert t.denominator() == den
             want = None if den == 0 else tuple(x / den for x in cols[now][:m])
             assert t.try_convergents() == want
-        # the closed form holds on any rows, so a wrong power of the
-        # window's denominator shows here
-        assert all(ok for _, ok in determinant_check(MCF(m, rows)))
+            # the closed form holds on any rows, so a wrong denominator of
+            # any column of the window shows here
+            assert dets[n] == (fraction_det(cols[now : now - m - 1 : -1]), True)
 
     def test_push_accepts_any_exact_type(self):
         by_fraction, by_int_str = ConvergentsTable(2), ConvergentsTable(2)
@@ -410,15 +444,19 @@ class TestEvaluateFinite:
 
     def test_routes_are_cross_checked(self, monkeypatch):
         mcf = MCF.unit_from_sequences([[1, F(4, 5), F(12, 5)], [0, 1, 0]])
-        real = ConvergentsTable.convergents
+        real = ConvergentsTable._newest
 
-        def perturbed(table):
+        def perturbed(table):  # the forward route's first coordinate plus 1
             first, *rest = real(table)
-            return (first + 1, *rest)
+            return [first + rest[-1], *rest]
 
-        monkeypatch.setattr(ConvergentsTable, "convergents", perturbed)
-        with pytest.raises(InternalMismatch, match="!= final convergent"):
+        monkeypatch.setattr(ConvergentsTable, "_newest", perturbed)
+        with pytest.raises(InternalMismatch) as info:
             evaluate_finite(mcf)
+        assert str(info.value) == (
+            "backward value (Fraction(133, 48), Fraction(5, 4)) != final convergent"
+            " (Fraction(181, 48), Fraction(5, 4))"
+        )
 
 
 def outcome(f, *args):

@@ -165,7 +165,23 @@ MUTANTS = (
     ),
     Mutant(
         "routes-unchecked", "mcf.py",
-        "    if backward != forward:\n", "    if False:\n",
+        "    if table._newest() != y:\n", "    if False:\n",
+        "tests/test_mcf.py",
+    ),
+    # ConvergentsTable's window: each column over its own denominator
+    Mutant(
+        "window-ells-not-multiplied", "mcf.py",
+        "accumulate(self._ells, mul, initial=1)", "[1, *self._ells]",
+        "tests/test_mcf.py",
+    ),
+    Mutant(
+        "window-dens-not-advanced", "mcf.py",
+        "        dens.insert(0, ell * dens[0])\n        dens.pop()\n", "",
+        "tests/test_mcf.py",
+    ),
+    Mutant(
+        "det-over-dn-power", "mcf.py",
+        "den = prod(table._dens)", "den = table._dens[0] ** (m + 1)",
         "tests/test_mcf.py",
     ),
     # _ProjectiveEuclid's re-lift and step

@@ -13,14 +13,22 @@ opposite order), the recovery of a starting tuple, and the
 strong-convergence quantities V_n^(i) = A_n^(i) - target_i * A_n^(m+1).
 The module also checks the p-adic convergence conditions and rescales
 weights (which preserves all convergents).
+
+An MCF holds its rows in two views: Fractions, and the integer form
+these readers compute on (c over ell, as clear_denominators gives it).
+It is built from one view and derives the other once, when first asked.
+The JSON reader produces the integer form directly: it reads the
+canonical quotients `-?\\d+` and `-?\\d+/\\d+` with int and leaves every
+other string to Fraction's parser.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import (
@@ -32,7 +40,14 @@ from .errors import (
     ZeroWeight,
 )
 from .numberfield import _bareiss, clear_denominators
-from .padic import as_value, is_zero, require_odd_prime, valuation
+from .padic import (
+    PLUS_INFINITY,
+    as_value,
+    is_zero,
+    require_odd_prime,
+    split_p,
+    valuation,
+)
 
 
 def _fraction(x) -> Fraction:
@@ -47,9 +62,16 @@ class MCF:
     a_0^(m+1) = 1 and no row may have a vanishing last entry.  `finite`
     records whether the block is a complete expansion (as opposed to the
     prefix of a truncated or periodic one).
+
+    The rows have two views: `rows`, tuples of Fractions, and
+    `scaled_rows`, each row as the integers c over ell that
+    clear_denominators gives, on which every reader below computes.  An
+    MCF is built from whichever view its source has (Fractions from the
+    constructor and the expansion kernels, integers from from_json_dict)
+    and derives the other once, on first use.
     """
 
-    __slots__ = ("m", "rows", "finite")
+    __slots__ = ("m", "finite", "_rows", "_scaled")
 
     def __init__(self, m: int, rows, finite: bool = True):
         if m < 1:
@@ -64,9 +86,7 @@ class MCF:
                 raise ValueError("partial quotients a_n^(m+1) must be nonzero")
         if rows[0][m] != 1:
             raise ValueError("a_0^(m+1) must equal 1")
-        self.m = m
-        self.rows = rows
-        self.finite = finite
+        self.m, self._rows, self._scaled, self.finite = m, rows, None, finite
 
     @classmethod
     def _of_valid_rows(cls, m: int, rows, finite: bool) -> "MCF":
@@ -74,19 +94,31 @@ class MCF:
         Fractions, such as an expansion kernel emits: kept as they are,
         not mapped or checked again."""
         mcf = object.__new__(cls)
-        mcf.m, mcf.rows, mcf.finite = m, tuple(rows), finite
+        mcf.m, mcf._rows, mcf._scaled, mcf.finite = m, tuple(rows), None, finite
         return mcf
+
+    @property
+    def rows(self):
+        """The rows as tuples of Fractions."""
+        if self._rows is None:
+            self._rows = tuple(
+                tuple(Fraction(x, ell) for x in c) for c, ell in self._scaled
+            )
+        return self._rows
+
+    @property
+    def scaled_rows(self):
+        """The rows as clear_denominators gives them: (c, ell), the row
+        being c_i/ell with ell > 0 and gcd(c_1, ..., c_(m+1), ell) = 1."""
+        if self._scaled is None:
+            self._scaled = [clear_denominators(row) for row in self._rows]
+        return self._scaled
 
     @classmethod
     def from_sequences(cls, seqs, finite: bool = True) -> "MCF":
         """Build from m+1 per-index sequences (the transposed layout)."""
         seqs = [list(s) for s in seqs]
-        if len(seqs) < 2:
-            raise ValueError("need at least two sequences")
-        if len({len(s) for s in seqs}) != 1:
-            raise ValueError("sequences must share one length")
-        rows = list(zip(*seqs))
-        return cls(len(seqs) - 1, rows, finite)
+        return cls(len(seqs) - 1, _transposed(seqs), finite)
 
     @classmethod
     def unit_from_sequences(cls, seqs, finite: bool = True) -> "MCF":
@@ -96,11 +128,11 @@ class MCF:
         return cls.from_sequences(seqs + [ones], finite)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._rows if self._rows is not None else self._scaled)
 
     @property
     def last_index(self) -> int:
-        return len(self.rows) - 1
+        return len(self) - 1
 
     def sequences(self):
         return tuple(tuple(row[i] for row in self.rows) for i in range(self.m + 1))
@@ -135,15 +167,71 @@ class MCF:
         bad = [x for seq in d["a"] for x in seq if type(x) not in (str, int)]
         if bad:  # a JSON float would be read as its binary double, true as 1
             raise ValueError(f"quotient {bad[0]!r} is not a string or an integer")
-        if type(d["m"]) is not int:  # true and 1.0 would read as 1
-            raise ValueError(f"m {d['m']!r} is not an integer")
-        seqs = [[Fraction(x) for x in seq] for seq in d["a"]]
-        if len(seqs) != d["m"] + 1:
+        m = d["m"]
+        if type(m) is not int:  # true and 1.0 would read as 1
+            raise ValueError(f"m {m!r} is not an integer")
+        seqs = [[_parse_quotient(x) for x in seq] for seq in d["a"]]
+        if len(seqs) != m + 1:
             raise ValueError("'a' must hold m+1 sequences")
         finite = d.get("finite", True)
         if type(finite) is not bool:  # the string "false" would read as true
             raise ValueError(f"finite {finite!r} is not true or false")
-        return cls.from_sequences(seqs, finite)
+        # __init__'s checks, in its order, on the integer rows
+        scaled = [_scaled_row(row) for row in _transposed(seqs)]
+        if not scaled:
+            raise ValueError("need at least one row of partial quotients")
+        if any(c[m] == 0 for c, _ in scaled):
+            raise ValueError("partial quotients a_n^(m+1) must be nonzero")
+        if scaled[0][0][m] != scaled[0][1]:
+            raise ValueError("a_0^(m+1) must equal 1")
+        mcf = object.__new__(cls)
+        mcf.m, mcf._rows, mcf._scaled, mcf.finite = m, None, scaled, finite
+        return mcf
+
+
+def _transposed(seqs):
+    """The rows of m+1 per-index sequences."""
+    if len(seqs) < 2:
+        raise ValueError("need at least two sequences")
+    if len({len(s) for s in seqs}) != 1:
+        raise ValueError("sequences must share one length")
+    return list(zip(*seqs))
+
+
+#: what `expand --format json` writes; int reads it as Fraction(str) would
+_CANONICAL = re.compile(r"(-?)(\d+)(?:/(\d+))?")
+
+
+def _parse_quotient(x) -> tuple[int, int]:
+    """A JSON quotient (a string or an int) as (numerator, denominator),
+    denominator > 0 and not reduced, of the value Fraction(x) reads; every
+    string Fraction parses is accepted, and every error is Fraction's."""
+    if type(x) is int:
+        return x, 1
+    match = _CANONICAL.fullmatch(x)
+    if match is None:
+        x = Fraction(x)
+        return x.numerator, x.denominator
+    sign, num, den = match.groups()
+    num = -int(num) if sign else int(num)
+    den = 1 if den is None else int(den)
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    return num, den
+
+
+def _scaled_row(row):
+    """clear_denominators of a row of (numerator, denominator) pairs with
+    positive denominators, reduced by one gcd."""
+    ell = lcm(*[d for _, d in row])
+    if ell == 1:
+        return [n for n, _ in row], 1
+    c = [n * (ell // d) for n, d in row]
+    g = gcd(ell, *c)
+    if g > 1:
+        c = [x // g for x in c]
+        ell //= g
+    return c, ell
 
 
 class ConvergentsTable:
@@ -234,8 +322,8 @@ def convergents_of(mcf: MCF):
     """All defined convergents Q_n, as a list with None at zero denominators."""
     t = ConvergentsTable(mcf.m)
     out = []
-    for row in mcf.rows:
-        t.push(row)
+    for c, ell in mcf.scaled_rows:
+        t._advance(c, ell)
         out.append(t.try_convergents())
     return out
 
@@ -256,16 +344,19 @@ def determinant_check(mcf: MCF):
     an m-cycle permutation.  The determinant is taken of the integer
     window, each column over its own denominator, and compared with the
     closed form in integers; a matching det is the closed form itself.
+    Both are read off the scaled rows, where a_j^(m+1) = c_m/ell.
     """
     m = mcf.m
     table = ConvergentsTable(m)
     closed = Fraction(1)  # the product of the a_j^(m+1), often 1 throughout
+    negated = -closed
     out = []
-    for n, row in enumerate(mcf.rows):
-        table.push(row)
-        if row[m] != 1:
-            closed *= row[m]
-        expected = -closed if m * (n + 1) % 2 else closed
+    for n, (c, ell) in enumerate(mcf.scaled_rows):
+        table._advance(c, ell)
+        if c[m] != ell:
+            closed *= Fraction(c[m], ell)
+            negated = -closed
+        expected = negated if m * (n + 1) % 2 else closed
         # Bareiss on the transposed integer window: the same determinant
         a = [list(w) for w in table._window]
         r, sign = _bareiss(a)
@@ -306,18 +397,24 @@ class ConditionReport:
         }
 
 
+def _int_valuation(n: int, p: int):
+    """v_p(n), PLUS_INFINITY at 0."""
+    return split_p(n, p)[0] if n else PLUS_INFINITY
+
+
 def check_convergence_conditions(
     mcf: MCF, p: int, unit_numerators: bool = False
 ) -> ConditionReport:
     require_odd_prime(p)
     entries = []
     first = None
-    for n in range(1, mcf.last_index + 1):
-        row = mcf.rows[n]
-        v1 = valuation(row[0], p)
+    hi = mcf.m if unit_numerators else mcf.m + 1
+    for n, (c, ell) in enumerate(mcf.scaled_rows[1:], start=1):
+        # v(a_n^(i)) = v(c_i) - v(ell)
+        v_ell = split_p(ell, p)[0]
+        v1 = _int_valuation(c[0], p) - v_ell
         cond1 = v1 < 0 if unit_numerators else v1 <= 0
-        hi = mcf.m if unit_numerators else mcf.m + 1
-        cond2 = all(valuation(row[i], p) > v1 for i in range(1, hi))
+        cond2 = all(_int_valuation(c[i], p) - v_ell > v1 for i in range(1, hi))
         entries.append((n, cond1, cond2))
         if first is None and not (cond1 and cond2):
             first = n
@@ -376,8 +473,8 @@ def dehomogenize(mcf: MCF) -> MCF:
 def evaluate_finite(mcf: MCF):
     """Exact value (alpha_0^(1), ..., alpha_0^(m)) of a finite MCF.
 
-    Computed twice, from one pass of clear_denominators that scales row n to
-    integers c over ell: forward, as the final column of a ConvergentsTable
+    Computed twice, from the MCF's scaled rows (row n as integers c over
+    ell): forward, as the final column of a ConvergentsTable
     advanced on the scaled rows, and backward through the defining
     relations with alpha_r^(i) = a_r^(i).  The two must agree exactly.  The
     routes multiply the step matrices in opposite orders, so they check
@@ -391,7 +488,7 @@ def evaluate_finite(mcf: MCF):
     if not mcf.finite:
         raise ValueError("only finite MCFs have a value")
     m = mcf.m
-    scaled = [clear_denominators(row) for row in mcf.rows]
+    scaled = mcf.scaled_rows
     y = scaled[-1][0]
     for n in range(len(scaled) - 2, -1, -1):
         lead = y[0]
@@ -478,8 +575,8 @@ def strong_convergence_sequence(mcf: MCF, targets, p: int) -> StrongConvergenceS
     targets = [as_value(t, p) for t in targets]
     table = ConvergentsTable(m)
     cols = [table.column(-1 - n) for n in range(-(m + 1), 0)]
-    for row in mcf.rows:
-        table.push(row)
+    for c, ell in mcf.scaled_rows:
+        table._advance(c, ell)
         cols.append(table.column(0))
     # values[k] is V_{k-(m+1)}; a zero A^(m+1) leaves the column exact
     values = [

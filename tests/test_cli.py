@@ -487,36 +487,53 @@ class TestEvaluateDigitsCheck:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "command, text",
+        "command, text, message",
         [
-            (("evaluate",), "[1,2]"),
-            (("check", "-p", "5"), '{"m":"1","a":[["1","2"],["1","1"]]}'),
-            (("evaluate",), '{"m":1,"a":[["1",null],["1","1"]]}'),
-            (("evaluate",), '{"m":1,"a":[["1",1e400],["1","1"]]}'),
-            (("evaluate",), '{"m":1,"a":[["1",0.1],["1","1"]],"finite":true}'),
-            (("evaluate",), '{"m":1,"a":[["1",true],["1","1"]],"finite":true}'),
-            (("evaluate",), '{"m":1,"a":[["1","2"],["1","1"]],"finite":"false"}'),
-            (("evaluate",), '{"m":true,"a":[["1","2"],["1","1"]]}'),
-            (("evaluate",), '{"m":1.0,"a":[["1","2"],["1","1"]]}'),
-            (("evaluate",), '{"m":1,"a":["12","11"]}'),
-            (("check", "-p", "5"), '{"m":1,"a":["12","11"]}'),
-            (("evaluate",), '{"m":1,"a":"11"}'),
-            (("check", "-p", "5"), '{"m":1,"a":"11"}'),
-            (("evaluate",), '{"m":1,"a":[["1/0"],["1"]]}'),
-            (("check", "-p", "5"), '{"m":1,"a":[["1/0"],["1"]]}'),
+            (("evaluate",), "[1,2]", "list indices must be integers or slices, not str"),
+            (("check", "-p", "5"), '{"m":"1","a":[["1","2"],["1","1"]]}',
+             "m '1' is not an integer"),
+            (("evaluate",), '{"m":1,"a":[["1",null],["1","1"]]}',
+             "quotient None is not a string or an integer"),
+            (("evaluate",), '{"m":1,"a":[["1",1e400],["1","1"]]}',
+             "quotient inf is not a string or an integer"),
+            (("evaluate",), '{"m":1,"a":[["1",0.1],["1","1"]],"finite":true}',
+             "quotient 0.1 is not a string or an integer"),
+            (("evaluate",), '{"m":1,"a":[["1",true],["1","1"]],"finite":true}',
+             "quotient True is not a string or an integer"),
+            (("evaluate",), '{"m":1,"a":[["1","2"],["1","1"]],"finite":"false"}',
+             "finite 'false' is not true or false"),
+            (("evaluate",), '{"m":true,"a":[["1","2"],["1","1"]]}', "m True is not an integer"),
+            (("evaluate",), '{"m":1.0,"a":[["1","2"],["1","1"]]}', "m 1.0 is not an integer"),
+            (("evaluate",), '{"m":1,"a":["12","11"]}', "'a' must be an array of arrays"),
+            (("check", "-p", "5"), '{"m":1,"a":["12","11"]}', "'a' must be an array of arrays"),
+            (("evaluate",), '{"m":1,"a":"11"}', "'a' must be an array of arrays"),
+            (("check", "-p", "5"), '{"m":1,"a":"11"}', "'a' must be an array of arrays"),
+            (("evaluate",), '{"m":1,"a":[["1/0"],["1"]]}', "Fraction(1, 0)"),
+            (("check", "-p", "5"), '{"m":1,"a":[["1/0"],["1"]]}', "Fraction(1, 0)"),
+            # two faults meet: the first check in the reader's order names its own
+            (("evaluate",), '{"m":2,"a":[["x"],["1"]]}', "Invalid literal for Fraction: 'x'"),
+            (("check", "-p", "5"), '{"m":1,"a":[["1","2"],["0"]]}',
+             "sequences must share one length"),
+            (("evaluate",), '{"m":0,"a":[["1"]]}', "need at least two sequences"),
+            (("evaluate",), '{"m":1,"a":[["1","abc"],["1/0","1"]]}',
+             "Invalid literal for Fraction: 'abc'"),
+            (("check", "-p", "5"), '{"m":1,"a":[["1","2"],["2","0"]]}',
+             "partial quotients a_n^(m+1) must be nonzero"),
+            (("evaluate",), '{"m":1,"a":[[],[]]}', "need at least one row of partial quotients"),
         ],
         ids=["list", "string-m", "null-quotient", "huge-float", "float-quotient",
              "bool-quotient", "string-finite", "bool-m", "float-m",
              "string-sequences", "check-string-sequences", "string-a", "check-string-a",
-             "zero-denominator", "check-zero-denominator"],
+             "zero-denominator", "check-zero-denominator", "literal-before-count",
+             "lengths-before-zero-last", "m-zero-one-sequence",
+             "literals-in-sequence-order", "zero-last-before-first-not-one", "no-rows"],
     )
-    def test_wrong_shape_is_usage_error(self, monkeypatch, capsys, command, text):
+    def test_wrong_shape_is_usage_error(self, monkeypatch, capsys, command, text, message):
         # well-formed JSON that is not an MCF: an error line, no traceback
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, out = run_cli(*command)
         assert code == 1 and out == ""
-        err = capsys.readouterr().err
-        assert err.startswith("error: bad MCF JSON: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: bad MCF JSON: {message}\n"
 
     @pytest.mark.parametrize(
         "command, path, reason",

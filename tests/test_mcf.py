@@ -3,7 +3,9 @@ finite evaluation, strong convergence."""
 
 import json
 import random
+import re
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from padic_mcf.errors import (
 from padic_mcf.jacobi_perron import jp_expand
 from padic_mcf.mcf import (
     MCF,
+    ConditionReport,
     ConvergentsTable,
     check_convergence_conditions,
     convergents_of,
@@ -29,6 +32,7 @@ from padic_mcf.mcf import (
     rescale,
     strong_convergence_sequence,
 )
+from padic_mcf.numberfield import clear_denominators
 from padic_mcf.padic import PLUS_INFINITY, valuation
 
 Q5_PAIR = MCF.unit_from_sequences(
@@ -183,6 +187,70 @@ def test_validation_errors(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert (type(info.value), str(info.value)) == (ValueError, message)
+
+
+def fraction_parse(x):
+    """A quotient as Fraction(str) reads it: the reference for the reader."""
+    x = F(x)
+    return x.numerator, x.denominator
+
+
+def parse_outcome(parse, x):
+    """parse(x) reduced, or the type and message of the error it raises."""
+    try:
+        num, den = parse(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+class TestQuotientParser:
+    """The JSON reader parses canonical quotients with int and every other
+    string with Fraction: the two must read the same values and raise the
+    same errors."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1.5", "1e3", " 3/4 ", "1_000", "+3", "2/4", "-0", "0/7", "007",
+         "٣/٤", "3/-4", "1/0", "-1/0", "0/0", "abc", "", "-12/18"],
+    )
+    def test_matches_fraction(self, text):
+        got = parse_outcome(mcf_module._parse_quotient, text)
+        assert got == parse_outcome(fraction_parse, text)
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "-" + "1" * 5000, "1/" + "1" * 5000])
+    def test_digit_limit_error_is_fractions(self, text):
+        got = parse_outcome(mcf_module._parse_quotient, text)
+        assert got == parse_outcome(fraction_parse, text)
+        assert got[0] is ValueError and "(4300 digits)" in got[1]
+
+    # Fraction multiplies out an exponent, so "1e999999999" would take hours
+    @given(
+        st.text(alphabet="0123456789-/.e_+ ", max_size=14).filter(
+            lambda s: not re.search(r"e[-+]?[0-9_]{3}", s)
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_drawn_strings(self, text):
+        got = parse_outcome(mcf_module._parse_quotient, text)
+        assert got == parse_outcome(fraction_parse, text)
+
+    def test_canonical_files_build_no_fraction_rows(self, monkeypatch):
+        text = {"m": 2, "a": [["3/5", "-2", "0/6"], ["1", "7/10", "2/6"], ["1", 1, "3"]]}
+
+        def refused(*args):
+            raise AssertionError("Fraction built while reading")
+
+        monkeypatch.setattr(mcf_module, "Fraction", refused)
+        mcf = MCF.from_json_dict(text)
+        monkeypatch.undo()
+        check_convergence_conditions(mcf, 5)
+        determinant_check(mcf)
+        value_outcome(mcf)
+        assert mcf._rows is None
+        assert mcf.scaled_rows == [([3, 5, 5], 5), ([-20, 7, 10], 10), ([0, 1, 9], 3)]
+        assert mcf.rows == ((F(3, 5), F(1), F(1)), (F(-2), F(7, 10), F(1)), (0, F(1, 3), 3))
 
 
 class TestConvergentsTable:
@@ -344,6 +412,13 @@ class TestConditions:
         assert check_convergence_conditions(mcf, 5, unit_numerators=False).ok
         strict = check_convergence_conditions(mcf, 5, unit_numerators=True)
         assert not strict.ok and strict.first_violation == 1
+
+    def test_valuations_over_a_shared_denominator(self):
+        # (1/5, 1/25) scales to (5, 1) over 25: v(a_1^(1)) = v(5) - v(25) = -1
+        mcf = MCF.from_json_dict({"m": 1, "a": [["1", "1/5"], ["1", "1/25"]]})
+        assert check_convergence_conditions(mcf, 5).per_index == ((1, True, False),)
+        strict = check_convergence_conditions(mcf, 5, unit_numerators=True)
+        assert strict.per_index == ((1, True, True),)
 
     def test_dehomogenize_can_break_strict_conditions(self):
         p = 5
@@ -655,3 +730,110 @@ class TestStrongConvergence:
         # the 5-adic valuations must not be reported under another prime
         with pytest.raises(ValueError, match="value carries a different prime"):
             strong_convergence_sequence(mcf, targets, 7)
+
+
+def fraction_conditions(rows, p, unit_numerators):
+    """check_convergence_conditions by padic.valuation on the Fraction rows:
+    the reference for the conditions read off the integer rows."""
+    m = len(rows[0]) - 1
+    hi = m if unit_numerators else m + 1
+    entries, first = [], None
+    for n in range(1, len(rows)):
+        v1 = valuation(rows[n][0], p)
+        cond1 = v1 < 0 if unit_numerators else v1 <= 0
+        cond2 = all(valuation(rows[n][i], p) > v1 for i in range(1, hi))
+        entries.append((n, cond1, cond2))
+        if first is None and not (cond1 and cond2):
+            first = n
+    return ConditionReport(unit_numerators, first is None, first, tuple(entries))
+
+
+def value_outcome(mcf):
+    try:
+        return evaluate_finite(mcf)
+    except (ValueError, ZeroIntermediate) as exc:
+        return type(exc), str(exc)
+
+
+def assert_views_agree(mcf, rows, finite, p):
+    """mcf, built from either view, against MCF(m, rows, finite) and the
+    Fraction references; the readers run before rows is first read."""
+    m = len(rows[0]) - 1
+    ref = MCF(m, rows, finite)
+    assert determinant_check(mcf) == determinant_check(ref)
+    for unit in (False, True):
+        want = fraction_conditions(rows, p, unit)
+        assert check_convergence_conditions(mcf, p, unit) == want
+        assert check_convergence_conditions(ref, p, unit) == want
+    assert value_outcome(mcf) == value_outcome(ref)
+    if finite:
+        try:
+            want = fraction_backward(ref)
+        except ZeroIntermediate as exc:
+            want = (ZeroIntermediate, str(exc))
+        assert value_outcome(mcf) == want
+    assert convergents_of(mcf) == convergents_of(ref)
+    assert (len(mcf), mcf.last_index) == (len(rows), len(rows) - 1)
+    assert mcf.scaled_rows == [clear_denominators(row) for row in rows]
+    assert mcf.rows == rows and type(mcf.rows) is tuple
+    assert all(type(row) is tuple for row in mcf.rows)
+    assert all(type(x) is F for row in mcf.rows for x in row)
+    assert mcf == ref and ref == mcf
+    assert mcf.to_json_dict() == ref.to_json_dict()
+
+
+_SMALL = st.integers(-30, 30)
+_DEN = st.integers(1, 40)
+# canonical, unreduced and non-canonical strings, and JSON integers
+_QUOTIENT = st.one_of(
+    st.builds(lambda n, d: str(F(n, d)), _SMALL, _DEN),
+    st.builds(lambda n, d, k: f"{n * k}/{d * k}", _SMALL, _DEN, st.integers(2, 6)),
+    _SMALL,
+    st.builds(lambda n, d: f" {n}/{d} ", _SMALL, _DEN),
+    st.builds(lambda n, k: f"{n}.{k}", _SMALL, st.integers(0, 99)),
+    st.builds(lambda n: f"+{abs(n)}", _SMALL),
+    st.builds(lambda n, e: f"{n}e{e}", _SMALL, st.integers(-2, 2)),
+    st.sampled_from(["0", "-0", "0/7", 0, "007", "-0/3", "٣/٤"]),
+)
+_LAST = _QUOTIENT.filter(lambda x: F(x) != 0)
+
+
+class TestViews:
+    """An MCF read from JSON (integer rows) and one built from Fractions or
+    by a kernel answer every reader alike."""
+
+    @given(
+        data=st.data(),
+        m=st.integers(1, 3),
+        length=st.integers(1, 60),
+        p=st.sampled_from((3, 5, 7)),
+        finite=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_json_rows(self, data, m, length, p, finite):
+        seqs = data.draw(
+            st.lists(st.lists(_QUOTIENT, min_size=length, max_size=length),
+                     min_size=m, max_size=m)
+        )
+        first = data.draw(st.sampled_from(["1", 1, "2/2", "+1", "1.0", " 1 "]))
+        lasts = [first] + data.draw(
+            st.lists(_LAST, min_size=length - 1, max_size=length - 1)
+        )
+        d = json.loads(json.dumps({"m": m, "a": seqs + [lasts], "finite": finite}))
+        rows = tuple(zip(*[[F(x) for x in seq] for seq in d["a"]]))
+        assert_views_agree(MCF.from_json_dict(d), rows, finite, p)
+
+    @given(
+        m=st.integers(1, 3),
+        p=st.sampled_from((3, 5, 7, 11)),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_kernel_rows(self, m, p, rng):
+        bound = 10 ** rng.randint(1, 25)
+        inputs = [F(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(m)]
+        res = jp_expand(inputs, p, max_steps=rng.randint(1, 60))
+        rows = res.mcf.rows
+        assert_views_agree(res.mcf, rows, res.mcf.finite, p)
+        read = MCF.from_json_dict(json.loads(json.dumps(res.mcf.to_json_dict())))
+        assert_views_agree(read, rows, res.mcf.finite, p)

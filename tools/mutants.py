@@ -184,6 +184,22 @@ MUTANTS = (
         "den = prod(table._dens)", "den = table._dens[0] ** (m + 1)",
         "tests/test_mcf.py",
     ),
+    # the integer rows: the JSON reader's scaling, and their readers
+    Mutant(
+        "parse-unreduced", "mcf.py",
+        "    g = gcd(ell, *c)\n", "    g = 1\n",
+        "tests/test_mcf.py",
+    ),
+    Mutant(
+        "conditions-drop-v-ell", "mcf.py",
+        "v_ell = split_p(ell, p)[0]", "v_ell = 0",
+        "tests/test_mcf.py",
+    ),
+    Mutant(
+        "closed-form-inverted", "mcf.py",
+        "closed *= Fraction(c[m], ell)", "closed *= Fraction(ell, c[m])",
+        "tests/test_mcf.py",
+    ),
     # _ProjectiveEuclid's re-lift and step
     Mutant(
         "read-need-minus-one", "jacobi_perron.py",

@@ -30,7 +30,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .exprparse import ExprError, evaluate_expression, parse_polynomial
+from .exprparse import ExprError, evaluate_expression, parse_polynomial, read_rational
 from .jacobi_perron import DEFAULT_MAX_STEPS, euclid_expand, jp_expand
 from .mcf import (
     MCF,
@@ -54,9 +54,12 @@ class UsageError(Exception):
 
 
 #: Arguments that every parser reads as values, not options: a negative
-#: integer, decimal or fraction, alone or first in a comma list (-3, -.5,
-#: -1/2, -1,1/2).  argparse's own pattern stops at -3 and -.5.
-_NEGATIVE_VALUE = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)(,-?(\d+(/\d+)?|\d*\.\d+))*$")
+#: number as read_rational reads it without spaces (-3, -1/2, -.5, -1.,
+#: -1_000, -2.5e-3), alone or first in a comma list (-1,1/2).  argparse's
+#: own pattern stops at -3 and -.5.
+_D = r"\d+(_\d+)*"
+_VALUE = rf"({_D}/{_D}|({_D}(\.({_D})?)?|\.{_D})([eE][-+]?{_D})?)"
+_NEGATIVE_VALUE = re.compile(rf"^-{_VALUE}(,-?{_VALUE})*$")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -92,7 +95,7 @@ def _dump_json(obj) -> str:
 
 def _parse_fraction(s: str) -> Fraction:
     try:
-        return Fraction(s)
+        return Fraction(*read_rational(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse rational {s!r}: {exc}") from None
 

@@ -6,6 +6,10 @@ the digits of any script); input is checked against it in full before
 anything is evaluated.  A power is multiplied out, so the absolute value
 of its exponent times those of the powers around it (an exponent 0
 counting as 1) may not exceed MAX_POWER.
+
+read_rational reads every rational that the command line takes as text.
+Fraction multiplies out a decimal exponent ("1e999999999" would take
+hours), so an exponent beyond MAX_EXPONENT in absolute value is refused.
 """
 
 import ast
@@ -18,6 +22,10 @@ from itertools import repeat
 from .numberfield import _padd, _pmul, _pstrip
 
 MAX_POWER = 256
+MAX_EXPONENT = 4300  # Python's default limit on the digits of an int string
+#: what `expand --format json` writes; int reads it as Fraction(str) would
+_CANONICAL = re.compile(r"(-?)(\d+)(?:/(\d+))?")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 _CHARS = frozenset("0123456789+-*/^()x ")
 _NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name, ast.Load,
           ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
@@ -97,10 +105,30 @@ _POLY_OPS = {ast.Add: _padd, ast.Sub: lambda a, b: _padd(a, _pmul((-1,), b)),
              ast.UAdd: lambda a: a}
 
 
+def read_rational(text: str) -> tuple[int, int]:
+    """(numerator, denominator > 0, not reduced) of the value Fraction(text)
+    reads, with Fraction's errors; canonical text is read with int, and a
+    trailing exponent beyond MAX_EXPONENT is refused before Fraction."""
+    match = _CANONICAL.fullmatch(text)
+    if match is None:
+        exponent = _EXPONENT.search(text)
+        # int refuses an exponent of over 4300 digits here, as it would in Fraction
+        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent of {text!r} is beyond ±{MAX_EXPONENT}")
+        x = Fraction(text)
+        return x.numerator, x.denominator
+    sign, num, den = match.groups()
+    num = -int(num) if sign else int(num)
+    den = 1 if den is None else int(den)
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    return num, den
+
+
 def parse_polynomial(s: str) -> tuple[Fraction, ...]:
     """Little-endian coefficients from "c0,c1,...,cd" or "x^3-8/5*x^2-x-1"."""
     if "," in s:
-        return tuple(Fraction(part.strip()) for part in s.split(","))
+        return tuple(Fraction(*read_rational(part.strip())) for part in s.split(","))
     x = (Fraction(0), Fraction(1))
     return _evaluate(s, x, lambda n: _pstrip((Fraction(n),)), _POLY_OPS)
 

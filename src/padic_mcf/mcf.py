@@ -17,14 +17,12 @@ weights (which preserves all convergents).
 An MCF holds its rows in two views: Fractions, and the integer form
 these readers compute on (c over ell, as clear_denominators gives it).
 It is built from one view and derives the other once, when first asked.
-The JSON reader produces the integer form directly: it reads the
-canonical quotients `-?\\d+` and `-?\\d+/\\d+` with int and leaves every
-other string to Fraction's parser.
+The JSON reader produces the integer form directly: each string quotient
+is read by exprparse.read_rational, the command line's one rational reader.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -39,6 +37,7 @@ from .errors import (
     ZeroIntermediate,
     ZeroWeight,
 )
+from .exprparse import read_rational
 from .numberfield import _bareiss, clear_denominators
 from .padic import (
     PLUS_INFINITY,
@@ -170,7 +169,8 @@ class MCF:
         m = d["m"]
         if type(m) is not int:  # true and 1.0 would read as 1
             raise ValueError(f"m {m!r} is not an integer")
-        seqs = [[_parse_quotient(x) for x in seq] for seq in d["a"]]
+        seqs = [[(x, 1) if type(x) is int else read_rational(x) for x in seq]
+                for seq in d["a"]]
         if len(seqs) != m + 1:
             raise ValueError("'a' must hold m+1 sequences")
         finite = d.get("finite", True)
@@ -196,28 +196,6 @@ def _transposed(seqs):
     if len({len(s) for s in seqs}) != 1:
         raise ValueError("sequences must share one length")
     return list(zip(*seqs))
-
-
-#: what `expand --format json` writes; int reads it as Fraction(str) would
-_CANONICAL = re.compile(r"(-?)(\d+)(?:/(\d+))?")
-
-
-def _parse_quotient(x) -> tuple[int, int]:
-    """A JSON quotient (a string or an int) as (numerator, denominator),
-    denominator > 0 and not reduced, of the value Fraction(x) reads; every
-    string Fraction parses is accepted, and every error is Fraction's."""
-    if type(x) is int:
-        return x, 1
-    match = _CANONICAL.fullmatch(x)
-    if match is None:
-        x = Fraction(x)
-        return x.numerator, x.denominator
-    sign, num, den = match.groups()
-    num = -int(num) if sign else int(num)
-    den = 1 if den is None else int(den)
-    if den == 0:
-        raise ZeroDivisionError(f"Fraction({num}, 0)")
-    return num, den
 
 
 def _scaled_row(row):

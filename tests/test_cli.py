@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -903,6 +904,13 @@ class TestNegativeValues:
             (("digits", "-1/3", "-p", "5"), ("digits", "-p", "5", "--", "-1/3")),
             ((*CUBIC, "--elem", "-1,1"), (*CUBIC, "--elem=-1,1")),
             ((*CUBIC, "--elem", "-1/2,-1,1/5"), (*CUBIC, "--elem=-1/2,-1,1/5")),
+            # every dashed form the one reader reads is a value too
+            ((*EXPAND, "-1e3", "-1.", "-1_000"), (*EXPAND, "--", "-1e3", "-1.", "-1_000")),
+            (
+                ("euclid", "-p", "5", "-2.5e-3", "3"),
+                ("euclid", "-p", "5", "--", "-2.5e-3", "3"),
+            ),
+            ((*CUBIC, "--elem", "-1e0,1"), (*CUBIC, "--elem=-1e0,1")),
             (
                 (*EXPAND, "--minpoly", "-3,0,0,1", "--elem", "0,1", "--max-steps", "6"),
                 (*EXPAND, "--minpoly=-3,0,0,1", "--elem", "0,1", "--max-steps", "6"),
@@ -931,6 +939,43 @@ class TestNegativeValues:
     )
     def test_other_dashed_words_stay_options(self, capsys, argv, message):
         assert _outcome(capsys, argv) == (1, "", "", message)
+
+
+class TestExponentBound:
+    """Every entry that reads a rational from text refuses a decimal exponent
+    beyond 4300 in absolute value at once, and reads one at the bound."""
+
+    @pytest.mark.parametrize("value", ["1e999999999", "1e-999999999"])
+    @pytest.mark.parametrize(
+        "argv, stdin, prefix",
+        [
+            (("expand", "-p", "5", "V", "1"), "", "cannot parse rational 'V'"),
+            (("euclid", "-p", "5", "V", "3"), "", "cannot parse rational 'V'"),
+            (("digits", "V", "-p", "5"), "", "cannot parse rational 'V'"),
+            (("expand", "-p", "5", "--minpoly", "x^3-3", "--elem", "V,1"), "",
+             "cannot parse rational 'V'"),
+            (("expand", "-p", "5", "--minpoly", "V,0,1", "--elem", "0,1"), "",
+             "bad --minpoly"),
+            (("evaluate",), '{"m":1,"a":[["V"],["1"]]}', "bad MCF JSON"),
+            (("check", "-p", "5"), '{"m":1,"a":[["1","V"],["1","1"]]}', "bad MCF JSON"),
+        ],
+        ids=["expand", "euclid", "digits", "elem", "minpoly", "evaluate", "check"],
+    )
+    def test_over_the_bound_is_refused(self, monkeypatch, capsys, argv, stdin, prefix,
+                                       value):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin.replace("V", value)))
+        start = time.perf_counter()
+        outcome = _outcome(capsys, [a.replace("V", value) for a in argv])
+        assert time.perf_counter() - start < 2
+        prefix = prefix.replace("V", value)
+        line = f"error: {prefix}: decimal exponent of {value!r} is beyond ±4300\n"
+        assert outcome == (1, "", "", line)
+
+    @pytest.mark.parametrize("text, value", [("1e4300", F(10**4300)),
+                                             ("-1e-4300", F(-1, 10**4300))])
+    def test_at_the_bound_is_read(self, text, value):
+        code, out = run_cli("expand", "-p", "5", "--format", "json", text, "1")
+        assert (code, json.loads(out)) == (0, jp_expand((value, F(1)), 5).to_json_dict())
 
 
 class TestNarrowParser:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from padic_mcf import exprparse
 from padic_mcf import mcf as mcf_module
 from padic_mcf.errors import (
     InternalMismatch,
@@ -18,6 +19,7 @@ from padic_mcf.errors import (
     ZeroIntermediate,
     ZeroWeight,
 )
+from padic_mcf.exprparse import read_rational
 from padic_mcf.jacobi_perron import jp_expand
 from padic_mcf.mcf import (
     MCF,
@@ -206,9 +208,10 @@ def parse_outcome(parse, x):
 
 
 class TestQuotientParser:
-    """The JSON reader parses canonical quotients with int and every other
-    string with Fraction: the two must read the same values and raise the
-    same errors."""
+    """The one reader parses canonical text with int and every other string
+    with Fraction: the two must read the same values and raise the same
+    errors, except that a trailing exponent beyond 4300 in absolute value
+    is refused before Fraction sees it."""
 
     @pytest.mark.parametrize(
         "text",
@@ -216,25 +219,32 @@ class TestQuotientParser:
          "٣/٤", "3/-4", "1/0", "-1/0", "0/0", "abc", "", "-12/18"],
     )
     def test_matches_fraction(self, text):
-        got = parse_outcome(mcf_module._parse_quotient, text)
+        got = parse_outcome(read_rational, text)
         assert got == parse_outcome(fraction_parse, text)
 
     @pytest.mark.parametrize("text", ["1" * 5000, "-" + "1" * 5000, "1/" + "1" * 5000])
     def test_digit_limit_error_is_fractions(self, text):
-        got = parse_outcome(mcf_module._parse_quotient, text)
+        got = parse_outcome(read_rational, text)
         assert got == parse_outcome(fraction_parse, text)
         assert got[0] is ValueError and "(4300 digits)" in got[1]
 
-    # Fraction multiplies out an exponent, so "1e999999999" would take hours
-    @given(
-        st.text(alphabet="0123456789-/.e_+ ", max_size=14).filter(
-            lambda s: not re.search(r"e[-+]?[0-9_]{3}", s)
-        )
-    )
+    # Fraction multiplies out an exponent, so "1e999999999" would take hours:
+    # a string whose trailing exponent is over the bound never reaches it
+    @given(st.text(alphabet="0123456789-/.e_+ ", max_size=14))
+    @example("1e4300")
+    @example("1e-4300")
+    @example("1.5e+4301")
+    @example("1e-4301")
+    @example("1/2e99999")
+    @example("1e999999999 ")
     @settings(max_examples=400, deadline=None)
     def test_drawn_strings(self, text):
-        got = parse_outcome(mcf_module._parse_quotient, text)
-        assert got == parse_outcome(fraction_parse, text)
+        got = parse_outcome(read_rational, text)
+        exponent = re.fullmatch(r".*e([-+]?\d+(_\d+)*) *", text)
+        if exponent and abs(int(exponent[1])) > 4300:
+            assert got == (ValueError, f"decimal exponent of {text!r} is beyond ±4300")
+        else:
+            assert got == parse_outcome(fraction_parse, text)
 
     def test_canonical_files_build_no_fraction_rows(self, monkeypatch):
         text = {"m": 2, "a": [["3/5", "-2", "0/6"], ["1", "7/10", "2/6"], ["1", 1, "3"]]}
@@ -243,6 +253,7 @@ class TestQuotientParser:
             raise AssertionError("Fraction built while reading")
 
         monkeypatch.setattr(mcf_module, "Fraction", refused)
+        monkeypatch.setattr(exprparse, "Fraction", refused)
         mcf = MCF.from_json_dict(text)
         monkeypatch.undo()
         check_convergence_conditions(mcf, 5)

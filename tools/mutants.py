@@ -200,6 +200,22 @@ MUTANTS = (
         "closed *= Fraction(c[m], ell)", "closed *= Fraction(ell, c[m])",
         "tests/test_mcf.py",
     ),
+    # the one rational reader and its exponent bound
+    Mutant(
+        "exponent-bound-off-by-one", "exprparse.py",
+        "abs(int(exponent[1])) > MAX_EXPONENT", "abs(int(exponent[1])) >= MAX_EXPONENT",
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "negative-exponent-unchecked", "exprparse.py",
+        "abs(int(exponent[1]))", "int(exponent[1])",
+        "tests/test_mcf.py",
+    ),
+    Mutant(
+        "canonical-sign-dropped", "exprparse.py",
+        "num = -int(num) if sign else int(num)", "num = int(num)",
+        "tests/test_mcf.py",
+    ),
     # _ProjectiveEuclid's re-lift and step
     Mutant(
         "read-need-minus-one", "jacobi_perron.py",

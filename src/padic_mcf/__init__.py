@@ -65,7 +65,6 @@ from .jacobi_perron import (
     reexpand_check,
     verify_termination_dependence,
 )
-from .worked_examples import PAPER_CASES, run_paper_examples
 
 __version__ = "0.1.0"
 
@@ -119,3 +118,11 @@ __all__ = [
     "valuation",
     "verify_termination_dependence",
 ]
+
+
+def __getattr__(name):
+    """PAPER_CASES and run_paper_examples, imported on first use (PEP 562)."""
+    if name in ("PAPER_CASES", "run_paper_examples"):
+        from . import worked_examples
+        return getattr(worked_examples, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -46,7 +46,6 @@ from .padic import (
     to_approx,
     valuation,
 )
-from .worked_examples import PAPER_CASES, run_paper_examples
 
 
 class UsageError(Exception):
@@ -376,6 +375,7 @@ def cmd_check(args, out) -> int:
 
 
 def cmd_paper_examples(args, out) -> int:
+    from .worked_examples import PAPER_CASES, run_paper_examples
     cases = PAPER_CASES
     if args.only:
         cases = tuple(c for c in PAPER_CASES if c.id == args.only)

@@ -10,9 +10,9 @@ counting as 1) may not exceed MAX_POWER.
 read_rational reads every rational that the command line takes as text.
 Fraction multiplies out a decimal exponent ("1e999999999" would take
 hours), so an exponent beyond MAX_EXPONENT in absolute value is refused.
+Only the expression forms import `ast`; the op tables name its node types.
 """
 
-import ast
 import operator
 import re
 from fractions import Fraction
@@ -27,8 +27,8 @@ MAX_EXPONENT = 4300  # Python's default limit on the digits of an int string
 _CANONICAL = re.compile(r"(-?)(\d+)(?:/(\d+))?")
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 _CHARS = frozenset("0123456789+-*/^()x ")
-_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name, ast.Load,
-          ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+_NODES = frozenset("Expression BinOp UnaryOp Constant Name Load "
+                   "Add Sub Mult Div Pow UAdd USub".split())
 
 
 class ExprError(ValueError):
@@ -36,6 +36,7 @@ class ExprError(ValueError):
 
 
 def _parse(s: str):
+    import ast
     src = "".join(str(int(ch)) if ch.isdecimal() else ch for ch in " ".join(s.split()))
     bad = [ch for ch in src if ch not in _CHARS]
     if bad:
@@ -48,7 +49,7 @@ def _parse(s: str):
     except SyntaxError as exc:
         raise ExprError(exc.msg) from None
     for node in ast.walk(tree):
-        if not isinstance(node, _NODES):
+        if type(node).__name__ not in _NODES:
             raise ExprError(f"unsupported syntax: {type(node).__name__}")
         if isinstance(node, (ast.Constant, ast.Name)):
             text = ast.get_source_segment(src, node)  # "0x10" and "x2" parse too
@@ -73,18 +74,19 @@ def _parse(s: str):
 
 def _evaluate(s: str, x, const, ops):
     """s at x, literals mapped by const, arithmetic from ops; ^k multiplies."""
+    import ast
     def ev(node):
         if isinstance(node, ast.Constant):
             return const(node.value)
         if isinstance(node, ast.Name):
             return x
         if isinstance(node, ast.UnaryOp):
-            return ops[type(node.op)](ev(node.operand))
+            return ops[type(node.op).__name__](ev(node.operand))
         if isinstance(node.op, ast.Pow):
             k, base = ast.literal_eval(node.right), ev(node.left)
-            acc = reduce(ops[ast.Mult], repeat(base, abs(k)), const(1))
-            return ops[ast.Div](const(1), acc) if k < 0 else acc
-        return ops[type(node.op)](ev(node.left), ev(node.right))
+            acc = reduce(ops["Mult"], repeat(base, abs(k)), const(1))
+            return ops["Div"](const(1), acc) if k < 0 else acc
+        return ops[type(node.op).__name__](ev(node.left), ev(node.right))
     try:
         return ev(_parse(s))
     except RecursionError:
@@ -98,11 +100,11 @@ def _pdiv(a, b):
     return _pmul(a, (1 / b[0],))
 
 
-_FIELD_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-              ast.Div: operator.truediv, ast.USub: operator.neg, ast.UAdd: lambda a: a}
-_POLY_OPS = {ast.Add: _padd, ast.Sub: lambda a, b: _padd(a, _pmul((-1,), b)),
-             ast.Mult: _pmul, ast.Div: _pdiv, ast.USub: lambda a: _pmul((-1,), a),
-             ast.UAdd: lambda a: a}
+_FIELD_OPS = {"Add": operator.add, "Sub": operator.sub, "Mult": operator.mul,
+              "Div": operator.truediv, "USub": operator.neg, "UAdd": lambda a: a}
+_POLY_OPS = {"Add": _padd, "Sub": lambda a, b: _padd(a, _pmul((-1,), b)),
+             "Mult": _pmul, "Div": _pdiv, "USub": lambda a: _pmul((-1,), a),
+             "UAdd": lambda a: a}
 
 
 def read_rational(text: str) -> tuple[int, int]:
@@ -115,6 +117,8 @@ def read_rational(text: str) -> tuple[int, int]:
         # int refuses an exponent of over 4300 digits here, as it would in Fraction
         if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
             raise ValueError(f"decimal exponent of {text!r} is beyond ±{MAX_EXPONENT}")
+        if ".d" in text or ".D" in text:  # Fraction's decimal group is d* on 3.11-3.12
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
         x = Fraction(text)
         return x.numerator, x.denominator
     sign, num, den = match.groups()

@@ -44,10 +44,9 @@ truncated arithmetic would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import InsufficientPrecision, VerificationFailed
+from .errors import InsufficientPrecision, Record, VerificationFailed
 from .mcf import MCF, check_convergence_conditions, evaluate_finite
 from .numberfield import MAX_DOUBLINGS, clear_denominators, rational_linear_dependence
 from .padic import (
@@ -72,8 +71,7 @@ _UNIT = (Fraction(1),)
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class JPState:
+class JPState(Record):
     """Complete quotients at one step of an expansion."""
 
     prime: int
@@ -85,16 +83,14 @@ class JPState:
         return len(self.alphas)
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(Record):
     """One emitted quotient tuple; next_state is None exactly on termination."""
 
     quotients: tuple
     next_state: JPState | None
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(Record):
     """Outcome of an expansion run.
 
     status is one of "finite", "truncated", "periodic".  For periodic runs,
@@ -166,7 +162,7 @@ def jp_expand(
     result = _expand(run, max_steps, detect_period)
     if result.status == "truncated" and isinstance(run, _TruncatedRun):
         candidate = _quotient_period_candidate(result.mcf.rows)
-        result = replace(result, period_candidate=candidate)
+        result = result.replace(period_candidate=candidate)
     return result
 
 
@@ -266,7 +262,7 @@ def euclid_expand(xs, p: int, max_steps: int = DEFAULT_MAX_STEPS):
     run = _exact_run(xs, p) or _ValueEuclid(xs, p)
     vals = [run.valuation]
     result = _expand(run, max_steps, vals=vals)
-    return replace(result, trace_valuations=tuple(vals))
+    return result.replace(trace_valuations=tuple(vals))
 
 
 class _TruncatedRun:
@@ -716,8 +712,7 @@ def verify_termination_dependence(result: ExpansionResult, inputs):
     return dep
 
 
-@dataclass(frozen=True)
-class ReexpandReport:
+class ReexpandReport(Record):
     """Whether re-expanding the value of a finite MCF reproduces it.
 
     failed_hypotheses lists which uniqueness hypotheses the block violates

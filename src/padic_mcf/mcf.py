@@ -23,7 +23,6 @@ is read by exprparse.read_rational, the command line's one rational reader.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm, prod
@@ -33,6 +32,7 @@ from .errors import (
     InsufficientPrecision,
     InternalMismatch,
     PrecisionExhausted,
+    Record,
     ZeroDenominatorConvergent,
     ZeroIntermediate,
     ZeroWeight,
@@ -352,8 +352,7 @@ def determinant_check(mcf: MCF):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     """Outcome of the partial-quotient norm conditions for n = 1..last_index.
 
     In the general form the requirements are |a_n^(1)| >= 1 and
@@ -511,8 +510,7 @@ def reconstruct_initial(table: ConvergentsTable, alphas):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrongConvergenceSeq:
+class StrongConvergenceSeq(Record):
     """V_n^(i) = A_n^(i) - target_i * A_n^(m+1) for n = -m .. last index.
 
     `values[k]` is the tuple at index n = k - m; `valuations` carries the

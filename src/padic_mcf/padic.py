@@ -18,11 +18,10 @@ point is involved anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InsufficientPrecision, PrecisionExhausted
+from .errors import InsufficientPrecision, PrecisionExhausted, Record
 
 #: Valuation of zero.  math.inf interacts correctly with min/+/comparisons,
 #: so ultrametric identities hold literally in tests.
@@ -215,8 +214,7 @@ def _balanced_digits(r: int, p: int, n: int) -> list[int]:
     return _balanced_digits(lo, p, h) + _balanced_digits(hi, p, n - h)
 
 
-@dataclass(frozen=True)
-class BalancedDigits:
+class BalancedDigits(Record):
     """Digits x_j of sum(x_j * p**j, j = start, start+1, ...), each in (-p/2, p/2).
 
     The empty sequence represents zero; otherwise the leading digit is

@@ -17,17 +17,16 @@ unit tests pin down separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import Record
 from .jacobi_perron import jp_expand, reexpand_check, verify_termination_dependence
 from .mcf import MCF, evaluate_finite
 from .numberfield import NumberField, PAdicEmbedding
 from .exprparse import evaluate_expression, parse_polynomial
 
 
-@dataclass(frozen=True)
-class ExampleCase:
+class ExampleCase(Record):
     id: str
     description: str
     kind: str  # "rational" | "periodic" | "consistency"

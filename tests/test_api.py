@@ -1,7 +1,10 @@
 """The public surface: `padic_mcf.__all__` is exactly what README documents."""
 
 import ast
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +66,42 @@ def test_removed_name_is_gone(owner, name):
 @pytest.mark.parametrize("name", UNEXPORTED)
 def test_helper_is_not_exported(name):
     assert name not in padic_mcf.__all__ and not hasattr(padic_mcf, name)
+
+
+# Child of a fresh interpreter: what importing the CLI adds to the modules
+# loaded at start-up (site may load some of them), then the names that
+# `padic_mcf` binds on demand and by `import *`.
+CHILD = """
+import json, sys
+before = set(sys.modules)
+import padic_mcf.cli
+loaded = sorted(set(sys.modules) - before)
+import padic_mcf
+cases = padic_mcf.PAPER_CASES
+names = {}
+exec("from padic_mcf import *", names)
+print(json.dumps({
+    "file": padic_mcf.__file__,
+    "loaded": loaded,
+    "unbound": sorted(set(padic_mcf.__all__) - set(names)),
+    "cases": [c.id for c in cases],
+    "same": names["PAPER_CASES"] is cases,
+}))
+"""
+
+
+def test_a_cli_import_loads_only_what_it_runs():
+    root = Path(padic_mcf.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD], cwd=root, capture_output=True, text=True, check=True
+    ).stdout
+    child = json.loads(out)
+    assert Path(child["file"]).resolve() == Path(padic_mcf.__file__).resolve()
+    lazy = {"dataclasses", "inspect", "ast", "padic_mcf.worked_examples"}
+    assert lazy & set(child["loaded"]) == set()
+    assert "padic_mcf.jacobi_perron" in child["loaded"]
+    assert child["unbound"] == []
+    assert child["cases"] == [c.id for c in padic_mcf.PAPER_CASES] and child["same"]
 
 
 def _unread_imports(source):

@@ -1,7 +1,6 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
 import argparse
-import dataclasses
 import functools
 import io
 import json
@@ -641,7 +640,7 @@ class TestEvaluateDigitsCheck:
 def _doctored(case_id, **params):
     """The bundled case case_id with some of its params replaced."""
     case = next(c for c in PAPER_CASES if c.id == case_id)
-    return dataclasses.replace(case, params={**case.params, **params})
+    return case.replace(params={**case.params, **params})
 
 
 # (doctored case, the detail of its failure)
@@ -745,7 +744,7 @@ class TestPaperExamples:
 
     def test_cli_exits_1_on_a_doctored_case(self, monkeypatch):
         case, detail = DOCTORED[1]  # c9-q5-stop with a wrong value
-        monkeypatch.setattr(cli, "PAPER_CASES", (case,))
+        monkeypatch.setattr(worked_examples, "PAPER_CASES", (case,))
         code, out = run_cli("paper-examples", "--only", case.id)
         assert code == 1
         assert out == f"[FAIL] {case.id}: {case.description} -- {detail}\n0/1 passed\n"
@@ -976,6 +975,12 @@ class TestExponentBound:
     def test_at_the_bound_is_read(self, text, value):
         code, out = run_cli("expand", "-p", "5", "--format", "json", text, "1")
         assert (code, json.loads(out)) == (0, jp_expand((value, F(1)), 5).to_json_dict())
+
+
+def test_letter_d_after_the_point_is_a_malformed_literal(capsys):
+    # Fraction's own pattern takes "1.d" on Python 3.11-3.12 and then fails in int
+    line = "error: cannot parse rational '1.d': Invalid literal for Fraction: '1.d'\n"
+    assert _outcome(capsys, ["expand", "-p", "5", "1.d", "1"]) == (1, "", "", line)
 
 
 class TestNarrowParser:

@@ -246,6 +246,13 @@ class TestQuotientParser:
         else:
             assert got == parse_outcome(fraction_parse, text)
 
+    # Fraction's decimal group is d* on Python 3.11-3.12, which reads a
+    # literal d; the reader refuses it as 3.10 and 3.13 do
+    @pytest.mark.parametrize("text", ["1.d", "1.dd", "1.dE2", "1.D"])
+    def test_letter_d_after_the_point(self, text):
+        got = parse_outcome(read_rational, text)
+        assert got == (ValueError, f"Invalid literal for Fraction: {text!r}")
+
     def test_canonical_files_build_no_fraction_rows(self, monkeypatch):
         text = {"m": 2, "a": [["3/5", "-2", "0/6"], ["1", "7/10", "2/6"], ["1", 1, "3"]]}
 

@@ -216,6 +216,31 @@ MUTANTS = (
         "num = -int(num) if sign else int(num)", "num = int(num)",
         "tests/test_mcf.py",
     ),
+    # errors.Record, the base of every result and report
+    Mutant(
+        "record-equality-ignores-class", "errors.py",
+        "        if other.__class__ is not self.__class__:\n",
+        "        if not isinstance(other, Record):\n",
+        "tests/test_records.py",
+    ),
+    Mutant(
+        "record-default-not-applied", "errors.py",
+        "cls._defaults = {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}",
+        "cls._defaults = {}",
+        "tests/test_records.py",
+    ),
+    Mutant(
+        "record-replace-drops-changes", "errors.py",
+        "return type(self)(**{**self.__dict__, **changes})",
+        "return type(self)(**self.__dict__)",
+        "tests/test_records.py",
+    ),
+    Mutant(
+        "record-assignment-allowed", "errors.py",
+        '        raise AttributeError(f"cannot assign to field {name!r}")',
+        "        object.__setattr__(self, name, value)",
+        "tests/test_records.py",
+    ),
     # _ProjectiveEuclid's re-lift and step
     Mutant(
         "read-need-minus-one", "jacobi_perron.py",

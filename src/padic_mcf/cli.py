@@ -6,12 +6,6 @@ JSON), digits (balanced digit expansion of a rational), check (norm
 conditions and determinant identities of an MCF), and paper-examples (the
 bundled worked-example suite).
 
-A call whose first argument names a subcommand parses with that
-subcommand's parser alone.  Any other call (help, no command, an unknown
-one, an option first) uses the parser of them all, so every message is the
-full parser's.  Each parser is built once per process and then reused;
-nothing changes a parser after it is built.
-
 Exit codes: 0 for finite/periodic expansions and successful checks, 2 for
 truncated expansions, 1 for usage, parse and precision errors (reported on
 standard error, a precision error of expand or euclid followed by the rows
@@ -158,23 +152,20 @@ def _fill_paper_examples(pe):
 
 
 @functools.cache
-def build_parser(command=None) -> _ArgumentParser:
-    """The parser of every subcommand, or of `command` alone.  A subparser's
-    prog, usage and help do not depend on its siblings, so parsing a call
-    to `command` with either parser gives the same result and output.
+def build_parser() -> _ArgumentParser:
+    """The parser of every subcommand.
 
-    Cached: a parse leaves its parser as it was (argparse copies an
+    Cached: a parse leaves the parser as it was (argparse copies an
     `append` default before appending to it, help reads COLUMNS when it is
-    formatted and `_ArgumentParser.error` raises), so one parser per
-    command serves every call."""
+    formatted and `_ArgumentParser.error` raises), so one parser serves
+    every call."""
     parser = _ArgumentParser(
         prog="padic-mcf",
         description="Exact multidimensional continued fractions over Q_p.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, fill, _) in _SUBCOMMANDS.items():
-        if command is None or name == command:
-            fill(subs.add_parser(name, help=help_text))
+        fill(subs.add_parser(name, help=help_text))
     return parser
 
 
@@ -311,9 +302,9 @@ def _read_mcf(args) -> MCF:
         text = sys.stdin.read()
     try:
         return MCF.from_json_dict(json.loads(text))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         # JSON of the wrong shape ends in KeyError or TypeError, a zero
-        # denominator in ZeroDivisionError
+        # denominator in ZeroDivisionError, too deep a nesting in RecursionError
         raise UsageError(f"bad MCF JSON: {exc}") from None
 
 
@@ -419,13 +410,15 @@ _SUBCOMMANDS = {
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     argv = sys.argv[1:] if argv is None else argv
-    # anything but an exact subcommand name first (help, no arguments, an
-    # unknown or abbreviated name, an option) gets the full parser's message
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    # values are read and written exactly at any length, so the call lifts
+    # the limit on the digits of an int string that Python 3.10.7 added
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         try:
             with contextlib.redirect_stdout(out):  # -h/--help prints to out
-                args = build_parser(command).parse_args(argv)
+                args = build_parser().parse_args(argv)
         except SystemExit as exc:  # argparse exits after printing the help
             return exc.code
         return _SUBCOMMANDS[args.command][2](args, out)
@@ -438,6 +431,9 @@ def main(argv=None, out=None) -> int:
         if rows is not None:
             print(f"certified rows: {rows}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def entrypoint():

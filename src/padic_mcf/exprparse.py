@@ -9,7 +9,8 @@ counting as 1) may not exceed MAX_POWER.
 
 read_rational reads every rational that the command line takes as text.
 Fraction multiplies out a decimal exponent ("1e999999999" would take
-hours), so an exponent beyond MAX_EXPONENT in absolute value is refused.
+hours), so an exponent beyond MAX_EXPONENT in absolute value is refused;
+a longer value is written out in digits, and costs what its text costs.
 Only the expression forms import `ast`; the op tables name its node types.
 """
 
@@ -22,7 +23,7 @@ from itertools import repeat
 from .numberfield import _padd, _pmul, _pstrip
 
 MAX_POWER = 256
-MAX_EXPONENT = 4300  # Python's default limit on the digits of an int string
+MAX_EXPONENT = 4300  # so an exponent builds at most a 14285-bit power of 10
 #: what `expand --format json` writes; int reads it as Fraction(str) would
 _CANONICAL = re.compile(r"(-?)(\d+)(?:/(\d+))?")
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
@@ -114,9 +115,10 @@ def read_rational(text: str) -> tuple[int, int]:
     match = _CANONICAL.fullmatch(text)
     if match is None:
         exponent = _EXPONENT.search(text)
-        # int refuses an exponent of over 4300 digits here, as it would in Fraction
-        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
-            raise ValueError(f"decimal exponent of {text!r} is beyond ±{MAX_EXPONENT}")
+        if exponent:  # its digit count first: int's work grows with its square
+            digits = exponent[1].lstrip("+-").replace("_", "").lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ValueError(f"decimal exponent of {text!r} is beyond ±{MAX_EXPONENT}")
         if ".d" in text or ".D" in text:  # Fraction's decimal group is d* on 3.11-3.12
             raise ValueError(f"Invalid literal for Fraction: {text!r}")
         x = Fraction(text)

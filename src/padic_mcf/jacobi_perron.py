@@ -276,11 +276,10 @@ class _TruncatedRun:
     a zero class) and 1; next to it, `precisions` holds each coordinate's
     absolute precision n_i.  A step raises InsufficientPrecision for the
     first n_i < 1 (its digit at exponent 0 is unknown), takes the exact
-    step, and reads each remainder's valuation r_i = min(v, n_i), v that
-    of the exact remainder alpha^(i) - a^(i) (n_i for an exact zero).  If
-    r_m >= n_m, the last remainder cannot be told from 0 and the step
-    raises; else n'_1 = n_m - 2 r_m and n'_(i+1) = min(n'_1 + r_i,
-    n_i - r_m).
+    step, and reads each remainder's valuation r_i off the exact remainder
+    alpha^(i) - a^(i) (n_i for an exact zero).  If r_m >= n_m, the last
+    remainder cannot be told from 0 and the step raises; else
+    n'_1 = n_m - 2 r_m and n'_(i+1) = min(n'_1 + r_i, n_i - r_m).
 
     This emits the rows and raises the errors of jp_step's operations on
     PAdicApprox, whose operators each apply one precision rule.  Reduction
@@ -295,8 +294,9 @@ class _TruncatedRun:
     so the ledger's tests are the rules' tests: a zero class of precision
     n is a triple of valuation n.  The digit s(x) depends on x modulo p
     alone, so at n_i >= 1 the triple and the exact value give the same
-    digit.  (The cap at n_i never changes an update: an r_i above n_i
-    meets n_i - r_m in a min, and an r_m at or above n_m raises.)
+    digit.  The ledger reads r_i uncapped: the triple's valuation
+    min(r_i, n_i) gives the same updates and raises, as an r_i above n_i
+    meets n_i - r_m in a min and an r_m at or above n_m raises.
 
     The exact run needs no precision of its own: its integers keep their
     size, and a step costs one inverse modulo a small p**k and products
@@ -340,7 +340,7 @@ class _TruncatedRun:
                 )
         quotients = self.exact.step()
         rs = [  # the remainders' valuations, from the parts after the first
-            n if part is None else min(part[0], n)
+            n if part is None else part[0]
             for part, n in zip(self.exact.parts[1:], ns)
         ]
         if rs[-1] >= ns[-1]:

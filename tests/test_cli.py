@@ -1,6 +1,6 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
-import argparse
+import contextlib
 import functools
 import io
 import json
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import padic_mcf
 from padic_mcf import cli, worked_examples
+from padic_mcf import mcf as mcf_module
 from padic_mcf.cli import main
 from padic_mcf.errors import InsufficientPrecision
 from padic_mcf.exprparse import ExprError, evaluate_expression, parse_polynomial
@@ -520,20 +521,32 @@ class TestEvaluateDigitsCheck:
             (("check", "-p", "5"), '{"m":1,"a":[["1","2"],["2","0"]]}',
              "partial quotients a_n^(m+1) must be nonzero"),
             (("evaluate",), '{"m":1,"a":[[],[]]}', "need at least one row of partial quotients"),
+            (("evaluate",), '{"m":1,"a":[["1","3"],["2","1"]]}', "a_0^(m+1) must equal 1"),
+            (("check", "-p", "5"), '{"m":1,"a":[["1","3"],["2","1"]]}',
+             "a_0^(m+1) must equal 1"),
+            # json's decoder gives up, in its own words after these
+            (("evaluate",), "[" * 100000, "maximum recursion depth exceeded …"),
+            (("check", "-p", "5"), "[" * 100000, "maximum recursion depth exceeded …"),
         ],
         ids=["list", "string-m", "null-quotient", "huge-float", "float-quotient",
              "bool-quotient", "string-finite", "bool-m", "float-m",
              "string-sequences", "check-string-sequences", "string-a", "check-string-a",
              "zero-denominator", "check-zero-denominator", "literal-before-count",
              "lengths-before-zero-last", "m-zero-one-sequence",
-             "literals-in-sequence-order", "zero-last-before-first-not-one", "no-rows"],
+             "literals-in-sequence-order", "zero-last-before-first-not-one", "no-rows",
+             "first-not-one", "check-first-not-one", "nested", "check-nested"],
     )
     def test_wrong_shape_is_usage_error(self, monkeypatch, capsys, command, text, message):
-        # well-formed JSON that is not an MCF: an error line, no traceback
+        # JSON that is not an MCF: an error line, no traceback
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, out = run_cli(*command)
         assert code == 1 and out == ""
-        assert capsys.readouterr().err == f"error: bad MCF JSON: {message}\n"
+        err = capsys.readouterr().err
+        if message.endswith(" …"):
+            prefix = f"error: bad MCF JSON: {message[:-2]}"
+            assert err.startswith(prefix) and err.index("\n") == len(err) - 1
+        else:
+            assert err == f"error: bad MCF JSON: {message}\n"
 
     @pytest.mark.parametrize(
         "command, path, reason",
@@ -615,6 +628,24 @@ class TestEvaluateDigitsCheck:
             "det B_0 = -1 (matches: True)\n"
             "det B_1 = 3 (matches: True)\n"
             "det B_2 = 6 (matches: True)\n"
+        )
+
+    def test_check_reports_a_determinant_mismatch(self, monkeypatch):
+        bareiss = mcf_module._bareiss
+
+        def negated(a):  # every window's determinant comes out negated
+            r, sign = bareiss(a)
+            return r, -sign
+
+        monkeypatch.setattr(mcf_module, "_bareiss", negated)
+        # the conditions hold, and the dets are -1 and 1 unpatched
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"m":1,"a":[["1","1/5"],["1","1"]]}'))
+        code, out = run_cli("check", "-p", "5")
+        assert code == 1
+        assert out == (
+            "conditions (general): hold\n"
+            "det B_0 = 1 (matches: False)\n"
+            "det B_1 = -1 (matches: False)\n"
         )
 
     def test_check_json_bytes_non_unit(self, monkeypatch):
@@ -833,9 +864,7 @@ class TestConsoleEntry:
         assert proc.returncode == 1
 
 
-# A call naming a subcommand builds that subcommand's parser alone; every
-# other call builds all of them.  Either way the outcome must be the full
-# parser's: help text, usage errors, exit codes and results.
+# help, usage errors, and one valid call of each subcommand
 SUBCOMMANDS = ("expand", "euclid", "evaluate", "digits", "check", "paper-examples")
 PARSER_CORPUS = [
     ("-h",),
@@ -976,6 +1005,82 @@ class TestExponentBound:
         code, out = run_cli("expand", "-p", "5", "--format", "json", text, "1")
         assert (code, json.loads(out)) == (0, jp_expand((value, F(1)), 5).to_json_dict())
 
+    def test_a_long_exponent_is_refused_by_its_length(self, capsys):
+        # int's work on the exponent's digits would grow with their square
+        value = "1e" + "9" * 1_000_000
+        start = time.perf_counter()
+        outcome = _outcome(capsys, ["expand", "-p", "5", value, "1"])
+        assert time.perf_counter() - start < 2
+        line = f"error: cannot parse rational {value!r}: decimal exponent of {value!r} "
+        assert outcome == (1, "", "", line + "is beyond ±4300\n")
+
+
+@contextlib.contextmanager
+def any_length_ints():
+    """Lets int and str convert ints of any length (the interpreter limits
+    the digits from Python 3.10.7 on)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestLongValues:
+    """The CLI reads and writes values beyond the interpreter's default
+    limit of 4300 digits in an int string, and leaves that limit as it was."""
+
+    def test_round_trip(self, monkeypatch):
+        with any_length_ints():
+            values = [f"{7 * 11**5000}/3", f"{5 * 11**5000}/2"]  # 5207 digits over 1
+        code, out = run_cli("expand", "-p", "11", "--format", "json", *values)
+        assert code == 0
+        result = json.loads(out)
+        assert result["status"] == "finite"
+        assert max(len(q) for seq in result["quotients"]["a"] for q in seq) > 4300
+        quotients = json.dumps(result["quotients"])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(quotients))
+        code, out = run_cli("evaluate", "--format", "json")
+        assert (code, json.loads(out)) == (0, {"value": values})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(quotients))
+        code, out = run_cli("check", "-p", "11", "--unit-numerators")
+        assert code == 0
+        assert out.startswith("conditions (strict (unit numerators)): hold\n")
+
+    def test_evaluate_12000_rows(self, monkeypatch):
+        rows = 12000
+        text = json.dumps({"m": 1, "a": [["3"] * rows, ["1"] * rows]})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out = run_cli("evaluate")
+        # the continued fraction [3; 3, ..., 3]: P/Q of x_n = 3 x_(n-1) + x_(n-2)
+        num, den = 1, 0
+        for _ in range(rows):
+            num, den = 3 * num + den, num
+        with any_length_ints():
+            assert (code, out) == (0, f"value: {F(num, den)}\n")
+        assert len(out) > 2 * 4300
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on the digits of an int string")
+    def test_the_callers_limit_is_kept(self):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(5000)
+            assert main(["digits", "-p", "5", "1/3"], out=io.StringIO()) == 0
+            assert sys.get_int_max_str_digits() == 5000
+            with pytest.raises(BrokenPipeError):
+                main(["digits", "-p", "5", "1/3"], out=Closed())
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 def test_letter_d_after_the_point_is_a_malformed_literal(capsys):
     # Fraction's own pattern takes "1.d" on Python 3.11-3.12 and then fails in int
@@ -984,29 +1089,19 @@ def test_letter_d_after_the_point_is_a_malformed_literal(capsys):
 
 
 class TestNarrowParser:
+    """One parser, built once per process, parses every call."""
+
     @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda a: " ".join(a) or "(none)")
     def test_main_matches_the_full_parser(self, monkeypatch, capsys, tmp_path, argv):
         monkeypatch.setenv("COLUMNS", "80")
         path = tmp_path / "mcf.json"
         path.write_text(TestEvaluateDigitsCheck.MCF_JSON)
         argv = [str(path) if a == "MCF" else a for a in argv]
-        full, built = cli.build_parser, []
-
-        def spy(command=None):
-            parser = full(command)
-            built.append((command, parser))
-            return parser
-
-        monkeypatch.setattr(cli, "build_parser", spy)
-        full.cache_clear()
-        narrow = _outcome(capsys, argv)
-        command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
-        assert [c for c, _ in built] == [command]
+        cli.build_parser.cache_clear()
+        first = _outcome(capsys, argv)
         # a second call reuses the cached parser and says the same
-        assert _outcome(capsys, argv) == narrow
-        assert built[1] == built[0] and full.cache_info().currsize == 1
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-        assert _outcome(capsys, argv) == narrow
+        assert _outcome(capsys, argv) == first
+        assert cli.build_parser.cache_info().currsize == 1
 
     def test_cached_parsers_keep_no_state(self, monkeypatch, capsys, tmp_path):
         path = tmp_path / "mcf.json"
@@ -1037,25 +1132,9 @@ class TestNarrowParser:
 
         cli.build_parser.cache_clear()
         cached = run(fresh=False)
-        assert cli.build_parser.cache_info().misses == 3  # expand, the full one, check
+        assert cli.build_parser.cache_info().misses == 1
         assert cached == run(fresh=True)
         assert cached[6][1] != cached[7][1]  # help is wrapped at COLUMNS
-
-    @pytest.mark.parametrize("name", SUBCOMMANDS)
-    def test_subparser_help_is_the_full_parsers(self, monkeypatch, name):
-        monkeypatch.setenv("COLUMNS", "80")
-
-        def subparsers(parser):
-            (action,) = (
-                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-            )
-            return action.choices
-
-        narrow = subparsers(cli.build_parser(name))
-        assert list(narrow) == [name]
-        full = subparsers(cli.build_parser())
-        assert list(full) == list(SUBCOMMANDS)
-        assert narrow[name].format_help() == full[name].format_help()
 
     @pytest.mark.parametrize(
         "argv", [("-h",), ("--help",), ("check", "--help"), ("expand", "-h")]
@@ -1067,24 +1146,11 @@ class TestNarrowParser:
 
     @pytest.mark.parametrize("argv", [("--help",), ("check", "--help")])
     def test_module_help_matches_the_full_parser(self, argv):
-        force_full = (
-            "from padic_mcf import cli; full = cli.build_parser; "
-            "cli.build_parser = lambda command=None: full(); cli.entrypoint()"
+        proc = subprocess.run(
+            [sys.executable, "-m", "padic_mcf", *argv],
+            capture_output=True,
+            text=True,
+            cwd=PACKAGE_ROOT,
         )
-        env = dict(os.environ, COLUMNS="80")
-        narrow, forced = (
-            subprocess.run(
-                [sys.executable, *head, *argv],
-                capture_output=True,
-                text=True,
-                cwd=PACKAGE_ROOT,
-                env=env,
-            )
-            for head in (("-m", "padic_mcf"), ("-c", force_full))
-        )
-        assert narrow.returncode == 0 and narrow.stdout.startswith("usage: padic-mcf")
-        assert (narrow.returncode, narrow.stdout, narrow.stderr) == (
-            forced.returncode,
-            forced.stdout,
-            forced.stderr,
-        )
+        usage = " ".join(("usage: padic-mcf", *argv[:-1]))
+        assert proc.returncode == 0 and proc.stdout.startswith(usage + " [-h]")

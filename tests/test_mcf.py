@@ -412,6 +412,21 @@ class TestDeterminant:
                     assert ok
                     assert det == oracle_det(prod)
 
+    def test_a_mismatch_gives_the_computed_determinant(self, monkeypatch):
+        # rows over denominators, so the computed det is a reduced fraction
+        mcf = random_mcf(random.Random(3), 2, 6)
+        checks = determinant_check(mcf)
+        assert all(ok for _, ok in checks)
+        assert any(det.denominator > 1 for det, _ in checks)
+        bareiss = mcf_module._bareiss
+
+        def negated(a):  # every window's determinant comes out negated
+            r, sign = bareiss(a)
+            return r, -sign
+
+        monkeypatch.setattr(mcf_module, "_bareiss", negated)
+        assert determinant_check(mcf) == [(-det, False) for det, _ in checks]
+
 
 class TestConditions:
     def test_algorithm_output_passes_strict(self):

@@ -123,13 +123,6 @@ MUTANTS = (
         "first = ns[-1] - 2 * rs[-1]", "first = ns[-1] - 2 * rs[-1] - 1",
         "tests/test_jacobi_perron.py",
     ),
-    Mutant(
-        "ledger-uncapped", "jacobi_perron.py",
-        "n if part is None else min(part[0], n)", "n if part is None else part[0]",
-        "tests/test_jacobi_perron.py",
-        equivalent="an r_i above n_i meets n_i - r_m in a min, and an r_m at or "
-        "above n_m raises either way (_TruncatedRun's docstring)",
-    ),
     # _ProjectiveEuclid's period lookup
     Mutant(
         "cross-check-false", "jacobi_perron.py",
@@ -200,15 +193,25 @@ MUTANTS = (
         "closed *= Fraction(c[m], ell)", "closed *= Fraction(ell, c[m])",
         "tests/test_mcf.py",
     ),
+    Mutant(
+        "mismatch-reports-closed-form", "mcf.py",
+        "out.append((Fraction(num, den), False))", "out.append((expected, False))",
+        "tests/test_mcf.py",
+    ),
+    Mutant(
+        "first-row-unchecked", "mcf.py",
+        "        if scaled[0][0][m] != scaled[0][1]:\n", "        if False:\n",
+        "tests/test_cli.py",
+    ),
     # the one rational reader and its exponent bound
     Mutant(
         "exponent-bound-off-by-one", "exprparse.py",
-        "abs(int(exponent[1])) > MAX_EXPONENT", "abs(int(exponent[1])) >= MAX_EXPONENT",
+        "int(digits) > MAX_EXPONENT", "int(digits) >= MAX_EXPONENT",
         "tests/test_cli.py",
     ),
     Mutant(
         "negative-exponent-unchecked", "exprparse.py",
-        "abs(int(exponent[1]))", "int(exponent[1])",
+        "        if exponent:", '        if exponent and exponent[1][0] != "-":',
         "tests/test_mcf.py",
     ),
     Mutant(

@@ -116,14 +116,6 @@ def split_p(n: int, q: int) -> tuple[int, int]:
     return (2 * w + 1, d) if r == 0 else (2 * w, u)
 
 
-@lru_cache(maxsize=1024)
-def _power(p: int, e: int) -> int:
-    """p**e, from a bounded table: inverse_mod_pk and residue_digit, which
-    the exact kernels call on every step, read the same few moduli over and
-    over."""
-    return p**e
-
-
 #: inverse_mod_pk seeds its Newton steps with pow's inverse modulo the
 #: first p**e of its halving chain below 2**_SEED_BITS.
 _SEED_BITS = 40
@@ -139,16 +131,16 @@ def inverse_mod_pk(a: int, p: int, k: int) -> int:
     its first exponent e with p**e below 2**_SEED_BITS, or at e = 1, and
     the seed there is pow's inverse mod p**e: on moduli that small one
     extended gcd is faster than the products that would lift to it.
-    Every modular inverse of the package goes through here.
+    Every modular inverse of the package goes through here, and each power
+    of p along the chain is computed once.
     """
-    chain = []  # k, ceil(k/2), ceil(k/4), ... down to the seed's exponent
-    while k > 1 and _power(p, k) >> _SEED_BITS:
-        chain.append(k)
+    mods = [p**k]  # p**k, p**ceil(k/2), ... down to the seed's modulus
+    while k > 1 and mods[-1] >> _SEED_BITS:
         k = (k + 1) // 2
-    mod = _power(p, k)
+        mods.append(p**k)
+    mod = mods.pop()
     y = pow(a % mod, -1, mod)
-    for e in reversed(chain):
-        mod = _power(p, e)
+    for mod in reversed(mods):
         y = y * (2 - a % mod * y) % mod
     return y
 
@@ -210,7 +202,7 @@ def _balanced_digits(r: int, p: int, n: int) -> list[int]:
         return [residue_digit(r, p, 1)]
     h = n // 2
     lo = residue_digit(r, p, h)
-    hi = (r - lo) // _power(p, h)
+    hi = (r - lo) // p**h
     return _balanced_digits(lo, p, h) + _balanced_digits(hi, p, n - h)
 
 
@@ -229,8 +221,8 @@ class BalancedDigits(Record):
         for d in reversed(self.digits):
             acc = acc * p + d
         if self.start >= 0:
-            return Fraction(acc * _power(p, self.start))
-        return Fraction(acc, _power(p, -self.start))
+            return Fraction(acc * p**self.start)
+        return Fraction(acc, p**-self.start)
 
     def to_json_dict(self) -> dict:
         return {"k": self.start, "digits": list(self.digits)}
@@ -265,7 +257,7 @@ def residue_digit(r: int, p: int, k: int) -> int:
     terms since R is prime to p.  It is the package's one digit map; its
     callers form the digit from R, the exact kernels of jacobi_perron once
     per distinct (R, k) of a run."""
-    mod = _power(p, k)
+    mod = p**k
     r %= mod
     return r - mod if r > mod // 2 else r
 
@@ -292,7 +284,7 @@ def browkin_s(x, p: int) -> Fraction:
     if u == 0 or v > 0:
         return Fraction(0)
     # x = u / p**(k-1) for k = 1 - v >= 1, so s(x) = R / p**(k-1) (residue_digit)
-    return Fraction(residue_digit(u, p, 1 - v), _power(p, -v))
+    return Fraction(residue_digit(u, p, 1 - v), p**-v)
 
 
 def padic_divide(sigma, tau, p: int):
@@ -333,7 +325,7 @@ class PAdicApprox:
 
     def __init__(self, prime: int, val: int, unit: int, precision: int):
         require_odd_prime(prime)
-        unit = unit % _power(prime, precision - val) if precision > val else 0
+        unit = unit % prime ** (precision - val) if precision > val else 0
         if unit:
             w, unit = split_p(unit, prime)
             val += w

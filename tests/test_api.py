@@ -29,6 +29,7 @@ GONE = [
     (padic, "approx_mul"),
     (padic, "approx_div"),
     (padic, "approx_digit"),
+    (padic, "_power"),
 ]
 
 # module helpers that the package root no longer exports

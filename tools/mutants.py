@@ -87,7 +87,7 @@ MUTANTS = (
         "last[0] + self.e - self.scale_v", "last[0] + self.e + self.scale_v",
         "tests/test_jacobi_perron.py",
     ),
-    # inverse_mod_pk's seed
+    # inverse_mod_pk's seed and halving chain
     Mutant(
         "seed-mod-p", "padic.py",
         "y = pow(a % mod, -1, mod)", "y = pow(a % p, -1, p)",
@@ -95,10 +95,15 @@ MUTANTS = (
     ),
     Mutant(
         "seed-one-step-early", "padic.py",
-        "while k > 1 and _power(p, k) >> _SEED_BITS:",
-        "while k > 1 and _power(p, k - 1) >> _SEED_BITS:",
+        "while k > 1 and mods[-1] >> _SEED_BITS:",
+        "while k > 1 and mods[-1] // p >> _SEED_BITS:",
         "tests/test_padic.py",
         equivalent="a seed at any exponent of the chain is lifted to the same inverse",
+    ),
+    Mutant(
+        "chain-level-wrong-power", "padic.py",
+        "mods.append(p**k)", "mods.append(p ** (k - 1))",
+        "tests/test_padic.py",
     ),
     Mutant(
         "seed-bound", "padic.py",
